@@ -330,12 +330,18 @@ def _cmd_rank(args) -> int:
 def _cmd_evaluate(args) -> int:
     qrels = read_qrels(args.qrels)
     report = MetricReport(k=args.depth)
+    lacking = []
     for run_path in args.run:
         run = read_run(run_path)
         report = report.merge(evaluate_run(run, qrels, args.depth,
                                            args.rel_threshold))
+        absent = set(qrels.queries()).difference(run.queries())
+        lacking.append(f"{run.tag} lacks {len(absent)} of {len(qrels.queries())} "
+                       f"qrels queries (not averaged)")
     text = comparison_table(report)
     sys.stdout.write(text)
+    for line in lacking:
+        print(line)
     if args.report or args.report_jsonl:
         report_txt = args.report or (str(args.run[0]) + ".report.txt")
         report_jsonl = args.report_jsonl or (str(args.run[0]) + ".report.jsonl")

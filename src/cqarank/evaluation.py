@@ -112,6 +112,7 @@ class SystemMetrics:
     map_at_k: float
     ndcg_at_k: float
     per_query: dict[str, QueryMetrics] = field(default_factory=dict)
+    missing: int = 0  # averaged-over queries the run lacks, each scored 0
 
 
 @dataclass
@@ -131,15 +132,26 @@ class MetricReport:
 
 
 def evaluate_run(run: RankedRun, qrels: Qrels, k: int = 10,
-                 rel_threshold: int = 1, system: str | None = None) -> MetricReport:
-    """MAP@k and NDCG@k averaged over the run's queries."""
+                 rel_threshold: int = 1, system: str | None = None,
+                 queries=None) -> MetricReport:
+    """MAP@k and NDCG@k averaged over `queries`, by default the run's own.
+
+    A query the run lacks scores AP = NDCG = 0 (trec_eval -c) and is
+    counted in `missing`; a run query outside `queries` is an error.
+    """
     name = system if system is not None else run.tag
-    per_query: dict[str, QueryMetrics] = {}
-    for qid in sorted(run.queries()):
+    in_run = set(run.queries())
+    for qid in sorted(in_run):
         if not qrels.has_query(qid):
             raise ValueError(f"run references unknown query id {qid!r}")
+    targets = sorted(in_run if queries is None else set(queries))
+    outside = sorted(in_run.difference(targets))
+    if outside:
+        raise ValueError(f"run query {outside[0]!r} is outside the evaluated queries")
+    per_query: dict[str, QueryMetrics] = {}
+    for qid in targets:
         grades = qrels.judged(qid)
-        docs = [doc_id for doc_id, _ in run.ranking(qid)]
+        docs = [doc_id for doc_id, _ in run.ranking(qid)] if qid in in_run else []
         flagged = not any(g >= rel_threshold for g in grades.values())
         per_query[qid] = QueryMetrics(
             ap=average_precision_at_k(docs, grades, k, rel_threshold),
@@ -153,6 +165,7 @@ def evaluate_run(run: RankedRun, qrels: Qrels, k: int = 10,
         map_at_k=sum(q.ap for q in per_query.values()) / n,
         ndcg_at_k=sum(q.ndcg for q in per_query.values()) / n,
         per_query=per_query,
+        missing=n - len(in_run),
     )
     return MetricReport(k=k, systems={name: metrics})
 
@@ -162,10 +175,13 @@ def comparison_table(report: MetricReport) -> str:
     matrix in percentage points (column system minus row system)."""
     names = list(report.systems.keys())
     width = max([len(n) for n in names] + [8])
-    lines = [f"{'system':<{width}}  {'MAP@%d' % report.k:>8}  {'NDCG@%d' % report.k:>8}"]
+    lines = [f"{'system':<{width}}  {'MAP@%d' % report.k:>8}  {'NDCG@%d' % report.k:>8}"
+             f"  {'queries':>7}  {'missing':>7}"]
     for name in names:
         m = report.systems[name]
-        lines.append(f"{name:<{width}}  {m.map_at_k:8.4f}  {m.ndcg_at_k:8.4f}")
+        lines.append(f"{name:<{width}}  {m.map_at_k:8.4f}  {m.ndcg_at_k:8.4f}"
+                     f"  {len(m.per_query):>7}  {m.missing:>7}")
+    lines.append("(a query missing from a run scores AP = NDCG = 0)")
     if len(names) > 1:
         lines.append("")
         lines.append("pairwise MAP deltas (x100, column minus row)")
@@ -192,7 +208,8 @@ def report_records(report: MetricReport) -> list[dict]:
     records = []
     for name, m in report.systems.items():
         records.append({"type": "system", "system": name, "k": report.k,
-                        "map": m.map_at_k, "ndcg": m.ndcg_at_k})
+                        "map": m.map_at_k, "ndcg": m.ndcg_at_k,
+                        "queries": len(m.per_query), "missing": m.missing})
     for name, m in report.systems.items():
         for qid, q in m.per_query.items():
             records.append({"type": "query", "system": name, "query": qid,

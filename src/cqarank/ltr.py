@@ -7,6 +7,7 @@ threshold.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,11 +81,19 @@ class RegressionTree:
             node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
         return self.value[node]
 
+    def _node_arrays(self, size: int) -> tuple[np.ndarray, ...]:
+        """(feature, threshold, left, right, value) padded with leaves to
+        `size` nodes."""
+        pad = size - len(self.feature)
+        return (np.array(self.feature + [-1] * pad, dtype=np.intp),
+                np.array(self.threshold + [0.0] * pad, dtype=np.float64),
+                np.array(self.left + [-1] * pad, dtype=np.intp),
+                np.array(self.right + [-1] * pad, dtype=np.intp),
+                np.array(self.value + [0.0] * pad, dtype=np.float64))
+
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for i in range(X.shape[0]):
-            out[i] = self.predict(X[i])
-        return out
+        arrays = [a[None, :] for a in self._node_arrays(len(self.feature))]
+        return _route(arrays, np.asarray(X, dtype=np.float64))[0]
 
     def to_lines(self) -> list[str]:
         """Preorder serialization: "S <feat> <thr>" / "L <value>"."""
@@ -128,6 +137,31 @@ class RegressionTree:
         return tree
 
 
+def _route(arrays, X: np.ndarray) -> np.ndarray:
+    """Leaf value reached by every row of X in every tree, as a
+    (trees, rows) array.
+
+    `arrays` are the (trees, nodes) feature, threshold, left, right and
+    value arrays. Each step moves every (tree, row) pair still at a split
+    one level down, by the rule of RegressionTree.predict.
+    """
+    feature, threshold, left, right, value = (a.ravel() for a in arrays)
+    n_trees, size = arrays[0].shape
+    n_rows, n_features = X.shape
+    # node ids index the flattened arrays: tree t's node i is t*size + i
+    offset = np.repeat(np.arange(n_trees) * size, n_rows)
+    row_start = np.tile(np.arange(n_rows) * n_features, n_trees)
+    x = X.ravel()
+    node = offset.copy()
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = x[row_start[active] + feature[at]] <= threshold[at]
+        node[active] = offset[active] + np.where(go_left, left[at], right[at])
+        active = active[feature[node[active]] >= 0]
+    return value[node].reshape(n_trees, n_rows)
+
+
 @dataclass
 class LambdaMARTModel:
     trees: list[RegressionTree]
@@ -141,15 +175,30 @@ class LambdaMARTModel:
         if len(features) != self.feature_count:
             raise ValueError(
                 f"expected {self.feature_count} features, got {len(features)}")
-        return sum(self.shrinkage * tree.predict(features) for tree in self.trees)
+        total = 0.0
+        for tree in self.trees:
+            total += self.shrinkage * tree.predict(features)
+        return total
+
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, ...]:
+        """Node arrays of every tree, one row per tree."""
+        size = max((len(tree.feature) for tree in self.trees), default=1)
+        per_tree = [tree._node_arrays(size) for tree in self.trees]
+        return tuple(np.array([arrays[i] for arrays in per_tree]).reshape(
+            len(self.trees), size) for i in range(5))
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[1] != self.feature_count:
+        """predict() of every row: all trees route together, and their
+        outputs are added in tree order."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise ValueError(
-                f"expected {self.feature_count} features, got {X.shape[1]}")
+                f"expected {self.feature_count} features, got shape {X.shape}")
+        leaves = _route(self._stacked, X)
         out = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            out += self.shrinkage * tree.predict_matrix(X)
+        for t in range(len(self.trees)):
+            out += self.shrinkage * leaves[t]
         return out
 
     def save(self, path) -> None:

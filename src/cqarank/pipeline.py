@@ -8,10 +8,13 @@ failing stage removes its partial outputs.
 
 import hashlib
 import json
+import os
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import (Corpus, QueryRecord, ingest_corpus, load_corpus,
                      load_queries, save_corpus)
@@ -20,7 +23,9 @@ from .evaluation import (MetricReport, Qrels, RankedRun, evaluate_run,
 from .index import InvertedIndex, build_index, retrieve_candidates, vsm_score
 from .ltr import LambdaMARTModel, RankingInstance, TrainConfig, read_letor, train, write_letor
 from .quality import quality_feature
-from .relevance import (MixtureWeights, features_f1_f4, score_lm, score_t2lm,
+# features_f1_f4 and score_* stay imported: per-layer tracing looks them up here
+from .relevance import (ComponentTable, DocumentTerms, MixtureWeights,
+                        document_terms, features_f1_f4, score_lm, score_t2lm,
                         score_t2lm_plus, score_tlm, term_weights)
 from .topics import TopicModel, infer_query_topics, train_lda
 from .translation import TranslationTable, make_parallel_pairs, train_ibm1
@@ -103,8 +108,21 @@ def _manifest_path(artifact: Path) -> Path:
     return artifact.with_name(artifact.name + ".manifest.json")
 
 
+def _manifest_key(path: Path, base: Path) -> str:
+    """`path` relative to `base` when it lies inside it, else as given, so a
+    copied or moved output directory keeps its manifests valid."""
+    try:
+        return path.resolve().relative_to(base.resolve()).as_posix()
+    except ValueError:
+        return str(path)
+
+
 class StageRunner:
-    """Runs pipeline stages with manifest-based idempotence."""
+    """Runs pipeline stages with manifest-based idempotence.
+
+    Manifests key each output, and each input inside the outputs'
+    directory, by its path relative to that directory.
+    """
 
     def __init__(self) -> None:
         self.executed: list[str] = []
@@ -117,12 +135,14 @@ class StageRunner:
         for path in inputs:
             if not path.exists():
                 raise PipelineError(f"stage {name} failed: missing input {path}")
+        base = Path(os.path.commonpath([str(out.resolve().parent)
+                                        for out in outputs]))
         body = {
             "stage": name,
-            "inputs": {str(p): _sha256(p) for p in inputs},
+            "inputs": {_manifest_key(p, base): _sha256(p) for p in inputs},
             "params": params,
         }
-        if self._up_to_date(outputs, body):
+        if self._up_to_date(outputs, body, base):
             self.skipped.append(name)
             return
         try:
@@ -137,14 +157,14 @@ class StageRunner:
             raise PipelineError(f"stage {name} failed: {exc}") from exc
         for out in outputs:
             manifest = dict(body)
-            manifest["output"] = {str(out): _sha256(out)}
+            manifest["output"] = {_manifest_key(out, base): _sha256(out)}
             with open(_manifest_path(out), "w", encoding="utf-8") as f:
                 json.dump(manifest, f, sort_keys=True, indent=1)
                 f.write("\n")
         self.executed.append(name)
 
     @staticmethod
-    def _up_to_date(outputs: list[Path], body: dict) -> bool:
+    def _up_to_date(outputs: list[Path], body: dict, base: Path) -> bool:
         for out in outputs:
             mpath = _manifest_path(out)
             if not out.exists() or not mpath.exists():
@@ -157,7 +177,7 @@ class StageRunner:
             recorded_output = manifest.pop("output", None)
             if manifest != body:
                 return False
-            if recorded_output != {str(out): _sha256(out)}:
+            if recorded_output != {_manifest_key(out, base): _sha256(out)}:
                 return False
         return True
 
@@ -166,6 +186,14 @@ def query_scoring_seed(base_seed: int, query_id: str) -> int:
     """Stable per-query seed for fold-in inference, independent of process
     hash randomization."""
     return (base_seed * 1000003 + zlib.crc32(query_id.encode("utf-8"))) % (2 ** 31)
+
+
+@dataclass(frozen=True, slots=True)
+class CandidateEntry:
+    """What scoring needs of one archive pair, whatever the query."""
+
+    terms: DocumentTerms
+    quality: tuple[float, ...]  # the quality columns of its feature row
 
 
 @dataclass
@@ -178,6 +206,20 @@ class ScoringAssets:
     model: TopicModel
     cfg: PipelineConfig
     ranker: LambdaMARTModel | None = None
+    # per-pair entries, filled the first time a pair is a candidate
+    entries: dict[str, CandidateEntry] = field(default_factory=dict, repr=False)
+
+    def entry(self, qa_id: str) -> CandidateEntry:
+        found = self.entries.get(qa_id)
+        if found is None:
+            qa = self.corpus.pair(qa_id)
+            found = CandidateEntry(
+                terms=document_terms(qa.question_tokens, qa.answer_tokens,
+                                     self.model),
+                quality=quality_feature(qa, self.corpus).as_columns(
+                    self.cfg.combine_quality))
+            self.entries[qa_id] = found
+        return found
 
 
 @dataclass
@@ -186,6 +228,18 @@ class PreparedQuery:
     candidates: list
     theta: object
     weights: dict[int, float]
+    table: ComponentTable | None = None  # built on demand when None
+
+
+def _table_of(assets: ScoringAssets, prepared: PreparedQuery) -> ComponentTable:
+    """The prepared query's component table, built and attached on first use."""
+    if prepared.table is None:
+        prepared.table = ComponentTable(
+            prepared.record.tokens,
+            [assets.entry(c.qa_id).terms for c in prepared.candidates],
+            assets.corpus.stats, assets.table, assets.model, prepared.theta,
+            prepared.weights)
+    return prepared.table
 
 
 def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
@@ -198,8 +252,10 @@ def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
                                cfg.samples,
                                seed=query_scoring_seed(cfg.seed, query.id))
     weights = term_weights(assets.model, theta, query.tokens, cfg.rescale_weights)
-    return PreparedQuery(record=query, candidates=candidates, theta=theta,
-                         weights=weights)
+    prepared = PreparedQuery(record=query, candidates=candidates, theta=theta,
+                             weights=weights)
+    _table_of(assets, prepared)
+    return prepared
 
 
 def _pad(candidates, corpus: Corpus, cfg: PipelineConfig, query_id: str):
@@ -221,61 +277,62 @@ def _pad(candidates, corpus: Corpus, cfg: PipelineConfig, query_id: str):
     return padded
 
 
+def _feature_vectors(assets: ScoringAssets, candidates,
+                     table: ComponentTable) -> list[tuple[float, ...]]:
+    """F1..F4 plus the quality columns of every candidate."""
+    return [rel + assets.entry(cand.qa_id).quality
+            for cand, rel in zip(candidates, table.features())]
+
+
 def feature_rows(assets: ScoringAssets, prepared: PreparedQuery,
                  qrels: Qrels | None) -> list[RankingInstance]:
     """F1..F4 plus the quality columns for every candidate; labels from
     qrels (unjudged pairs default to 0)."""
-    cfg = assets.cfg
-    corpus = assets.corpus
-    rows = []
-    for cand in prepared.candidates:
-        qa = corpus.pair(cand.qa_id)
-        rel = features_f1_f4(prepared.record.tokens, qa, assets.table,
-                             assets.model, prepared.theta, prepared.weights,
-                             corpus.stats)
-        qcols = quality_feature(qa, corpus).as_columns(cfg.combine_quality)
-        label = qrels.grade(prepared.record.id, qa.id) if qrels is not None else 0
-        rows.append(RankingInstance(query_id=prepared.record.id, doc_id=qa.id,
-                                    features=rel.as_tuple() + qcols, label=label))
-    return rows
+    query_id = prepared.record.id
+    vectors = _feature_vectors(assets, prepared.candidates,
+                               _table_of(assets, prepared))
+    return [RankingInstance(
+                query_id=query_id, doc_id=cand.qa_id, features=x,
+                label=qrels.grade(query_id, cand.qa_id) if qrels is not None else 0)
+            for cand, x in zip(prepared.candidates, vectors)]
+
+
+def _fused_scores(assets: ScoringAssets, prepared: PreparedQuery,
+                  table: ComponentTable) -> list[float]:
+    if assets.ranker is None:
+        raise ValueError("fused system needs a trained ranker")
+    X = np.array(_feature_vectors(assets, prepared.candidates, table),
+                 dtype=np.float64)
+    return assets.ranker.predict_matrix(X).tolist()
+
+
+# system -> scores of the prepared query's candidates, in candidate order
+_SCORERS = {
+    "vsm": lambda assets, prepared, table: [
+        vsm_score(prepared.record.tokens, c.qa_id, assets.index)
+        for c in prepared.candidates],
+    "bm25": lambda assets, prepared, table: [c.score for c in prepared.candidates],
+    "lm": lambda assets, prepared, table: table.lm().tolist(),
+    "tlm": lambda assets, prepared, table: table.tlm().tolist(),
+    "t2lm": lambda assets, prepared, table: table.mixture(
+        assets.cfg.mixture(), weighted=False).tolist(),
+    "t2lm+": lambda assets, prepared, table: table.mixture(
+        assets.cfg.mixture(), weighted=True).tolist(),
+    "t2lm+5": _fused_scores,
+}
 
 
 def system_ranking(system: str, assets: ScoringAssets,
                    prepared: PreparedQuery) -> list[tuple[str, float]]:
     """Rank the prepared query's candidates under one scoring system."""
-    cfg = assets.cfg
-    corpus = assets.corpus
-    query_tokens = prepared.record.tokens
-    mu = cfg.mixture()
-    scored: list[tuple[float, str]] = []
-    if system == "t2lm+5":
-        if assets.ranker is None:
-            raise ValueError("fused system needs a trained ranker")
-        for row in feature_rows(assets, prepared, None):
-            scored.append((assets.ranker.predict(row.features), row.doc_id))
-    else:
-        for cand in prepared.candidates:
-            qa = corpus.pair(cand.qa_id)
-            if system == "vsm":
-                s = vsm_score(query_tokens, qa.id, assets.index)
-            elif system == "bm25":
-                s = cand.score
-            elif system == "lm":
-                s = score_lm(query_tokens, qa.question_tokens, corpus.stats)
-            elif system == "tlm":
-                s = score_tlm(query_tokens, qa.question_tokens, assets.table,
-                              corpus.stats)
-            elif system == "t2lm":
-                s = score_t2lm(query_tokens, qa, mu, assets.table, assets.model,
-                               corpus.stats)
-            elif system == "t2lm+":
-                s = score_t2lm_plus(query_tokens, qa, mu, assets.table,
-                                    assets.model, prepared.theta,
-                                    prepared.weights, corpus.stats)
-            else:
-                raise ValueError(f"unknown system {system!r}")
-            scored.append((s, qa.id))
-    scored.sort(key=lambda item: (-item[0], item[1]))
+    scorer = _SCORERS.get(system)
+    if scorer is None:
+        raise ValueError(f"unknown system {system!r}")
+    if not prepared.candidates:
+        return []
+    scores = scorer(assets, prepared, _table_of(assets, prepared))
+    scored = sorted(zip(scores, (c.qa_id for c in prepared.candidates)),
+                    key=lambda item: (-item[0], item[1]))
     return [(qa_id, score) for score, qa_id in scored]
 
 
@@ -453,16 +510,20 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     report_jsonl = outdir / "report.jsonl"
 
     def _evaluate() -> None:
+        # every judged test query counts; one missing from a run scores 0
+        with open(split_path, encoding="utf-8") as f:
+            judged = [q for q in json.load(f)["test"] if qrels.has_query(q)]
         report = MetricReport(k=cfg.depth)
         for system in cfg.systems:
             run = read_run(run_paths[system])
             report = report.merge(evaluate_run(run, qrels, cfg.depth,
-                                               cfg.rel_threshold, system=system))
+                                               cfg.rel_threshold, system=system,
+                                               queries=judged))
         write_report(report, report_txt, report_jsonl)
 
     runner.run(
         "evaluate",
-        list(run_paths.values()) + [Path(cfg.qrels_path)],
+        list(run_paths.values()) + [split_path, Path(cfg.qrels_path)],
         [report_txt, report_jsonl],
         {"depth": cfg.depth, "rel_threshold": cfg.rel_threshold,
          "systems": list(cfg.systems)},

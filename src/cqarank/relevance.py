@@ -99,18 +99,209 @@ def term_weights(model: TopicModel, theta, query_tokens,
     return {w: scale * n / denom for w, n in nums.items()}
 
 
+@dataclass(frozen=True, slots=True)
+class DocumentTerms:
+    """The query-independent inputs of one candidate's table column."""
+
+    q_terms: np.ndarray        # distinct question terms, in doc_distribution order
+    q_probs: np.ndarray        # P_ml(t|q) of each, in the same order
+    a_terms: np.ndarray        # the same for the answer; empty for an empty answer
+    a_probs: np.ndarray
+    phi_q: np.ndarray | None   # sum_t phi(t) P_ml(t|q); None without a topic model
+    lam_q: float
+    lam_a: float
+
+
+def _distribution_arrays(tokens) -> tuple[np.ndarray, np.ndarray]:
+    dist = doc_distribution(tokens)
+    return (np.fromiter(dist.keys(), dtype=np.int64, count=len(dist)),
+            np.fromiter(dist.values(), dtype=np.float64, count=len(dist)))
+
+
+def document_terms(question_tokens, answer_tokens=(),
+                   model: TopicModel | None = None) -> DocumentTerms:
+    """Question and answer distributions, the phi-weighted question
+    distribution and both smoothing lambdas of one pair."""
+    if not question_tokens:
+        raise ValueError("empty question")
+    q_terms, q_probs = _distribution_arrays(question_tokens)
+    a_terms, a_probs = _distribution_arrays(answer_tokens)
+    phi_q = None
+    if model is not None:
+        # phi_q[i] = sum_t phi_i(t) * P_ml(t|q); the topic component of
+        # every query word then reduces to one dot product with it
+        phi_q = np.zeros(model.num_topics, dtype=np.float64)
+        for t, p_t in zip(q_terms.tolist(), q_probs.tolist()):
+            phi_q += model.phi_column(t) * p_t
+    return DocumentTerms(q_terms=q_terms, q_probs=q_probs, a_terms=a_terms,
+                         a_probs=a_probs, phi_q=phi_q,
+                         lam_q=smoothing_lambda(len(question_tokens)),
+                         lam_a=smoothing_lambda(len(answer_tokens)))
+
+
+def _flatten(terms, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All candidates' (term, probability) lists end to end, with the
+    candidate that owns each entry."""
+    owner = np.repeat(np.arange(len(terms)), [len(t) for t in terms])
+    return (np.concatenate(terms + [np.zeros(0, dtype=np.int64)]),
+            np.concatenate(probs + [np.zeros(0, dtype=np.float64)]), owner)
+
+
+class ComponentTable:
+    """Component probabilities of one query against its candidates.
+
+    Rows are the query's distinct words in first-occurrence order, columns
+    the candidates. Each component is computed here, when a scorer asks:
+
+      exact[w, c]      P_ml(w|q)
+      trans[w, c]      sum_t P_tr(w|t) P_ml(t|q), added in doc_distribution order
+      topic[w, c]      sum_i theta_i phi_i(w) phi_q_i   (tau = the posterior)
+      topic_flat[w, c] sum_i phi_i(w) phi_q_i           (tau = all ones)
+      answer[w, c]     P_ml(w|a)
+
+    Every scorer is a weighting of these: the term weight W(w) scales exact
+    and answer, the question-side lambda smooths the first four against
+    P(w|C), the answer-side lambda the last, and the log is summed over
+    query token occurrences in query order. That order, math.log per value
+    and one 1-D dot product per topic entry keep every score bit-identical
+    to evaluating the pair alone, term by term. The table keeps only its
+    inputs, so a prepared query that holds one stays small.
+    """
+
+    def __init__(self, query_tokens, docs: list[DocumentTerms],
+                 stats: CollectionStats, table: TranslationTable | None = None,
+                 model: TopicModel | None = None, theta=None,
+                 weights: TermWeightVector | None = None) -> None:
+        self.words = list(dict.fromkeys(query_tokens))
+        slot = {w: j for j, w in enumerate(self.words)}
+        self.slots = [slot[w] for w in query_tokens]
+        self.docs = docs
+        self.shape = (len(self.words), len(docs))
+        self._table = table
+        self._model = model
+        self._theta = theta
+        self._weights = weights
+        self.background = self._per_word([stats.prob(w) for w in self.words])
+        self.lam_q = np.array([d.lam_q for d in docs], dtype=np.float64)
+        self.lam_a = np.array([d.lam_a for d in docs], dtype=np.float64)
+
+    def _per_word(self, values) -> np.ndarray:
+        return np.array(values, dtype=np.float64).reshape(len(self.words), 1)
+
+    def _question(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _flatten([d.q_terms for d in self.docs], [d.q_probs for d in self.docs])
+
+    def _match(self, terms, probs, owner) -> np.ndarray:
+        """P_ml(w|doc) for every (word, candidate): each term occurs once per
+        candidate, so this places values without arithmetic."""
+        out = np.zeros(self.shape, dtype=np.float64)
+        words = np.array(self.words, dtype=np.int64)
+        j, i = np.nonzero(terms[None, :] == words[:, None])
+        out[j, owner[i]] = probs[i]
+        return out
+
+    def exact(self) -> np.ndarray:
+        return self._match(*self._question())
+
+    def answer(self) -> np.ndarray:
+        return self._match(*_flatten([d.a_terms for d in self.docs],
+                                     [d.a_probs for d in self.docs]))
+
+    def trans(self) -> np.ndarray:
+        if self._table is None:
+            raise ValueError("translation scoring needs a translation table")
+        terms, probs, owner = self._question()
+        sources, inverse = np.unique(terms, return_inverse=True)
+        p_tr = self._table.columns(self.words, sources.tolist())
+        out = np.empty(self.shape, dtype=np.float64)
+        for j in range(len(self.words)):
+            # bincount adds each candidate's terms in their stored order
+            out[j] = np.bincount(owner, weights=p_tr[j, inverse] * probs,
+                                 minlength=len(self.docs))
+        return out
+
+    def _topic(self, tau: np.ndarray) -> np.ndarray:
+        phi_qs = [d.phi_q for d in self.docs]
+        rows = []
+        for w in self.words:
+            u_w = tau * self._model.phi_column(w)
+            rows.append([float(u_w @ phi_q) for phi_q in phi_qs])
+        return np.array(rows, dtype=np.float64).reshape(self.shape)
+
+    def _num_topics(self) -> int:
+        if self._model is None:
+            raise ValueError("topic scoring needs a topic model")
+        return self._model.num_topics
+
+    def topic(self) -> np.ndarray:
+        return self._topic(_tau_vector(self._theta, self._num_topics()))
+
+    def topic_flat(self) -> np.ndarray:
+        return self._topic(np.ones(self._num_topics(), dtype=np.float64))
+
+    def weight(self) -> np.ndarray:
+        if self._weights is None:
+            raise ValueError("term-weighted scoring needs term weights")
+        return self._per_word([self._weights[w] for w in self.words])
+
+    def _question_side(self, x: np.ndarray) -> np.ndarray:
+        return (1.0 - self.lam_q) * x + self.lam_q * self.background
+
+    def _answer_side(self, x: np.ndarray) -> np.ndarray:
+        return (1.0 - self.lam_a) * x + self.lam_a * self.background
+
+    def _log_sums(self, *columns: np.ndarray) -> list[np.ndarray]:
+        """Per column and candidate: the sum of ln p over the query's token
+        occurrences, added in query order."""
+        stacked = np.array(columns, dtype=np.float64)
+        logs = np.fromiter(map(math.log, stacked.ravel().tolist()),
+                           dtype=np.float64, count=stacked.size)
+        logs = logs.reshape(stacked.shape)
+        total = np.zeros((len(columns), len(self.docs)), dtype=np.float64)
+        for j in self.slots:
+            total += logs[:, j]
+        return list(total)
+
+    def _components(self, weighted: bool):
+        """(exact, translation, topic, answer) under the scorer's weighting."""
+        if weighted:
+            weight = self.weight()
+            return (weight * self.exact(), self.trans(), self.topic(),
+                    weight * self.answer())
+        return self.exact(), self.trans(), self.topic_flat(), self.answer()
+
+    def lm(self) -> np.ndarray:
+        return self._log_sums(self._question_side(self.exact()))[0]
+
+    def tlm(self) -> np.ndarray:
+        return self._log_sums(self._question_side(self.trans()))[0]
+
+    def mixture(self, mu: MixtureWeights, weighted: bool) -> np.ndarray:
+        """T2LM (unweighted) or T2LM+ (W(w) and the topic posterior)."""
+        exact, trans, topic, answer = self._components(weighted)
+        p = (mu.mu1 * self._question_side(exact)
+             + mu.mu2 * self._question_side(trans)
+             + mu.mu3 * self._question_side(topic)
+             + mu.mu4 * self._answer_side(answer))
+        return self._log_sums(p)[0]
+
+    def features(self) -> list[tuple[float, float, float, float]]:
+        """F1..F4 of every candidate."""
+        exact, trans, topic, answer = self._components(weighted=True)
+        columns = self._log_sums(self._question_side(exact),
+                                 self._question_side(trans),
+                                 self._question_side(topic),
+                                 self._answer_side(answer))
+        return list(zip(*(c.tolist() for c in columns)))
+
+
 def score_lm(query_tokens, q_tokens, stats: CollectionStats) -> float:
     """Query-likelihood language model over the question side:
     sum_w ln[(1 - lam)*P_ml(w|q) + lam*P_ml(w|C)]."""
     if not q_tokens:
         raise ValueError("empty document")
-    q_dist = doc_distribution(q_tokens)
-    lam = smoothing_lambda(len(q_tokens))
-    total = 0.0
-    for w in query_tokens:
-        p = (1.0 - lam) * q_dist.get(w, 0.0) + lam * stats.prob(w)
-        total += math.log(p)
-    return total
+    table = ComponentTable(query_tokens, [document_terms(q_tokens)], stats)
+    return table.lm().tolist()[0]
 
 
 def score_tlm(query_tokens, q_tokens, table: TranslationTable,
@@ -119,62 +310,9 @@ def score_tlm(query_tokens, q_tokens, table: TranslationTable,
     sum_t P_tr(w|t)*P_ml(t|q), smoothed and logged as in score_lm."""
     if not q_tokens:
         raise ValueError("empty document")
-    q_dist = doc_distribution(q_tokens)
-    lam = smoothing_lambda(len(q_tokens))
-    total = 0.0
-    for w in query_tokens:
-        trans = 0.0
-        for t, p_t in q_dist.items():
-            trans += table.prob(w, t) * p_t
-        p = (1.0 - lam) * trans + lam * stats.prob(w)
-        total += math.log(p)
-    return total
-
-
-def _term_components(query_tokens, qa: QAPair, table: TranslationTable,
-                     model: TopicModel, tau: np.ndarray, weight_of, stats):
-    """Per query-token occurrence: the four unsmoothed component
-    probabilities plus the background probability."""
-    q_dist = doc_distribution(qa.question_tokens)
-    a_dist = doc_distribution(qa.answer_tokens) if qa.answer_tokens else {}
-
-    # phi_q[i] = sum_t phi_i(t) * P_ml(t|q); C(w) then reduces to a dot product
-    phi_q = np.zeros(model.num_topics, dtype=np.float64)
-    for t, p_t in q_dist.items():
-        phi_q += model.phi_column(t) * p_t
-
-    u_cache: dict[int, np.ndarray] = {}
-    components = []
-    for w in query_tokens:
-        u_w = u_cache.get(w)
-        if u_w is None:
-            u_w = tau * model.phi_column(w)
-            u_cache[w] = u_w
-        exact = weight_of(w) * q_dist.get(w, 0.0)
-        trans = 0.0
-        for t, p_t in q_dist.items():
-            trans += table.prob(w, t) * p_t
-        topic = float(u_w @ phi_q)
-        answer = weight_of(w) * a_dist.get(w, 0.0)
-        components.append((exact, trans, topic, answer, stats.prob(w)))
-    return components
-
-
-def _mixed_log_score(query_tokens, qa, mu: MixtureWeights, table, model,
-                     tau, weight_of, stats) -> float:
-    if not qa.question_tokens:
-        raise ValueError("empty question")
-    lam_q = smoothing_lambda(len(qa.question_tokens))
-    lam_a = smoothing_lambda(len(qa.answer_tokens))
-    comps = _term_components(query_tokens, qa, table, model, tau, weight_of, stats)
-    total = 0.0
-    for exact, trans, topic, answer, pc in comps:
-        p = (mu.mu1 * ((1.0 - lam_q) * exact + lam_q * pc)
-             + mu.mu2 * ((1.0 - lam_q) * trans + lam_q * pc)
-             + mu.mu3 * ((1.0 - lam_q) * topic + lam_q * pc)
-             + mu.mu4 * ((1.0 - lam_a) * answer + lam_a * pc))
-        total += math.log(p)
-    return total
+    components = ComponentTable(query_tokens, [document_terms(q_tokens)],
+                                stats, table)
+    return components.tlm().tolist()[0]
 
 
 def score_t2lm(query_tokens, qa: QAPair, mu: MixtureWeights,
@@ -183,9 +321,9 @@ def score_t2lm(query_tokens, qa: QAPair, mu: MixtureWeights,
     """Topic translation scorer: exact match, translation, unweighted topic
     correlation, and answer-side components mixed by mu, log-summed over
     query terms."""
-    tau = np.ones(model.num_topics, dtype=np.float64)
-    return _mixed_log_score(query_tokens, qa, mu, table, model, tau,
-                            lambda w: 1.0, stats)
+    doc = document_terms(qa.question_tokens, qa.answer_tokens, model)
+    components = ComponentTable(query_tokens, [doc], stats, table, model)
+    return components.mixture(mu, weighted=False).tolist()[0]
 
 
 def score_t2lm_plus(query_tokens, qa: QAPair, mu: MixtureWeights,
@@ -195,9 +333,10 @@ def score_t2lm_plus(query_tokens, qa: QAPair, mu: MixtureWeights,
     """Term-weighted topic translation scorer: exact-match and answer
     components are scaled by W(w), the topic correlation by the query's
     topic posterior."""
-    tau = _tau_vector(theta, model.num_topics)
-    return _mixed_log_score(query_tokens, qa, mu, table, model, tau,
-                            weights.__getitem__, stats)
+    doc = document_terms(qa.question_tokens, qa.answer_tokens, model)
+    components = ComponentTable(query_tokens, [doc], stats, table, model,
+                                theta, weights)
+    return components.mixture(mu, weighted=True).tolist()[0]
 
 
 def features_f1_f4(query_tokens, qa: QAPair, table: TranslationTable,
@@ -206,20 +345,10 @@ def features_f1_f4(query_tokens, qa: QAPair, table: TranslationTable,
     """The four per-component log scores used as learning-to-rank features:
     weighted exact match, translation, posterior-weighted topic correlation
     (all against the question), and weighted answer-side match."""
-    if not qa.question_tokens:
-        raise ValueError("empty question")
-    tau = _tau_vector(theta, model.num_topics)
-    lam_q = smoothing_lambda(len(qa.question_tokens))
-    lam_a = smoothing_lambda(len(qa.answer_tokens))
-    comps = _term_components(query_tokens, qa, table, model, tau,
-                             weights.__getitem__, stats)
-    f1 = f2 = f3 = f4 = 0.0
-    for exact, trans, topic, answer, pc in comps:
-        f1 += math.log((1.0 - lam_q) * exact + lam_q * pc)
-        f2 += math.log((1.0 - lam_q) * trans + lam_q * pc)
-        f3 += math.log((1.0 - lam_q) * topic + lam_q * pc)
-        f4 += math.log((1.0 - lam_a) * answer + lam_a * pc)
-    return RelevanceFeatures(f1=f1, f2=f2, f3=f3, f4=f4)
+    doc = document_terms(qa.question_tokens, qa.answer_tokens, model)
+    components = ComponentTable(query_tokens, [doc], stats, table, model,
+                                theta, weights)
+    return RelevanceFeatures(*components.features()[0])
 
 
 def rank_candidates(scorer, query_tokens, candidates) -> list[ScoredCandidate]:

@@ -8,6 +8,8 @@ order so training is bit-reproducible.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Corpus
 
 
@@ -26,6 +28,13 @@ class TranslationTable:
     def prob(self, w: int, t: int) -> float:
         """Stored probability, 0.0 when (t, w) never co-occurred."""
         return self._table.get(t, {}).get(w, 0.0)
+
+    def columns(self, targets, sources) -> np.ndarray:
+        """P_tr(w|t) for every target w (rows) and source t (columns), read
+        through each source's row."""
+        rows = [self._table.get(t, {}) for t in sources]
+        return np.array([[row.get(w, 0.0) for row in rows] for w in targets],
+                        dtype=np.float64).reshape(len(targets), len(sources))
 
     def row(self, t: int) -> dict[int, float]:
         return dict(self._table.get(t, {}))

@@ -1,0 +1,148 @@
+"""Pair-by-pair reference for the component-table scorers.
+
+The loop below scores one (query, candidate) pair at a time, term by term,
+with the same float operations in the same order as the table. Tests
+require the table's scores, feature rows and rankings to equal it with ==.
+"""
+
+import math
+
+import numpy as np
+
+from cqarank.corpus import doc_distribution
+from cqarank.index import vsm_score
+from cqarank.relevance import smoothing_lambda
+from cqarank.topics import QueryTopicPosterior
+
+
+def _tau(theta, num_topics):
+    if isinstance(theta, QueryTopicPosterior):
+        theta = theta.theta
+    vec = np.asarray(theta, dtype=np.float64)
+    assert vec.shape == (num_topics,)
+    return vec
+
+
+def score_lm(query_tokens, q_tokens, stats):
+    q_dist = doc_distribution(q_tokens)
+    lam = smoothing_lambda(len(q_tokens))
+    total = 0.0
+    for w in query_tokens:
+        p = (1.0 - lam) * q_dist.get(w, 0.0) + lam * stats.prob(w)
+        total += math.log(p)
+    return total
+
+
+def score_tlm(query_tokens, q_tokens, table, stats):
+    q_dist = doc_distribution(q_tokens)
+    lam = smoothing_lambda(len(q_tokens))
+    total = 0.0
+    for w in query_tokens:
+        trans = 0.0
+        for t, p_t in q_dist.items():
+            trans += table.prob(w, t) * p_t
+        p = (1.0 - lam) * trans + lam * stats.prob(w)
+        total += math.log(p)
+    return total
+
+
+def term_components(query_tokens, qa, table, model, tau, weight_of, stats):
+    """Per query-token occurrence: the four unsmoothed component
+    probabilities plus the background probability."""
+    q_dist = doc_distribution(qa.question_tokens)
+    a_dist = doc_distribution(qa.answer_tokens) if qa.answer_tokens else {}
+    phi_q = np.zeros(model.num_topics, dtype=np.float64)
+    for t, p_t in q_dist.items():
+        phi_q += model.phi_column(t) * p_t
+    components = []
+    for w in query_tokens:
+        u_w = tau * model.phi_column(w)
+        exact = weight_of(w) * q_dist.get(w, 0.0)
+        trans = 0.0
+        for t, p_t in q_dist.items():
+            trans += table.prob(w, t) * p_t
+        topic = float(u_w @ phi_q)
+        answer = weight_of(w) * a_dist.get(w, 0.0)
+        components.append((exact, trans, topic, answer, stats.prob(w)))
+    return components
+
+
+def mixed_log_score(query_tokens, qa, mu, table, model, tau, weight_of, stats):
+    lam_q = smoothing_lambda(len(qa.question_tokens))
+    lam_a = smoothing_lambda(len(qa.answer_tokens))
+    total = 0.0
+    for exact, trans, topic, answer, pc in term_components(
+            query_tokens, qa, table, model, tau, weight_of, stats):
+        p = (mu.mu1 * ((1.0 - lam_q) * exact + lam_q * pc)
+             + mu.mu2 * ((1.0 - lam_q) * trans + lam_q * pc)
+             + mu.mu3 * ((1.0 - lam_q) * topic + lam_q * pc)
+             + mu.mu4 * ((1.0 - lam_a) * answer + lam_a * pc))
+        total += math.log(p)
+    return total
+
+
+def features_f1_f4(query_tokens, qa, table, model, theta, weights, stats):
+    tau = _tau(theta, model.num_topics)
+    lam_q = smoothing_lambda(len(qa.question_tokens))
+    lam_a = smoothing_lambda(len(qa.answer_tokens))
+    f1 = f2 = f3 = f4 = 0.0
+    for exact, trans, topic, answer, pc in term_components(
+            query_tokens, qa, table, model, tau, weights.__getitem__, stats):
+        f1 += math.log((1.0 - lam_q) * exact + lam_q * pc)
+        f2 += math.log((1.0 - lam_q) * trans + lam_q * pc)
+        f3 += math.log((1.0 - lam_q) * topic + lam_q * pc)
+        f4 += math.log((1.0 - lam_a) * answer + lam_a * pc)
+    return (f1, f2, f3, f4)
+
+
+def feature_rows(assets, prepared):
+    """(doc id, F1..F4 plus the quality columns) per candidate."""
+    from cqarank.quality import quality_feature
+
+    corpus = assets.corpus
+    rows = []
+    for cand in prepared.candidates:
+        qa = corpus.pair(cand.qa_id)
+        rel = features_f1_f4(prepared.record.tokens, qa, assets.table,
+                             assets.model, prepared.theta, prepared.weights,
+                             corpus.stats)
+        qcols = quality_feature(qa, corpus).as_columns(assets.cfg.combine_quality)
+        rows.append((qa.id, rel + qcols))
+    return rows
+
+
+def system_ranking(system, assets, prepared):
+    corpus = assets.corpus
+    query_tokens = prepared.record.tokens
+    mu = assets.cfg.mixture()
+    scored = []
+    if system == "t2lm+5":
+        for doc_id, features in feature_rows(assets, prepared):
+            scored.append((assets.ranker.predict(features), doc_id))
+    else:
+        for cand in prepared.candidates:
+            qa = corpus.pair(cand.qa_id)
+            if system == "vsm":
+                s = vsm_score(query_tokens, qa.id, assets.index)
+            elif system == "bm25":
+                s = cand.score
+            elif system == "lm":
+                s = score_lm(query_tokens, qa.question_tokens, corpus.stats)
+            elif system == "tlm":
+                s = score_tlm(query_tokens, qa.question_tokens, assets.table,
+                              corpus.stats)
+            elif system == "t2lm":
+                s = mixed_log_score(query_tokens, qa, mu, assets.table,
+                                    assets.model,
+                                    np.ones(assets.model.num_topics),
+                                    lambda w: 1.0, corpus.stats)
+            elif system == "t2lm+":
+                s = mixed_log_score(query_tokens, qa, mu, assets.table,
+                                    assets.model,
+                                    _tau(prepared.theta, assets.model.num_topics),
+                                    prepared.weights.__getitem__, corpus.stats)
+            else:
+                raise ValueError(f"unknown system {system!r}")
+            scored.append((s, qa.id))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return [(qa_id, score) for score, qa_id in scored]

@@ -1,12 +1,21 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+import cqarank.pipeline as pipeline
 from cqarank.cli import main
-from cqarank.evaluation import read_qrels
-from cqarank.pipeline import PipelineConfig, PipelineError, run_pipeline
+from cqarank.corpus import load_corpus, load_queries
+from cqarank.evaluation import read_qrels, read_run
+from cqarank.index import build_index, retrieve_candidates
+from cqarank.ltr import LambdaMARTModel
+from cqarank.pipeline import (PipelineConfig, PipelineError, ScoringAssets,
+                              prepare_query, run_pipeline, system_ranking)
+from cqarank.relevance import score_lm, score_tlm
 from cqarank.synth import SynthSpec, generate, write_synth
+from cqarank.topics import TopicModel
+from cqarank.translation import TranslationTable
 
 
 def small_pipeline_cfg(data, outdir, **overrides) -> PipelineConfig:
@@ -149,6 +158,65 @@ class TestSubcommands:
         run_file = out / f"run_{method.replace('+', 'p')}.txt"
         assert run_file.read_text().splitlines()
 
+    def test_rank_methods_match_direct_scoring(self, synth_data, tmp_path):
+        """lm and tlm rank without a topic model (theta=None) and agree with
+        the one-candidate scorers; t2lm+5 agrees with system_ranking."""
+        out = tmp_path / "w"
+        out.mkdir()
+        corpus_path = out / "corpus.json"
+        main(["ingest", "--qa", str(synth_data["qa"]),
+              "--users", str(synth_data["users"]), "--out", str(corpus_path)])
+        main(["train-tm", "--corpus", str(corpus_path), "--em-iters", "4",
+              "--out", str(out / "tm.tsv")])
+        main(["train-lda", "--corpus", str(corpus_path), "--topics", "3",
+              "--gibbs-iters", "20", "--out", str(out / "lda.txt")])
+        scoring = ["--top-k", "20", "--burn-in", "5", "--samples", "3"]
+        main(["features", "--corpus", str(corpus_path),
+              "--translation", str(out / "tm.tsv"),
+              "--topics-model", str(out / "lda.txt"),
+              "--queries", str(synth_data["queries"]),
+              "--qrels", str(synth_data["qrels"]),
+              "--out", str(out / "rows.letor")] + scoring)
+        main(["train-ranker", "--letor", str(out / "rows.letor"),
+              "--trees", "4", "--min-leaf", "5", "--out", str(out / "rk.txt")])
+        rank = ["rank", "--corpus", str(corpus_path),
+                "--queries", str(synth_data["queries"])] + scoring
+        assert main(rank + ["--method", "lm", "--out", str(out / "lm.txt")]) == 0
+        assert main(rank + ["--method", "tlm", "--translation", str(out / "tm.tsv"),
+                            "--out", str(out / "tlm.txt")]) == 0
+        assert main(rank + ["--method", "t2lm+5",
+                            "--translation", str(out / "tm.tsv"),
+                            "--topics-model", str(out / "lda.txt"),
+                            "--ranker", str(out / "rk.txt"),
+                            "--out", str(out / "fused.txt")]) == 0
+
+        corpus = load_corpus(corpus_path)
+        index = build_index(corpus)
+        table = TranslationTable.load(out / "tm.tsv")
+        queries = load_queries(synth_data["queries"], corpus.vocabulary)
+        cfg = PipelineConfig(qa_path="", queries_path="", top_k=20, burn_in=5,
+                             samples=3)
+        assets = ScoringAssets(corpus=corpus, index=index, table=table,
+                               model=TopicModel.load(out / "lda.txt"), cfg=cfg,
+                               ranker=LambdaMARTModel.load(out / "rk.txt"))
+        runs = {name: read_run(out / f"{name}.txt")
+                for name in ("lm", "tlm", "fused")}
+        for query in queries:
+            candidates = retrieve_candidates(query.tokens, index, 20)
+            if not candidates:
+                assert query.id not in runs["lm"].queries()
+                continue
+            stats = corpus.stats
+            for name, score in (
+                    ("lm", lambda q: score_lm(query.tokens, q, stats)),
+                    ("tlm", lambda q: score_tlm(query.tokens, q, table, stats))):
+                want = sorted(((score(corpus.pair(c.qa_id).question_tokens), c.qa_id)
+                               for c in candidates),
+                              key=lambda item: (-item[0], item[1]))
+                assert runs[name].ranking(query.id) == [(d, s) for s, d in want]
+            fused = system_ranking("t2lm+5", assets, prepare_query(assets, query))
+            assert runs["fused"].ranking(query.id) == fused
+
     def test_features_without_qrels_labels_zero(self, synth_data, tmp_path):
         out = tmp_path / "w"
         out.mkdir()
@@ -168,7 +236,7 @@ class TestSubcommands:
                   for line in (out / "rows.letor").read_text().splitlines()}
         assert labels == {"0"}
 
-    def test_evaluate_writes_report_files(self, synth_data, tmp_path):
+    def test_evaluate_writes_report_files(self, synth_data, tmp_path, capsys):
         out = tmp_path / "w"
         out.mkdir()
         corpus = out / "corpus.json"
@@ -182,6 +250,9 @@ class TestSubcommands:
                      "--report", str(out / "rep.txt"),
                      "--report-jsonl", str(out / "rep.jsonl")]) == 0
         assert "MAP@10" in (out / "rep.txt").read_text()
+        lacking = len(set(read_qrels(synth_data["qrels"]).queries())
+                      - set(read_run(out / "run.txt").queries()))
+        assert f"bm25 lacks {lacking} of 8 qrels queries" in capsys.readouterr().out
         records = [json.loads(l) for l in (out / "rep.jsonl").read_text().splitlines()]
         assert any(r["type"] == "system" for r in records)
 
@@ -206,6 +277,51 @@ class TestPipeline:
         run_pipeline(cfg)
         for p, stamp in stamps.items():
             assert p.stat().st_mtime_ns == stamp, f"{p.name} was rewritten"
+
+    def test_copied_outdir_is_up_to_date(self, synth_data, tmp_path, monkeypatch):
+        run_pipeline(small_pipeline_cfg(synth_data, tmp_path / "out"))
+        shutil.copytree(tmp_path / "out", tmp_path / "copy")
+        runners = []
+
+        class RecordingRunner(pipeline.StageRunner):
+            def __init__(self) -> None:
+                super().__init__()
+                runners.append(self)
+
+        monkeypatch.setattr(pipeline, "StageRunner", RecordingRunner)
+        run_pipeline(small_pipeline_cfg(synth_data, tmp_path / "copy"))
+        assert runners[0].executed == []
+        assert len(runners[0].skipped) == 7
+
+    def test_query_without_candidates_scores_zero(self, tmp_path):
+        """A judged test query that retrieval cannot answer stays in the
+        MAP/NDCG denominator with AP = NDCG = 0."""
+        data = write_synth(SynthSpec(size=240, topics=6, seed=1), tmp_path / "data")
+        with open(data["queries"], "a", encoding="utf-8") as f:
+            f.write(json.dumps({"id": "qzz", "text": "nothinglikethis unseenword"}) + "\n")
+        with open(data["qrels"], "a", encoding="utf-8") as f:
+            f.write("qzz 0 qa0000 1\n")
+        cfg = small_pipeline_cfg(data, tmp_path / "out", topics=6,
+                                 gibbs_iters=10, split_seed=6)
+        run_pipeline(cfg)
+        out = tmp_path / "out"
+        test_ids = json.loads((out / "split.json").read_text())["test"]
+        assert "qzz" in test_ids and len(test_ids) == 24
+        assert "qzz" not in read_run(out / "run_t2lmp5.txt").queries()
+        records = [json.loads(line) for line in
+                   (out / "report.jsonl").read_text().splitlines()]
+        for rec in records:
+            if rec["type"] == "system":
+                assert (rec["queries"], rec["missing"]) == (24, 1)
+                aps = [r["ap"] for r in records if r["type"] == "query"
+                       and r["system"] == rec["system"]]
+                assert len(aps) == 24
+                assert rec["map"] == sum(aps) / 24
+            elif rec["query"] == "qzz":
+                assert rec["ap"] == 0.0 and rec["ndcg"] == 0.0
+        header, first = (out / "report.txt").read_text().splitlines()[:2]
+        assert header.split()[-2:] == ["queries", "missing"]
+        assert first.split()[-2:] == ["24", "1"]
 
     def test_bit_identical_across_fresh_runs(self, synth_data, tmp_path):
         cfg_a = small_pipeline_cfg(synth_data, tmp_path / "a")

@@ -107,6 +107,22 @@ class TestEvaluateRun:
         report = evaluate_run(run, qrels, k=10)
         assert report.systems["sys"].map_at_k == pytest.approx(0.75)
 
+    def test_query_set_scores_missing_queries_zero(self):
+        qrels = self._qrels()
+        run = RankedRun(tag="sys")
+        run.add_query("q1", [("d1", 2.0), ("d2", 1.0)])      # AP 1.0
+        m = evaluate_run(run, qrels, k=10, queries=["q1", "q2"]).systems["sys"]
+        assert (m.map_at_k, m.ndcg_at_k, m.missing) == (0.5, 0.5, 1)
+        assert (m.per_query["q2"].ap, m.per_query["q2"].ndcg) == (0.0, 0.0)
+        default = evaluate_run(run, qrels, k=10).systems["sys"]
+        assert (default.map_at_k, default.missing) == (1.0, 0)
+
+    def test_run_query_outside_query_set_rejected(self):
+        run = RankedRun(tag="sys")
+        run.add_query("q1", [("d1", 1.0)])
+        with pytest.raises(ValueError, match="outside the evaluated queries"):
+            evaluate_run(run, self._qrels(), k=10, queries=["q2"])
+
     def test_unknown_query_rejected(self):
         run = RankedRun(tag="sys")
         run.add_query("mystery", [("d1", 1.0)])

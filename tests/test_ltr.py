@@ -183,6 +183,35 @@ class TestPredict:
                                 config=TrainConfig(), seed=0)
         with pytest.raises(ValueError):
             predict(model, (1.0,))
+        with pytest.raises(ValueError):
+            model.predict_matrix(np.zeros((2, 2)))
+
+    def test_matrix_equals_per_row_predict(self):
+        dataset = make_separable_dataset(n_queries=12)
+        model = train(dataset, TrainConfig(trees=12, leaves=6,
+                                           min_leaf_instances=5), seed=0)
+        rng = random.Random(5)
+        rows = [list(inst.features) for inst in dataset]
+        # rows sitting exactly on a split threshold, and just either side
+        for tree in model.trees:
+            for feat, thr in zip(tree.feature, tree.threshold):
+                if feat < 0:
+                    continue
+                for value in (thr, math.nextafter(thr, -math.inf),
+                              math.nextafter(thr, math.inf)):
+                    x = [rng.random() for _ in range(3)]
+                    x[feat] = value
+                    rows.append(x)
+        stump = RegressionTree()
+        stump._add_leaf(0.375)
+        model.trees.append(stump)  # trees of different sizes share one stack
+        X = np.array(rows)
+        got = model.predict_matrix(X)
+        want = [model.predict(tuple(x)) for x in rows]
+        assert got.tolist() == want
+        for tree in model.trees:
+            assert tree.predict_matrix(X).tolist() == [tree.predict(x) for x in rows]
+        assert model.predict_matrix(np.zeros((0, 3))).shape == (0,)
 
 
 class TestNDCGHelper:
