@@ -338,14 +338,11 @@ def _cmd_evaluate(args) -> int:
         absent = set(qrels.queries()).difference(run.queries())
         lacking.append(f"{run.tag} lacks {len(absent)} of {len(qrels.queries())} "
                        f"qrels queries (not averaged)")
-    text = comparison_table(report)
-    sys.stdout.write(text)
-    for line in lacking:
-        print(line)
+    sys.stdout.write(comparison_table(report, lacking))
     if args.report or args.report_jsonl:
         report_txt = args.report or (str(args.run[0]) + ".report.txt")
         report_jsonl = args.report_jsonl or (str(args.run[0]) + ".report.jsonl")
-        write_report(report, report_txt, report_jsonl)
+        write_report(report, report_txt, report_jsonl, lacking)
     return 0
 
 

@@ -170,9 +170,10 @@ def evaluate_run(run: RankedRun, qrels: Qrels, k: int = 10,
     return MetricReport(k=k, systems={name: metrics})
 
 
-def comparison_table(report: MetricReport) -> str:
-    """Aligned text table: per-system MAP/NDCG plus the pairwise MAP delta
-    matrix in percentage points (column system minus row system)."""
+def comparison_table(report: MetricReport, notes=()) -> str:
+    """Aligned text table: per-system MAP/NDCG, then each line of `notes`,
+    then the pairwise MAP delta matrix in percentage points (column system
+    minus row system)."""
     names = list(report.systems.keys())
     width = max([len(n) for n in names] + [8])
     lines = [f"{'system':<{width}}  {'MAP@%d' % report.k:>8}  {'NDCG@%d' % report.k:>8}"
@@ -181,7 +182,9 @@ def comparison_table(report: MetricReport) -> str:
         m = report.systems[name]
         lines.append(f"{name:<{width}}  {m.map_at_k:8.4f}  {m.ndcg_at_k:8.4f}"
                      f"  {len(m.per_query):>7}  {m.missing:>7}")
-    lines.append("(a query missing from a run scores AP = NDCG = 0)")
+    if any(m.missing for m in report.systems.values()):
+        lines.append("(a query missing from a run scores AP = NDCG = 0)")
+    lines.extend(notes)
     if len(names) > 1:
         lines.append("")
         lines.append("pairwise MAP deltas (x100, column minus row)")
@@ -217,9 +220,9 @@ def report_records(report: MetricReport) -> list[dict]:
     return records
 
 
-def write_report(report: MetricReport, text_path, jsonl_path) -> None:
+def write_report(report: MetricReport, text_path, jsonl_path, notes=()) -> None:
     with open(text_path, "w", encoding="utf-8") as f:
-        f.write(comparison_table(report))
+        f.write(comparison_table(report, notes))
     with open(jsonl_path, "w", encoding="utf-8") as f:
         for record in report_records(report):
             f.write(json.dumps(record, sort_keys=True) + "\n")

@@ -228,18 +228,16 @@ class PreparedQuery:
     candidates: list
     theta: object
     weights: dict[int, float]
-    table: ComponentTable | None = None  # built on demand when None
 
 
-def _table_of(assets: ScoringAssets, prepared: PreparedQuery) -> ComponentTable:
-    """The prepared query's component table, built and attached on first use."""
-    if prepared.table is None:
-        prepared.table = ComponentTable(
-            prepared.record.tokens,
-            [assets.entry(c.qa_id).terms for c in prepared.candidates],
-            assets.corpus.stats, assets.table, assets.model, prepared.theta,
-            prepared.weights)
-    return prepared.table
+def _component_table(assets: ScoringAssets,
+                     prepared: PreparedQuery) -> ComponentTable:
+    """The prepared query's component table over its candidates."""
+    return ComponentTable(
+        prepared.record.tokens,
+        [assets.entry(c.qa_id).terms for c in prepared.candidates],
+        assets.corpus.stats, assets.table, assets.model, prepared.theta,
+        prepared.weights)
 
 
 def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
@@ -252,10 +250,8 @@ def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
                                cfg.samples,
                                seed=query_scoring_seed(cfg.seed, query.id))
     weights = term_weights(assets.model, theta, query.tokens, cfg.rescale_weights)
-    prepared = PreparedQuery(record=query, candidates=candidates, theta=theta,
-                             weights=weights)
-    _table_of(assets, prepared)
-    return prepared
+    return PreparedQuery(record=query, candidates=candidates, theta=theta,
+                         weights=weights)
 
 
 def _pad(candidates, corpus: Corpus, cfg: PipelineConfig, query_id: str):
@@ -277,11 +273,12 @@ def _pad(candidates, corpus: Corpus, cfg: PipelineConfig, query_id: str):
     return padded
 
 
-def _feature_vectors(assets: ScoringAssets, candidates,
-                     table: ComponentTable) -> list[tuple[float, ...]]:
+def _feature_vectors(assets: ScoringAssets,
+                     prepared: PreparedQuery) -> list[tuple[float, ...]]:
     """F1..F4 plus the quality columns of every candidate."""
+    features = _component_table(assets, prepared).features()
     return [rel + assets.entry(cand.qa_id).quality
-            for cand, rel in zip(candidates, table.features())]
+            for cand, rel in zip(prepared.candidates, features)]
 
 
 def feature_rows(assets: ScoringAssets, prepared: PreparedQuery,
@@ -289,34 +286,31 @@ def feature_rows(assets: ScoringAssets, prepared: PreparedQuery,
     """F1..F4 plus the quality columns for every candidate; labels from
     qrels (unjudged pairs default to 0)."""
     query_id = prepared.record.id
-    vectors = _feature_vectors(assets, prepared.candidates,
-                               _table_of(assets, prepared))
     return [RankingInstance(
                 query_id=query_id, doc_id=cand.qa_id, features=x,
                 label=qrels.grade(query_id, cand.qa_id) if qrels is not None else 0)
-            for cand, x in zip(prepared.candidates, vectors)]
+            for cand, x in zip(prepared.candidates,
+                               _feature_vectors(assets, prepared))]
 
 
-def _fused_scores(assets: ScoringAssets, prepared: PreparedQuery,
-                  table: ComponentTable) -> list[float]:
+def _fused_scores(assets: ScoringAssets, prepared: PreparedQuery) -> list[float]:
     if assets.ranker is None:
         raise ValueError("fused system needs a trained ranker")
-    X = np.array(_feature_vectors(assets, prepared.candidates, table),
-                 dtype=np.float64)
+    X = np.array(_feature_vectors(assets, prepared), dtype=np.float64)
     return assets.ranker.predict_matrix(X).tolist()
 
 
 # system -> scores of the prepared query's candidates, in candidate order
 _SCORERS = {
-    "vsm": lambda assets, prepared, table: [
+    "vsm": lambda assets, prepared: [
         vsm_score(prepared.record.tokens, c.qa_id, assets.index)
         for c in prepared.candidates],
-    "bm25": lambda assets, prepared, table: [c.score for c in prepared.candidates],
-    "lm": lambda assets, prepared, table: table.lm().tolist(),
-    "tlm": lambda assets, prepared, table: table.tlm().tolist(),
-    "t2lm": lambda assets, prepared, table: table.mixture(
+    "bm25": lambda assets, prepared: [c.score for c in prepared.candidates],
+    "lm": lambda assets, prepared: _component_table(assets, prepared).lm().tolist(),
+    "tlm": lambda assets, prepared: _component_table(assets, prepared).tlm().tolist(),
+    "t2lm": lambda assets, prepared: _component_table(assets, prepared).mixture(
         assets.cfg.mixture(), weighted=False).tolist(),
-    "t2lm+": lambda assets, prepared, table: table.mixture(
+    "t2lm+": lambda assets, prepared: _component_table(assets, prepared).mixture(
         assets.cfg.mixture(), weighted=True).tolist(),
     "t2lm+5": _fused_scores,
 }
@@ -330,7 +324,7 @@ def system_ranking(system: str, assets: ScoringAssets,
         raise ValueError(f"unknown system {system!r}")
     if not prepared.candidates:
         return []
-    scores = scorer(assets, prepared, _table_of(assets, prepared))
+    scores = scorer(assets, prepared)
     scored = sorted(zip(scores, (c.qa_id for c in prepared.candidates)),
                     key=lambda item: (-item[0], item[1]))
     return [(qa_id, score) for score, qa_id in scored]

@@ -165,7 +165,7 @@ class ComponentTable:
     query token occurrences in query order. That order, math.log per value
     and one 1-D dot product per topic entry keep every score bit-identical
     to evaluating the pair alone, term by term. The table keeps only its
-    inputs, so a prepared query that holds one stays small.
+    inputs and stores no column.
     """
 
     def __init__(self, query_tokens, docs: list[DocumentTerms],

@@ -252,7 +252,12 @@ class TestSubcommands:
         assert "MAP@10" in (out / "rep.txt").read_text()
         lacking = len(set(read_qrels(synth_data["qrels"]).queries())
                       - set(read_run(out / "run.txt").queries()))
-        assert f"bm25 lacks {lacking} of 8 qrels queries" in capsys.readouterr().out
+        line = f"bm25 lacks {lacking} of 8 qrels queries (not averaged)"
+        printed = capsys.readouterr().out
+        written = (out / "rep.txt").read_text()
+        assert line in printed and line in written
+        # the run's own queries are averaged, so none scores as missing
+        assert "scores AP = NDCG = 0" not in printed + written
         records = [json.loads(l) for l in (out / "rep.jsonl").read_text().splitlines()]
         assert any(r["type"] == "system" for r in records)
 
@@ -322,6 +327,8 @@ class TestPipeline:
         header, first = (out / "report.txt").read_text().splitlines()[:2]
         assert header.split()[-2:] == ["queries", "missing"]
         assert first.split()[-2:] == ["24", "1"]
+        assert "(a query missing from a run scores AP = NDCG = 0)" in \
+            (out / "report.txt").read_text()
 
     def test_bit_identical_across_fresh_runs(self, synth_data, tmp_path):
         cfg_a = small_pipeline_cfg(synth_data, tmp_path / "a")

@@ -11,9 +11,9 @@ import reference_scoring as ref
 from cqarank.corpus import load_corpus, load_queries
 from cqarank.index import build_index
 from cqarank.ltr import LambdaMARTModel
-from cqarank.pipeline import (ALL_SYSTEMS, PipelineConfig, PreparedQuery,
-                              ScoringAssets, feature_rows, prepare_query,
-                              run_pipeline, system_ranking)
+from cqarank.pipeline import (ALL_SYSTEMS, PipelineConfig, ScoringAssets,
+                              feature_rows, prepare_query, run_pipeline,
+                              system_ranking)
 from cqarank.synth import SynthSpec, write_synth
 from cqarank.topics import TopicModel
 from cqarank.translation import TranslationTable
@@ -81,15 +81,9 @@ def test_table_equals_pair_by_pair_reference(archive, rescale):
         got_rows = [(r.doc_id, r.features)
                     for r in feature_rows(assets, prepared, None)]
         assert got_rows == ref.feature_rows(assets, prepared)
-        # a query prepared without a table (as `cqarank rank` builds it)
-        # gets one on demand and scores the same
-        bare = PreparedQuery(record=prepared.record,
-                             candidates=prepared.candidates,
-                             theta=prepared.theta, weights=prepared.weights)
         for system in ALL_SYSTEMS:
             want = ref.system_ranking(system, assets, prepared)
             assert system_ranking(system, assets, prepared) == want, system
-            assert system_ranking(system, assets, bare) == want, system
     assert seen_empty_answer
     assert scored_queries == len(queries) - 1  # only "only-oov" finds nothing
 
