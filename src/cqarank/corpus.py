@@ -102,18 +102,6 @@ def tokenize(text: str, mode: str = "whitespace") -> list[str]:
     raise ValueError(f"unknown tokenize mode: {mode!r}")
 
 
-def ml_prob(w: int, doc) -> float:
-    """Maximum-likelihood P_ml(w|doc) = count(w, doc) / |doc|."""
-    if not doc:
-        raise ValueError("empty document")
-    return doc.count(w) / len(doc)
-
-
-def collection_prob(w: int, stats: CollectionStats) -> float:
-    """Background P_ml(w|C); unseen terms fall to the 1/(10*N) floor."""
-    return stats.prob(w)
-
-
 def doc_distribution(tokens) -> dict[int, float]:
     """P_ml(t|doc) for every distinct term, in first-occurrence order."""
     n = len(tokens)
@@ -299,23 +287,34 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path) -> Corpus:
+    """Read a corpus written by save_corpus; a malformed file raises
+    ValueError naming the path."""
     with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("format") != "cqarank-corpus-v1":
+        try:
+            payload = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != "cqarank-corpus-v1":
         raise ValueError(f"{path}: not a cqarank corpus file")
-    vocab = Vocabulary()
-    for token in payload["vocabulary"]:
-        vocab.intern(token)
-    stats = CollectionStats({i: c for i, c in enumerate(payload["frequencies"]) if c > 0})
-    pairs = [
-        QAPair(
-            id=rec["id"],
-            question_tokens=tuple(rec["q"]),
-            answer_tokens=tuple(rec["a"]),
-            asker_id=rec["asker"],
-            answerer_id=rec["answerer"],
-        )
-        for rec in payload["pairs"]
-    ]
-    users = {uid: UserRecord(uid, count) for uid, count in payload["users"]}
+    try:
+        vocab = Vocabulary()
+        for token in payload["vocabulary"]:
+            vocab.intern(token)
+        stats = CollectionStats({i: c for i, c in enumerate(payload["frequencies"])
+                                 if c > 0})
+        pairs = [
+            QAPair(
+                id=rec["id"],
+                question_tokens=tuple(rec["q"]),
+                answer_tokens=tuple(rec["a"]),
+                asker_id=rec["asker"],
+                answerer_id=rec["answerer"],
+            )
+            for rec in payload["pairs"]
+        ]
+        users = {uid: UserRecord(uid, count) for uid, count in payload["users"]}
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed corpus: {exc}") from None
     return Corpus(pairs=pairs, vocabulary=vocab, stats=stats, users=users)

@@ -1,6 +1,5 @@
 """Inverted index with BM25 and VSM scoring; top-K candidate generation."""
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,8 @@ class ScoredCandidate:
 class InvertedIndex:
     """Term -> postings over Q&A pairs, for one field selection.
 
-    Postings are kept sorted by qa_id; per-doc term frequencies are also
-    held in dicts for O(1) scoring lookups.
+    Each term's postings are a {qa_id: term frequency} dict in corpus order,
+    for O(1) scoring lookups.
     """
 
     def __init__(self, field: str) -> None:
@@ -32,12 +31,6 @@ class InvertedIndex:
         self.doc_count = 0
         self.avgdl = 0.0
         self._doc_norm: dict[str, float] = {}
-
-    def postings(self, term: int) -> list[tuple[str, int]]:
-        entries = self._tf.get(term)
-        if not entries:
-            return []
-        return sorted(entries.items())
 
     def df(self, term: int) -> int:
         return len(self._tf.get(term, ()))
@@ -143,8 +136,7 @@ def retrieve_candidates(query_tokens, index: InvertedIndex, k: int = DEFAULT_TOP
             continue
         q_tf = query_tokens.count(term)
         idf = index.bm25_idf(term)
-        for qa_id in sorted(entries):
-            tf = entries[qa_id]
+        for qa_id, tf in entries.items():
             dl = index.doc_len[qa_id]
             denom = tf + k1 * (1.0 - b + b * dl / index.avgdl)
             contrib = idf * tf * (k1 + 1.0) / denom
@@ -152,37 +144,3 @@ def retrieve_candidates(query_tokens, index: InvertedIndex, k: int = DEFAULT_TOP
             scores[qa_id] = scores.get(qa_id, 0.0) + q_tf * contrib
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
     return [ScoredCandidate(qa_id=d, score=s, rank=i + 1) for i, (d, s) in enumerate(ranked)]
-
-
-def save_index(index: InvertedIndex, path) -> None:
-    payload = {
-        "format": "cqarank-index-v1",
-        "field": index.field,
-        "doc_len": index.doc_len,
-        "postings": {str(t): sorted(entries.items())
-                     for t, entries in index._tf.items()},
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, separators=(",", ":"), sort_keys=True)
-        f.write("\n")
-
-
-def load_index(path) -> InvertedIndex:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("format") != "cqarank-index-v1":
-        raise ValueError(f"{path}: not a cqarank index file")
-    index = InvertedIndex(payload["field"])
-    index.doc_len = dict(payload["doc_len"])
-    index._tf = {int(t): dict((qa_id, tf) for qa_id, tf in entries)
-                 for t, entries in payload["postings"].items()}
-    index.doc_count = len(index.doc_len)
-    index.avgdl = sum(index.doc_len.values()) / index.doc_count
-    norms = {qa_id: 0.0 for qa_id in index.doc_len}
-    for term, entries in index._tf.items():
-        idf = index.vsm_idf(term)
-        for qa_id, tf in entries.items():
-            w = tf * idf
-            norms[qa_id] += w * w
-    index._doc_norm = {qa_id: math.sqrt(v) for qa_id, v in norms.items()}
-    return index

@@ -112,6 +112,8 @@ class RegressionTree:
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "RegressionTree":
+        """Inverse of to_lines; raises ValueError on a malformed or
+        truncated node list."""
         tree = cls()
         pos = 0
 
@@ -119,17 +121,18 @@ class RegressionTree:
             nonlocal pos
             if pos >= len(lines):
                 raise ValueError("truncated tree serialization")
-            parts = lines[pos].split()
+            line = lines[pos]
+            parts = line.split()
             pos += 1
-            if parts[0] == "L":
+            if parts[:1] == ["L"] and len(parts) == 2:
                 return tree._add_leaf(float(parts[1]))
-            if parts[0] == "S":
+            if parts[:1] == ["S"] and len(parts) == 3:
                 node = tree._add_leaf(0.0)
                 left = build()
                 right = build()
                 tree._make_split(node, int(parts[1]), float(parts[2]), left, right)
                 return node
-            raise ValueError(f"bad tree node line: {lines[pos - 1]!r}")
+            raise ValueError(f"bad tree node line: {line!r}")
 
         root = build()
         if root != 0 or pos != len(lines):
@@ -219,25 +222,45 @@ class LambdaMARTModel:
 
     @classmethod
     def load(cls, path) -> "LambdaMARTModel":
+        """Read a model written by save(). A malformed or truncated file
+        raises ValueError naming the path and line."""
         with open(path, encoding="utf-8") as f:
-            if f.readline().strip() != "cqarank-lambdamart-v1":
-                raise ValueError(f"{path}: not a cqarank LambdaMART model")
-            feature_count = int(f.readline().split()[1])
-            shrinkage = float(f.readline().split()[1])
-            cfg_parts = f.readline().split()[1:]
-            config = TrainConfig(
-                trees=int(cfg_parts[0]), leaves=int(cfg_parts[1]),
-                learning_rate=float(cfg_parts[2]),
-                min_leaf_instances=int(cfg_parts[3]),
-                ndcg_truncation=int(cfg_parts[4]))
-            seed = int(f.readline().split()[1])
-            num_trees = int(f.readline().split()[1])
+            lines = f.read().split("\n")
+        if lines[0] != "cqarank-lambdamart-v1":
+            raise ValueError(f"{path}: not a cqarank LambdaMART model")
+        pos = 1  # lines read, so the 1-based number of the last one
+
+        def take(key: str, *kinds) -> list:
+            """The next line as `key` and one value of each kind."""
+            nonlocal pos
+            parts = lines[pos].split() if pos < len(lines) else []
+            pos += 1
+            if parts[:1] != [key] or len(parts) != len(kinds) + 1:
+                raise ValueError(f"expected '{key}' and {len(kinds)} value(s)")
+            return [kind(v) for kind, v in zip(kinds, parts[1:])]
+
+        try:
+            # save() ends every line with a newline; a file cut inside a
+            # line leaves a non-empty last element
+            if lines.pop():
+                pos = len(lines) + 1
+                raise ValueError("truncated line")
+            (feature_count,) = take("feature_count", int)
+            (shrinkage,) = take("shrinkage", float)
+            config = TrainConfig(*take("config", int, int, float, int, int))
+            (seed,) = take("seed", int)
             trees = []
-            for _ in range(num_trees):
-                header = f.readline().split()
-                n_lines = int(header[2])
-                lines = [f.readline().rstrip("\n") for _ in range(n_lines)]
-                trees.append(RegressionTree.from_lines(lines))
+            for i in range(take("num_trees", int)[0]):
+                n_lines = take("tree", int, int)[1]
+                if pos + n_lines > len(lines):
+                    raise ValueError(f"tree {i} is truncated")
+                trees.append(RegressionTree.from_lines(lines[pos:pos + n_lines]))
+                pos += n_lines
+            if pos < len(lines):
+                pos += 1
+                raise ValueError("unexpected line after the last tree")
+        except (ValueError, RecursionError) as exc:  # a corrupt tree can nest deep
+            raise ValueError(f"{path}:{pos}: {exc}") from None
         return cls(trees=trees, shrinkage=shrinkage, feature_count=feature_count,
                    config=config, seed=seed)
 
@@ -435,10 +458,6 @@ def train(dataset, config: TrainConfig = TrainConfig(), seed: int = 0) -> Lambda
     return LambdaMARTModel(trees=trees, shrinkage=config.learning_rate,
                            feature_count=n_features, config=config, seed=seed,
                            training_ndcg=training_ndcg)
-
-
-def predict(model: LambdaMARTModel, features) -> float:
-    return model.predict(features)
 
 
 def write_letor(dataset, path) -> None:

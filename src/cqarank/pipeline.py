@@ -31,6 +31,7 @@ from .topics import TopicModel, infer_query_topics, train_lda
 from .translation import TranslationTable, make_parallel_pairs, train_ibm1
 
 ALL_SYSTEMS = ("vsm", "bm25", "lm", "tlm", "t2lm", "t2lm+", "t2lm+5")
+PAD_TO = 20  # --pad-candidates fills shorter candidate lists to this length
 
 
 class PipelineError(RuntimeError):
@@ -83,7 +84,6 @@ class PipelineConfig:
     seed: int = 0
     split_seed: int = 0
     pad_candidates: bool = False
-    pad_to: int = 20
     systems: tuple[str, ...] = ALL_SYSTEMS
 
     def mixture(self) -> MixtureWeights:
@@ -244,7 +244,7 @@ def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
     cfg = assets.cfg
     candidates = retrieve_candidates(query.tokens, assets.index, cfg.top_k,
                                      cfg.k1, cfg.b)
-    if cfg.pad_candidates and len(candidates) < cfg.pad_to:
+    if cfg.pad_candidates and len(candidates) < PAD_TO:
         candidates = _pad(candidates, assets.corpus, cfg, query.id)
     theta = infer_query_topics(assets.model, query.tokens, cfg.burn_in,
                                cfg.samples,
@@ -255,13 +255,13 @@ def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
 
 
 def _pad(candidates, corpus: Corpus, cfg: PipelineConfig, query_id: str):
-    """Top candidate lists shorter than pad_to get random extra pairs, the
+    """Top candidate lists shorter than PAD_TO get random extra pairs, the
     protocol's labeling-workload padding."""
     from .index import ScoredCandidate
 
     have = {c.qa_id for c in candidates}
     pool = sorted(p.id for p in corpus.pairs if p.id not in have)
-    need = min(cfg.pad_to - len(candidates), len(pool))
+    need = min(PAD_TO - len(candidates), len(pool))
     if need <= 0:
         return candidates
     rng = random.Random(query_scoring_seed(cfg.seed + 1, query_id))
@@ -338,14 +338,63 @@ def split_queries(queries: list[QueryRecord], split_seed: int):
     return shuffled[:cut], shuffled[cut:]
 
 
+# The PipelineConfig fields a stage reads. Each tuple names both the
+# stage's command-line flags and its manifest params.
+TM_FIELDS = ("em_iters", "direction", "prune")
+LDA_FIELDS = ("topics", "alpha", "beta", "gibbs_iters", "seed")
+RANKER_FIELDS = ("trees", "leaves", "learning_rate", "min_leaf", "ndcg_cutoff",
+                 "seed")
+SCORING_FIELDS = ("field", "k1", "b", "top_k", "burn_in", "samples", "seed",
+                  "rescale_weights", "combine_quality", "pad_candidates")
+
+
+def _stage_params(cfg: PipelineConfig, names) -> dict:
+    return {name: getattr(cfg, name) for name in names}
+
+
 def _scoring_params(cfg: PipelineConfig) -> dict:
-    return {
-        "field": cfg.field, "k1": cfg.k1, "b": cfg.b, "top_k": cfg.top_k,
-        "burn_in": cfg.burn_in, "samples": cfg.samples, "seed": cfg.seed,
-        "rescale_weights": cfg.rescale_weights,
-        "combine_quality": cfg.combine_quality,
-        "pad_candidates": cfg.pad_candidates, "pad_to": cfg.pad_to,
-    }
+    return {**_stage_params(cfg, SCORING_FIELDS), "pad_to": PAD_TO}
+
+
+# One recipe per stage, shared by run_pipeline and the stage commands.
+
+def ingest(cfg: PipelineConfig) -> Corpus:
+    """The ingest stage: the Q&A and users files, without the stopwords
+    listed one per line in the stopwords file, if one is configured."""
+    stopwords = None
+    if cfg.stopwords_path is not None:
+        with open(cfg.stopwords_path, encoding="utf-8") as f:
+            stopwords = frozenset(line.strip() for line in f if line.strip())
+    return ingest_corpus(cfg.qa_path, cfg.users_path, cfg.mode, stopwords)
+
+
+def train_translation(cfg: PipelineConfig, corpus: Corpus) -> TranslationTable:
+    """The train-tm stage."""
+    return train_ibm1(make_parallel_pairs(corpus, cfg.direction), cfg.em_iters,
+                      prune=cfg.prune)
+
+
+def train_topics(cfg: PipelineConfig, corpus: Corpus) -> TopicModel:
+    """The train-lda stage, over each pair's question and answer tokens."""
+    docs = [p.question_tokens + p.answer_tokens for p in corpus.pairs]
+    return train_lda(docs, cfg.topics, cfg.alpha, cfg.beta, cfg.gibbs_iters,
+                     cfg.seed, vocab_size=len(corpus.vocabulary))
+
+
+def write_features(assets: ScoringAssets, queries: list[QueryRecord],
+                   qrels: Qrels | None, path) -> int:
+    """The features stage: writes the queries' LETOR rows to `path` and
+    returns how many there are."""
+    rows: list[RankingInstance] = []
+    for query in queries:
+        rows.extend(feature_rows(assets, prepare_query(assets, query), qrels))
+    write_letor(rows, path)
+    return len(rows)
+
+
+def train_ranker(cfg: PipelineConfig, letor_path) -> LambdaMARTModel:
+    """The train-ranker stage."""
+    return train(read_letor(letor_path), cfg.ltr_config(), seed=cfg.seed)
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
@@ -368,55 +417,26 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     runner = StageRunner()
 
     corpus_path = outdir / "corpus.json"
-    ingest_inputs = [Path(cfg.qa_path)]
-    if cfg.users_path is not None:
-        ingest_inputs.append(Path(cfg.users_path))
-    if cfg.stopwords_path is not None:
-        ingest_inputs.append(Path(cfg.stopwords_path))
-
-    def _ingest() -> None:
-        stopwords = None
-        if cfg.stopwords_path is not None:
-            with open(cfg.stopwords_path, encoding="utf-8") as f:
-                stopwords = frozenset(line.strip() for line in f if line.strip())
-        save_corpus(ingest_corpus(cfg.qa_path, cfg.users_path, cfg.mode,
-                                  stopwords), corpus_path)
-
     runner.run(
-        "ingest", ingest_inputs, [corpus_path],
+        "ingest",
+        [Path(path) for path in (cfg.qa_path, cfg.users_path, cfg.stopwords_path)
+         if path is not None],
+        [corpus_path],
         {"mode": cfg.mode, "stopwords": cfg.stopwords_path},
-        _ingest,
+        lambda: save_corpus(ingest(cfg), corpus_path),
     )
     corpus = load_corpus(corpus_path)
 
     table_path = outdir / "translation.tsv"
-
-    def _train_tm() -> None:
-        pairs = make_parallel_pairs(corpus, cfg.direction)
-        train_ibm1(pairs, cfg.em_iters, prune=cfg.prune).save(table_path)
-
-    runner.run(
-        "train-tm", [corpus_path], [table_path],
-        {"em_iters": cfg.em_iters, "direction": cfg.direction, "prune": cfg.prune},
-        _train_tm,
-    )
+    runner.run("train-tm", [corpus_path], [table_path],
+               _stage_params(cfg, TM_FIELDS),
+               lambda: train_translation(cfg, corpus).save(table_path))
     table = TranslationTable.load(table_path)
 
     lda_path = outdir / "topics.txt"
-
-    def _train_lda() -> None:
-        docs = [p.question_tokens + p.answer_tokens for p in corpus.pairs]
-        model = train_lda(docs, cfg.topics, cfg.alpha, cfg.beta,
-                          cfg.gibbs_iters, cfg.seed,
-                          vocab_size=len(corpus.vocabulary))
-        model.save(lda_path)
-
-    runner.run(
-        "train-lda", [corpus_path], [lda_path],
-        {"topics": cfg.topics, "alpha": cfg.alpha, "beta": cfg.beta,
-         "gibbs_iters": cfg.gibbs_iters, "seed": cfg.seed},
-        _train_lda,
-    )
+    runner.run("train-lda", [corpus_path], [lda_path],
+               _stage_params(cfg, LDA_FIELDS),
+               lambda: train_topics(cfg, corpus).save(lda_path))
     model = TopicModel.load(lda_path)
 
     queries = load_queries(cfg.queries_path, corpus.vocabulary, cfg.mode)
@@ -438,11 +458,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
                        "test": [q.id for q in test_split]},
                       f, sort_keys=True)
             f.write("\n")
-        for subset, path in ((train_split, train_letor), (test_split, test_letor)):
-            rows: list[RankingInstance] = []
-            for query in subset:
-                rows.extend(feature_rows(assets, prepare_query(assets, query), qrels))
-            write_letor(rows, path)
+        write_features(assets, train_split, qrels, train_letor)
+        write_features(assets, test_split, qrels, test_letor)
 
     runner.run(
         "features",
@@ -459,20 +476,9 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
             raise PipelineError(f"stage train-ranker failed: missing model {ranker_path}")
     else:
         ranker_path = outdir / "ranker.txt"
-        ltr_cfg = cfg.ltr_config()
-
-        def _train_ranker() -> None:
-            dataset = read_letor(train_letor)
-            train(dataset, ltr_cfg, seed=cfg.seed).save(ranker_path)
-
-        runner.run(
-            "train-ranker", [train_letor], [ranker_path],
-            {"trees": ltr_cfg.trees, "leaves": ltr_cfg.leaves,
-             "learning_rate": ltr_cfg.learning_rate,
-             "min_leaf": ltr_cfg.min_leaf_instances,
-             "ndcg_cutoff": ltr_cfg.ndcg_truncation, "seed": cfg.seed},
-            _train_ranker,
-        )
+        runner.run("train-ranker", [train_letor], [ranker_path],
+                   _stage_params(cfg, RANKER_FIELDS),
+                   lambda: train_ranker(cfg, train_letor).save(ranker_path))
     assets.ranker = LambdaMARTModel.load(ranker_path)
 
     run_paths = {system: outdir / f"run_{system.replace('+', 'p')}.txt"

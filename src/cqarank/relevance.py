@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CollectionStats, QAPair, doc_distribution
-from .index import ScoredCandidate
 from .topics import QueryTopicPosterior, TopicModel
 from .translation import TranslationTable
 
@@ -349,14 +348,3 @@ def features_f1_f4(query_tokens, qa: QAPair, table: TranslationTable,
     components = ComponentTable(query_tokens, [doc], stats, table, model,
                                 theta, weights)
     return RelevanceFeatures(*components.features()[0])
-
-
-def rank_candidates(scorer, query_tokens, candidates) -> list[ScoredCandidate]:
-    """Score every candidate pair, sort non-increasing, break ties by
-    ascending qa_id."""
-    if not candidates:
-        raise ValueError("no candidates to rank")
-    scored = [(scorer(query_tokens, qa), qa.id) for qa in candidates]
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    return [ScoredCandidate(qa_id=qa_id, score=score, rank=i + 1)
-            for i, (score, qa_id) in enumerate(scored)]

@@ -198,12 +198,3 @@ def infer_query_topics(model: TopicModel, query_tokens, burn_in: int = 50,
         if sweep >= burn_in:
             acc += (n_k + model.alpha) / (n + K * model.alpha)
     return QueryTopicPosterior(theta=acc / samples, oov_fallback=False)
-
-
-def topic_word_prob(model: TopicModel, w: int, z: int) -> float:
-    """phi[z][w]; out-of-vocabulary words get beta/(n_z + V*beta)."""
-    if not 0 <= z < model.num_topics:
-        raise ValueError(f"topic index {z} out of range")
-    if 0 <= w < model.vocab_size:
-        return float(model.phi[z, w])
-    return float(model.beta / (model.topic_totals[z] + model.vocab_size * model.beta))

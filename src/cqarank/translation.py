@@ -107,15 +107,15 @@ def uniform_init(pairs) -> dict[int, dict[int, float]]:
     return cooc
 
 
-def train_ibm1(pairs, iterations: int = 10, seed: int | None = None,
+def train_ibm1(pairs, iterations: int = 10,
                prune: float = 0.0) -> TranslationTable:
     """Standard IBM Model 1 EM over the pair list.
 
     Deterministic given inputs: pair order and within-sentence token order fix
-    the summation order (seed is accepted for interface symmetry; the
-    procedure has no random choices). A positive `prune` drops entries below
-    the threshold after the final iteration and renormalizes each source row
-    so the per-source normalization invariant survives pruning.
+    the summation order, and the procedure has no random choices. A positive
+    `prune` drops entries below the threshold after the final iteration and
+    renormalizes each source row so the per-source normalization invariant
+    survives pruning.
     """
     pairs = list(pairs)
     if not pairs:
@@ -151,10 +151,6 @@ def train_ibm1(pairs, iterations: int = 10, seed: int | None = None,
             t_prob[s] = {w: p / total for w, p in row.items()}
 
     return TranslationTable(t_prob)
-
-
-def translate_prob(table: TranslationTable, w: int, t: int) -> float:
-    return table.prob(w, t)
 
 
 def corpus_log_likelihood(table: TranslationTable, pairs) -> float:

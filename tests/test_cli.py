@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -5,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cqarank.pipeline as pipeline
-from cqarank.cli import main
+from cqarank.cli import build_parser, config_from_args, flag_name, main
 from cqarank.corpus import load_corpus, load_queries
 from cqarank.evaluation import read_qrels, read_run
 from cqarank.index import build_index, retrieve_candidates
@@ -84,8 +86,6 @@ class TestSubcommands:
         assert main(["ingest", "--qa", str(synth_data["qa"]),
                      "--users", str(synth_data["users"]),
                      "--out", str(corpus)]) == 0
-        assert main(["build-index", "--corpus", str(corpus),
-                     "--out", str(out / "index.json")]) == 0
         assert main(["train-tm", "--corpus", str(corpus), "--em-iters", "5",
                      "--out", str(out / "tm.tsv")]) == 0
         assert main(["train-lda", "--corpus", str(corpus), "--topics", "3",
@@ -111,6 +111,51 @@ class TestSubcommands:
                      "--qrels", str(synth_data["qrels"])]) == 0
         captured = capsys.readouterr()
         assert "MAP@10" in captured.out
+
+    def test_stage_commands_reproduce_pipeline_artifacts(self, synth_data, tmp_path):
+        """A stage command given the pipeline's options writes the same bytes
+        as that pipeline stage."""
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("common0\ncommon1\n")
+        exp = tmp_path / "exp"
+        run_pipeline(small_pipeline_cfg(synth_data, exp,
+                                         stopwords_path=str(stopwords)))
+        out = tmp_path / "stages"
+        out.mkdir()
+        corpus = str(out / "corpus.json")
+        assert main(["ingest", "--qa", str(synth_data["qa"]),
+                     "--users", str(synth_data["users"]),
+                     "--stopwords", str(stopwords), "--out", corpus]) == 0
+        assert main(["train-tm", "--corpus", corpus, "--em-iters", "5",
+                     "--out", str(out / "translation.tsv")]) == 0
+        assert main(["train-lda", "--corpus", corpus, "--topics", "3",
+                     "--gibbs-iters", "40", "--seed", "1",
+                     "--out", str(out / "topics.txt")]) == 0
+        assert main(["train-ranker", "--letor", str(exp / "train.letor"),
+                     "--trees", "8", "--min-leaf", "5", "--seed", "1",
+                     "--out", str(out / "ranker.txt")]) == 0
+        for name in ("corpus.json", "translation.tsv", "topics.txt", "ranker.txt"):
+            assert (out / name).read_bytes() == (exp / name).read_bytes(), name
+
+    def test_rank_with_truncated_ranker_fails_cleanly(self, synth_data, tmp_path,
+                                                      capsys):
+        out = tmp_path / "w"
+        out.mkdir()
+        corpus = out / "corpus.json"
+        main(["ingest", "--qa", str(synth_data["qa"]), "--out", str(corpus)])
+        main(["train-tm", "--corpus", str(corpus), "--em-iters", "3",
+              "--out", str(out / "tm.tsv")])
+        main(["train-lda", "--corpus", str(corpus), "--topics", "2",
+              "--gibbs-iters", "10", "--out", str(out / "lda.txt")])
+        ranker = out / "rk.txt"
+        ranker.write_text("cqarank-lambdamart-v1\nfeature_count 6\nshrinka")
+        capsys.readouterr()
+        assert main(["rank", "--corpus", str(corpus),
+                     "--queries", str(synth_data["queries"]), "--method", "t2lm+5",
+                     "--translation", str(out / "tm.tsv"),
+                     "--topics-model", str(out / "lda.txt"),
+                     "--ranker", str(ranker), "--out", str(out / "r.txt")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ranker}:3: ")
 
     def test_rank_method_validation(self, synth_data, tmp_path):
         out = tmp_path / "w"
@@ -442,11 +487,102 @@ class TestConfigFile:
         header = (tmp_path / "out" / "topics.txt").read_text().split()[0]
         assert header == "2"  # the flag beat the config file
 
-    def test_unknown_key_rejected(self, synth_data, tmp_path):
+    def test_unknown_key_rejected(self, synth_data, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
         config.write_text("no-such-flag = 1\n")
-        with pytest.raises(SystemExit):
-            main(["pipeline", "--config", str(config)])
+        assert main(["pipeline", "--config", str(config)]) == 1
+        assert "no-such-flag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["topics 3", "topics = three",
+                                      "rescale-weights = maybe",
+                                      "direction = sideways", "alpha = none"])
+    def test_bad_line_names_path_and_line(self, tmp_path, capsys, line):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"# header\nseed = 1\n{line}\n")
+        assert main(["pipeline", f"--config={config}"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}:3: ")
+
+    def test_missing_file_names_path(self, tmp_path, capsys):
+        config = tmp_path / "absent.cfg"
+        assert main(["pipeline", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(config) in err
+
+    def test_precedence(self, tmp_path, monkeypatch):
+        """Field defaults < CQARANK_OUTDIR < config file < flags given, and
+        `--config=path` reads the file like `--config path`."""
+        monkeypatch.setenv("CQARANK_OUTDIR", "from-env")
+        config = tmp_path / "exp.cfg"
+        config.write_text("topics = 3\nprune = 0\nrescale_weights = yes\n"
+                          "systems = bm25, lm\nqa = a.jsonl\n")
+        parser = build_parser()
+        cfg = config_from_args(parser.parse_args(
+            ["pipeline", f"--config={config}", "--topics", "7"]))
+        assert (cfg.outdir, cfg.topics, cfg.qa_path) == ("from-env", 7, "a.jsonl")
+        assert cfg.prune == 0.0 and isinstance(cfg.prune, float)
+        assert cfg.rescale_weights is True and cfg.systems == ("bm25", "lm")
+        config.write_text("outdir = from-file\n")
+        cfg = config_from_args(parser.parse_args(["pipeline", "--config", str(config)]))
+        assert cfg.outdir == "from-file"
+        cfg = config_from_args(parser.parse_args(
+            ["pipeline", "--config", str(config), "--outdir", "from-flag"]))
+        assert cfg.outdir == "from-flag"
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# each stage command with only its required flags
+STAGE_ARGV = {
+    "ingest": ["--qa", "qa.jsonl", "--out", "o"],
+    "train-tm": ["--corpus", "c", "--out", "o"],
+    "train-lda": ["--corpus", "c", "--out", "o"],
+    "features": ["--corpus", "c", "--translation", "t", "--topics-model", "m",
+                 "--queries", "q", "--out", "o"],
+    "train-ranker": ["--letor", "l", "--out", "o"],
+    "rank": ["--corpus", "c", "--queries", "q", "--method", "bm25", "--out", "o"],
+    "evaluate": ["--run", "r", "--qrels", "q"],
+}
+
+
+class TestFlagsMirrorConfig:
+    """Flags are generated from PipelineConfig, so no command restates a
+    field default."""
+
+    def test_one_pipeline_flag_per_field(self):
+        flags = {a.dest: a.option_strings
+                 for a in _subparsers()["pipeline"]._actions
+                 if a.dest not in ("help", "config")}
+        fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert sorted(flags) == sorted(fields)
+        for name in fields:
+            assert flags[name] == [flag_name(name)]
+        assert flag_name("qa_path") == "--qa" and flag_name("top_k") == "--top-k"
+
+    def test_bare_pipeline_gives_field_defaults(self, monkeypatch):
+        monkeypatch.delenv("CQARANK_OUTDIR", raising=False)
+        cfg = config_from_args(build_parser().parse_args(["pipeline"]))
+        assert cfg == PipelineConfig(qa_path=None, queries_path=None)
+
+    def test_stage_flag_defaults_are_field_defaults(self, monkeypatch):
+        monkeypatch.delenv("CQARANK_OUTDIR", raising=False)
+        parsers = _subparsers()
+        defaults = PipelineConfig(qa_path=None, queries_path=None)
+        for command, argv in STAGE_ARGV.items():
+            field_flags = [a for a in parsers[command]._actions
+                           if a.dest in PipelineConfig.__dataclass_fields__]
+            assert field_flags, command
+            for action in field_flags:
+                assert action.default is argparse.SUPPRESS, (command, action.dest)
+            cfg = config_from_args(build_parser().parse_args([command] + argv))
+            for action in field_flags:
+                if not action.required:
+                    assert (getattr(cfg, action.dest)
+                            == getattr(defaults, action.dest)), (command, action.dest)
 
 
 class TestOutdirEnv:

@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from cqarank.corpus import (collection_prob, doc_distribution, ingest_corpus,
-                            load_corpus, load_queries, ml_prob, save_corpus,
-                            tokenize)
+from cqarank.corpus import (doc_distribution, ingest_corpus, load_corpus,
+                            load_queries, save_corpus, tokenize)
 from conftest import write_jsonl
 
 
@@ -108,40 +107,42 @@ class TestIngest:
 
 
 class TestProbabilities:
+    """P_ml(w|doc) through doc_distribution, P_ml(w|C) through
+    CollectionStats.prob."""
+
     def test_ml_prob_direct_count(self):
-        assert ml_prob(0, [0, 1, 0]) == pytest.approx(2 / 3)
+        assert doc_distribution([0, 1, 0])[0] == pytest.approx(2 / 3)
 
     def test_ml_prob_absent(self):
-        assert ml_prob(9, [0, 1]) == 0.0
+        assert 9 not in doc_distribution([0, 1])
 
     def test_ml_prob_single(self):
-        assert ml_prob(0, [0]) == 1.0
+        assert doc_distribution([0]) == {0: 1.0}
 
     def test_ml_prob_empty_doc(self):
-        with pytest.raises(ValueError, match="empty document"):
-            ml_prob(0, [])
+        # an empty side (say, a missing answer) has no terms to weigh
+        assert doc_distribution([]) == {}
 
     def test_ml_prob_sums_to_one(self):
         rng = random.Random(42)
         for _ in range(20):
             doc = [rng.randrange(7) for _ in range(rng.randint(1, 40))]
-            total = sum(ml_prob(w, doc) for w in set(doc))
+            total = sum(doc_distribution(doc).values())
             assert abs(total - 1.0) < 1e-12
 
     def test_collection_prob_direct(self, qa_file):
         corpus = ingest_corpus(qa_file([_rec("p1", "a a", "b")]))
         a_id = corpus.vocabulary.id_of("a")
-        assert collection_prob(a_id, corpus.stats) == pytest.approx(2 / 3)
+        assert corpus.stats.prob(a_id) == pytest.approx(2 / 3)
 
     def test_collection_prob_unseen_floor(self, qa_file):
         corpus = ingest_corpus(qa_file([_rec("p1", "a a", "b")]))
-        assert collection_prob(999, corpus.stats) == pytest.approx(1 / 30)
+        assert corpus.stats.prob(999) == pytest.approx(1 / 30)
 
     def test_collection_prob_sums_to_one(self, qa_file):
         records = [_rec(f"p{i}", f"w{i} w{i % 3} shared", "x y") for i in range(8)]
         corpus = ingest_corpus(qa_file(records))
-        total = sum(collection_prob(t, corpus.stats)
-                    for t in range(len(corpus.vocabulary)))
+        total = sum(corpus.stats.prob(t) for t in range(len(corpus.vocabulary)))
         assert abs(total - 1.0) < 1e-9
 
     def test_doc_distribution_preserves_first_occurrence_order(self):
@@ -163,6 +164,22 @@ class TestArtifacts:
         assert loaded.pair("p1").question_tokens == corpus.pair("p1").question_tokens
         assert loaded.stats.frequencies == corpus.stats.frequencies
         assert loaded.best_answer_count("u2") == 9
+
+    @pytest.mark.parametrize("key", ["vocabulary", "frequencies", "pairs", "users"])
+    def test_corpus_missing_key_names_path(self, qa_file, tmp_path, key):
+        out = tmp_path / "corpus.json"
+        save_corpus(ingest_corpus(qa_file([_rec("p1", "a b", "c")])), out)
+        payload = json.loads(out.read_text())
+        del payload[key]
+        out.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"corpus.json: missing key '{key}'"):
+            load_corpus(out)
+
+    def test_corpus_not_json_names_path(self, tmp_path):
+        out = tmp_path / "corpus.json"
+        out.write_text('{"format": "cqarank-corpus-v1", "voc')
+        with pytest.raises(ValueError, match="corpus.json"):
+            load_corpus(out)
 
     def test_load_queries_interns_new_words(self, qa_file, tmp_path):
         corpus = ingest_corpus(qa_file([_rec("p1", "a b", "c")]))

@@ -6,8 +6,7 @@ import pytest
 
 from cqarank.ltr import (LambdaMARTModel, RankingInstance, RegressionTree,
                          TrainConfig, compute_lambdas, fit_tree,
-                         ndcg_of_scores, predict, read_letor, train,
-                         write_letor)
+                         ndcg_of_scores, read_letor, train, write_letor)
 
 
 def make_separable_dataset(n_queries=20, docs_per_query=10, seed=42):
@@ -163,14 +162,14 @@ class TestPredict:
     def test_empty_model_scores_zero(self):
         model = LambdaMARTModel(trees=[], shrinkage=0.2, feature_count=3,
                                 config=TrainConfig(), seed=0)
-        assert predict(model, (0.0, 0.0, 0.0)) == 0.0
+        assert model.predict((0.0, 0.0, 0.0)) == 0.0
 
     def test_single_leaf_shrinkage(self):
         tree = RegressionTree()
         tree._add_leaf(5.0)
         model = LambdaMARTModel(trees=[tree], shrinkage=0.2, feature_count=2,
                                 config=TrainConfig(), seed=0)
-        assert predict(model, (0.1, 0.2)) == pytest.approx(1.0)
+        assert model.predict((0.1, 0.2)) == pytest.approx(1.0)
 
     def test_repeatable(self):
         dataset = make_separable_dataset(n_queries=5)
@@ -182,7 +181,7 @@ class TestPredict:
         model = LambdaMARTModel(trees=[], shrinkage=0.2, feature_count=3,
                                 config=TrainConfig(), seed=0)
         with pytest.raises(ValueError):
-            predict(model, (1.0,))
+            model.predict((1.0,))
         with pytest.raises(ValueError):
             model.predict_matrix(np.zeros((2, 2)))
 
@@ -296,3 +295,32 @@ class TestModelSerialization:
         rebuilt = RegressionTree.from_lines(lines)
         assert rebuilt.predict([0, 0, 0.5]) == 1.5
         assert rebuilt.predict([0, 0, 0.9]) == -2.5
+
+    def test_truncated_model_names_path(self, tmp_path):
+        """Every cut of a saved model, at a line boundary or inside a line,
+        raises ValueError naming the file."""
+        dataset = make_separable_dataset(n_queries=6)
+        model = train(dataset, TrainConfig(trees=2, min_leaf_instances=10), seed=3)
+        full = tmp_path / "model.txt"
+        model.save(full)
+        text = full.read_text()
+        cut = tmp_path / "cut.txt"
+        for end in range(len(text)):
+            cut.write_text(text[:end])
+            with pytest.raises(ValueError, match="cut.txt"):
+                LambdaMARTModel.load(cut)
+
+    def test_deeply_nested_tree_names_path(self, tmp_path):
+        path = tmp_path / "deep.txt"
+        nodes = ["S 0 0.5"] * 5000 + ["L 1.0"] * 5001
+        path.write_text("cqarank-lambdamart-v1\nfeature_count 1\nshrinkage 0.1\n"
+                        "config 1 4 0.2 1 10\nseed 0\nnum_trees 1\n"
+                        f"tree 0 {len(nodes)}\n" + "".join(n + "\n" for n in nodes))
+        with pytest.raises(ValueError, match="deep.txt:7: "):
+            LambdaMARTModel.load(path)
+
+    @pytest.mark.parametrize("lines", [[], ["S 0 0.5", "L 1.0"], ["S 0", "L 1", "L 2"],
+                                       [""], ["L"], ["L 1", "L 2"], ["X 1"]])
+    def test_bad_node_lines_rejected(self, lines):
+        with pytest.raises(ValueError):
+            RegressionTree.from_lines(lines)

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 import oracle
+from cqarank.corpus import QueryRecord
+from cqarank.index import ScoredCandidate, build_index
+from cqarank.pipeline import (PipelineConfig, PreparedQuery, ScoringAssets,
+                              system_ranking)
 from cqarank.relevance import (DEFAULT_MIXTURE, MixtureWeights,
-                               features_f1_f4, rank_candidates, score_lm,
-                               score_t2lm, score_t2lm_plus, score_tlm,
-                               smoothing_lambda, term_weights)
+                               features_f1_f4, score_lm, score_t2lm,
+                               score_t2lm_plus, score_tlm, smoothing_lambda,
+                               term_weights)
 from cqarank.topics import TopicModel, infer_query_topics, train_lda
 from cqarank.translation import identity_table, make_parallel_pairs, train_ibm1
 from conftest import build_corpus
@@ -386,39 +390,43 @@ class TestFeatures:
 
 
 class TestRankCandidates:
-    def _scorer_from(self, scores):
-        return lambda query, qa: scores[qa.id]
+    """system_ranking orders candidates by non-increasing score and breaks
+    ties by ascending qa_id. The bm25 system ranks by the candidates' own
+    scores, so these tests set them directly."""
+
+    @staticmethod
+    def _ranked(toy, scores):
+        corpus = toy["corpus"]
+        assets = ScoringAssets(corpus=corpus, index=build_index(corpus),
+                               table=toy["table"], model=toy["model"],
+                               cfg=PipelineConfig(qa_path="", queries_path=""))
+        candidates = [ScoredCandidate(qa_id=qa_id, score=score, rank=i + 1)
+                      for i, (qa_id, score) in enumerate(scores.items())]
+        prepared = PreparedQuery(record=QueryRecord(id="q", tokens=(0,)),
+                                 candidates=candidates, theta=None, weights={})
+        return system_ranking("bm25", assets, prepared)
 
     def test_order_preserved(self, toy):
-        corpus = toy["corpus"]
-        candidates = corpus.pairs[:2]
-        ranked = rank_candidates(self._scorer_from({"p1": -1.0, "p2": -2.0}),
-                                 [0], candidates)
-        assert [r.qa_id for r in ranked] == ["p1", "p2"]
-        assert [r.rank for r in ranked] == [1, 2]
+        ranked = self._ranked(toy, {"p1": -1.0, "p2": -2.0})
+        assert ranked == [("p1", -1.0), ("p2", -2.0)]
 
     def test_ties_by_ascending_id(self, toy):
-        corpus = toy["corpus"]
-        ranked = rank_candidates(self._scorer_from({p.id: 0.5 for p in corpus.pairs}),
-                                 [0], list(reversed(corpus.pairs)))
-        assert [r.qa_id for r in ranked] == sorted(p.id for p in corpus.pairs)
+        ids = [p.id for p in toy["corpus"].pairs]
+        ranked = self._ranked(toy, {qa_id: 0.5 for qa_id in reversed(ids)})
+        assert [qa_id for qa_id, _ in ranked] == sorted(ids)
 
     def test_singleton(self, toy):
-        corpus = toy["corpus"]
-        ranked = rank_candidates(self._scorer_from({"p1": 3.0}), [0],
-                                 [corpus.pair("p1")])
-        assert len(ranked) == 1 and ranked[0].rank == 1
+        assert self._ranked(toy, {"p1": 3.0}) == [("p1", 3.0)]
 
     def test_shift_invariance(self, toy):
         corpus, table, model = toy["corpus"], toy["table"], toy["model"]
         query = toy["queries"][0]
-        base = lambda q, qa: score_t2lm(q, qa, DEFAULT_MIXTURE, table, model,
-                                        corpus.stats)
-        shifted = lambda q, qa: base(q, qa) + 100.0
-        order_a = [r.qa_id for r in rank_candidates(base, query, corpus.pairs)]
-        order_b = [r.qa_id for r in rank_candidates(shifted, query, corpus.pairs)]
+        base = {qa.id: score_t2lm(query, qa, DEFAULT_MIXTURE, table, model,
+                                  corpus.stats) for qa in corpus.pairs}
+        shifted = {qa_id: score + 100.0 for qa_id, score in base.items()}
+        order_a = [qa_id for qa_id, _ in self._ranked(toy, base)]
+        order_b = [qa_id for qa_id, _ in self._ranked(toy, shifted)]
         assert order_a == order_b
 
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            rank_candidates(lambda q, qa: 0.0, [0], [])
+    def test_empty_candidates_rank_empty(self, toy):
+        assert self._ranked(toy, {}) == []

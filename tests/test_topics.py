@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cqarank.topics import (CollapsedGibbsSampler, TopicModel,
-                            infer_query_topics, topic_word_prob, train_lda)
+                            infer_query_topics, train_lda)
 
 
 def _two_group_docs(docs_per_group=12, doc_len=8, vocab_per_group=6):
@@ -126,27 +126,30 @@ class TestInference:
 
 
 class TestWordProb:
+    """P_to(w|z) for every topic z, through TopicModel.phi_column."""
+
     def test_lookup(self, separated_model):
         model, _, _ = separated_model
-        assert topic_word_prob(model, 0, 1) == float(model.phi[1, 0])
+        assert model.phi_column(0)[1] == model.phi[1, 0]
 
     def test_oov_floor(self, separated_model):
         model, _, _ = separated_model
-        z = 0
-        floor = model.beta / (model.topic_totals[z] + model.vocab_size * model.beta)
-        assert topic_word_prob(model, 10_000, z) == pytest.approx(floor)
+        floor = model.beta / (model.topic_totals + model.vocab_size * model.beta)
+        assert np.allclose(model.phi_column(10_000), floor, rtol=1e-12, atol=0)
 
     def test_topic_out_of_range(self, separated_model):
         model, _, _ = separated_model
-        with pytest.raises(ValueError):
-            topic_word_prob(model, 0, 99)
+        # one entry per topic; a negative word id is out of vocabulary, not
+        # a column counted from the end
+        assert model.phi_column(0).shape == (model.num_topics,)
+        assert np.array_equal(model.phi_column(-1), model.phi_column(10_000))
+        assert not np.array_equal(model.phi_column(-1),
+                                  model.phi[:, model.vocab_size - 1])
 
     def test_sums_to_one_over_training_vocab(self, separated_model):
         model, _, _ = separated_model
-        for z in range(model.num_topics):
-            total = sum(topic_word_prob(model, w, z)
-                        for w in range(model.vocab_size))
-            assert abs(total - 1.0) < 1e-9
+        total = sum(model.phi_column(w) for w in range(model.vocab_size))
+        assert np.allclose(total, 1.0, rtol=0, atol=1e-9)
 
 
 class TestSerialization:

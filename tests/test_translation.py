@@ -6,7 +6,7 @@ import oracle
 from cqarank.translation import (ParallelPair, TranslationTable,
                                  corpus_log_likelihood, identity_table,
                                  make_parallel_pairs, train_ibm1,
-                                 translate_prob, uniform_init)
+                                 uniform_init)
 from conftest import build_corpus
 
 
@@ -60,13 +60,13 @@ class TestTraining:
 
     def test_single_pair_forces_mass(self):
         table = train_ibm1(_pairs(([0], [1])), iterations=1)
-        assert translate_prob(table, 1, 0) == 1.0
+        assert table.prob(1, 0) == 1.0
 
     def test_two_pair_corpus_concentrates(self):
         # ("a","b") -> ("x","y") plus ("a",) -> ("x",): EM pins x to a
         pairs = _pairs(([0, 1], [2, 3]), ([0], [2]))
         table = train_ibm1(pairs, iterations=20)
-        assert translate_prob(table, 2, 0) > 0.9
+        assert table.prob(2, 0) > 0.9
 
     def test_matches_hand_rolled_em(self):
         pairs = _pairs(([0, 1], [2, 3]), ([0], [2]))
@@ -75,7 +75,7 @@ class TestTraining:
             ref = oracle.ibm1_em([(list(p.source), list(p.target)) for p in pairs],
                                  iterations)
             for (s, w), p in ref.items():
-                assert translate_prob(table, w, s) == pytest.approx(p, abs=1e-12)
+                assert table.prob(w, s) == pytest.approx(p, abs=1e-12)
 
     def test_deterministic_bit_identical(self):
         pairs = _random_pairs(5)
@@ -107,14 +107,14 @@ class TestTraining:
 class TestLookup:
     def test_trained_entry_and_sparsity(self):
         table = train_ibm1(_pairs(([0], [1])), iterations=2)
-        assert translate_prob(table, 1, 0) == 1.0
-        assert translate_prob(table, 5, 0) == 0.0
-        assert translate_prob(table, 1, 7) == 0.0
+        assert table.prob(1, 0) == 1.0
+        assert table.prob(5, 0) == 0.0
+        assert table.prob(1, 7) == 0.0
 
     def test_identity_table(self):
         table = identity_table([3, 4])
-        assert translate_prob(table, 3, 3) == 1.0
-        assert translate_prob(table, 4, 3) == 0.0
+        assert table.prob(3, 3) == 1.0
+        assert table.prob(4, 3) == 0.0
 
 
 class TestLogLikelihood:
