@@ -12,9 +12,9 @@ from .ltr import (LambdaMARTModel, RankingInstance, RegressionTree,
                   TrainConfig, compute_lambdas, fit_tree, read_letor, train,
                   write_letor)
 from .quality import QualityFeature, authority_score, quality_feature
-from .relevance import (DEFAULT_MIXTURE, MixtureWeights, RelevanceFeatures,
-                        features_f1_f4, score_lm, score_t2lm, score_t2lm_plus,
-                        score_tlm, smoothing_lambda, term_weights)
+from .relevance import (MixtureWeights, RelevanceFeatures, features_f1_f4,
+                        score_lm, score_t2lm, score_t2lm_plus, score_tlm,
+                        smoothing_lambda, term_weights)
 from .topics import (QueryTopicPosterior, TopicModel, infer_query_topics,
                      train_lda)
 from .translation import (ParallelPair, TranslationTable,

@@ -17,16 +17,14 @@ import sys
 import typing
 
 from .corpus import load_corpus, load_queries, save_corpus
-from .evaluation import (MetricReport, RankedRun, comparison_table,
-                         evaluate_run, read_qrels, read_run, write_report,
-                         write_run)
-from .index import build_index, retrieve_candidates
+from .evaluation import (MetricReport, comparison_table, evaluate_run,
+                         read_qrels, read_run, write_report, write_run)
+from .index import build_index
 from .ltr import LambdaMARTModel
 from .pipeline import (ALL_SYSTEMS, LDA_FIELDS, RANKER_FIELDS, SCORING_FIELDS,
-                       TM_FIELDS, PipelineConfig, PipelineError, PreparedQuery,
-                       ScoringAssets, ingest, prepare_query, run_pipeline,
-                       system_ranking, train_ranker, train_topics,
-                       train_translation, write_features)
+                       TM_FIELDS, PipelineConfig, PipelineError, ScoringAssets,
+                       ingest, rank_queries, run_pipeline, train_ranker,
+                       train_topics, train_translation, write_features)
 from .synth import SynthSpec, write_synth
 from .topics import TopicModel
 from .translation import TranslationTable
@@ -137,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cqarank",
                                      description="community question retrieval toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    scoring = SCORING_FIELDS + MIXTURE_FIELDS
 
     p = sub.add_parser("ingest", help="read Q&A + users JSONL into a corpus artifact")
     p.add_argument("--out", required=True)
@@ -159,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translation", required=True)
     p.add_argument("--topics-model", required=True)
     p.add_argument("--out", required=True)
-    _add_field_flags(p, ("queries_path", "qrels_path", "mode") + scoring,
+    _add_field_flags(p, ("queries_path", "qrels_path", "mode") + SCORING_FIELDS,
                      required={"queries_path"})
 
     p = sub.add_parser("train-ranker", help="train LambdaMART from a LETOR file")
@@ -173,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--translation", default=None)
     p.add_argument("--topics-model", default=None)
-    _add_field_flags(p, ("queries_path", "ranker_path", "mode") + scoring,
-                     required={"queries_path"})
+    _add_field_flags(p, ("queries_path", "ranker_path", "mode") + SCORING_FIELDS
+                     + MIXTURE_FIELDS, required={"queries_path"})
 
     p = sub.add_parser("evaluate", help="score a run file against qrels")
     p.add_argument("--run", action="append", required=True,
@@ -223,11 +220,13 @@ def _cmd_train_lda(args) -> int:
 
 
 def _scoring_assets(args, cfg: PipelineConfig) -> ScoringAssets:
+    """The corpus and index, and each model whose file is given."""
     corpus = load_corpus(args.corpus)
     table = TranslationTable.load(args.translation) if args.translation else None
     model = TopicModel.load(args.topics_model) if args.topics_model else None
+    ranker = LambdaMARTModel.load(cfg.ranker_path) if cfg.ranker_path else None
     return ScoringAssets(corpus=corpus, index=build_index(corpus, cfg.field),
-                         table=table, model=model, cfg=cfg)
+                         table=table, model=model, cfg=cfg, ranker=ranker)
 
 
 def _cmd_features(args) -> int:
@@ -252,30 +251,15 @@ def _cmd_train_ranker(args) -> int:
 def _cmd_rank(args) -> int:
     cfg = config_from_args(args)
     method = args.method
-    needs_tm = method in ("tlm", "t2lm", "t2lm+", "t2lm+5")
-    needs_lda = method in ("t2lm", "t2lm+", "t2lm+5")
-    if needs_tm and args.translation is None:
+    if method in ("tlm", "t2lm", "t2lm+", "t2lm+5") and args.translation is None:
         raise ValueError(f"method {method} needs --translation")
-    if needs_lda and args.topics_model is None:
+    if method in ("t2lm", "t2lm+", "t2lm+5") and args.topics_model is None:
         raise ValueError(f"method {method} needs --topics-model")
     if method == "t2lm+5" and cfg.ranker_path is None:
         raise ValueError(f"method {method} needs --ranker")
     assets = _scoring_assets(args, cfg)
-    if method == "t2lm+5":
-        assets.ranker = LambdaMARTModel.load(cfg.ranker_path)
     queries = load_queries(cfg.queries_path, assets.corpus.vocabulary, cfg.mode)
-    run = RankedRun(tag=method)
-    for query in queries:
-        if needs_lda:
-            prepared = prepare_query(assets, query)
-        else:
-            candidates = retrieve_candidates(query.tokens, assets.index,
-                                             cfg.top_k, cfg.k1, cfg.b)
-            prepared = PreparedQuery(record=query, candidates=candidates,
-                                     theta=None, weights={})
-        if not prepared.candidates:
-            continue
-        run.add_query(query.id, system_ranking(method, assets, prepared))
+    run = rank_queries(assets, queries, (method,))[method]
     write_run(run, args.out)
     print(f"ranked {len(run.queries())} queries with {method} -> {args.out}")
     return 0

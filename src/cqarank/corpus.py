@@ -7,7 +7,30 @@ formula downstream.
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
+
+
+@contextmanager
+def text_lines(path):
+    """The stripped non-blank lines of a text file. A ValueError raised
+    inside the block is raised again as `<path>: line N: <message>`, N being
+    the last line read, or one past the last line once all are read."""
+    line_no = 0
+
+    def lines():
+        nonlocal line_no
+        with open(path, encoding="utf-8") as f:
+            for line_no, line in enumerate(f, start=1):
+                line = line.strip()
+                if line:
+                    yield line
+        line_no += 1
+
+    try:
+        yield lines()
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {line_no}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -130,11 +153,21 @@ class Corpus:
         return rec.best_answer_count if rec is not None else 0
 
 
-def _pair_from_record(rec: dict, line_no: int, vocab: Vocabulary, mode: str,
+def _json_record(line: str) -> dict:
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise ValueError("expected a JSON object")
+    return rec
+
+
+def _pair_from_record(rec: dict, vocab: Vocabulary, mode: str,
                       stopwords: frozenset[str] | None) -> QAPair:
     for key in ("id", "question", "answer", "asker", "answerer"):
         if key not in rec:
-            raise ValueError(f"line {line_no}: missing field {key!r}")
+            raise ValueError(f"missing field {key!r}")
 
     if "question_tokens" in rec:
         q_tokens = [str(t) for t in rec["question_tokens"]]
@@ -150,7 +183,7 @@ def _pair_from_record(rec: dict, line_no: int, vocab: Vocabulary, mode: str,
         a_tokens = [t for t in a_tokens if t not in stopwords]
 
     if not q_tokens:
-        raise ValueError(f"line {line_no}: pair {rec['id']!r} has an empty question")
+        raise ValueError(f"pair {rec['id']!r} has an empty question")
 
     return QAPair(
         id=str(rec["id"]),
@@ -163,23 +196,17 @@ def _pair_from_record(rec: dict, line_no: int, vocab: Vocabulary, mode: str,
 
 def _read_users(users_path) -> dict[str, int]:
     counts: dict[str, int] = {}
-    with open(users_path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON in users file: {exc}") from exc
+    with text_lines(users_path) as lines:
+        for line in lines:
+            rec = _json_record(line)
             if "user" not in rec or "best_answers" not in rec:
-                raise ValueError(f"line {line_no}: users record needs 'user' and 'best_answers'")
+                raise ValueError("users record needs 'user' and 'best_answers'")
             user = str(rec["user"])
             best = rec["best_answers"]
             if not isinstance(best, int) or best < 0:
-                raise ValueError(f"line {line_no}: best_answers must be a non-negative integer")
+                raise ValueError("best_answers must be a non-negative integer")
             if user in counts:
-                raise ValueError(f"line {line_no}: duplicate user {user!r}")
+                raise ValueError(f"duplicate user {user!r}")
             counts[user] = best
     return counts
 
@@ -196,23 +223,16 @@ def ingest_corpus(qa_path, users_path=None, mode: str = "whitespace",
     pairs: list[QAPair] = []
     seen_ids: set[str] = set()
 
-    with open(qa_path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON: {exc}") from exc
-            pair = _pair_from_record(rec, line_no, vocab, mode, stopset)
+    with text_lines(qa_path) as lines:
+        for line in lines:
+            pair = _pair_from_record(_json_record(line), vocab, mode, stopset)
             if pair.id in seen_ids:
-                raise ValueError(f"line {line_no}: duplicate pair id {pair.id!r}")
+                raise ValueError(f"duplicate pair id {pair.id!r}")
             seen_ids.add(pair.id)
             pairs.append(pair)
 
     if not pairs:
-        raise ValueError("empty corpus")
+        raise ValueError(f"{qa_path}: empty corpus")
 
     freq: Counter[int] = Counter()
     for pair in pairs:
@@ -235,28 +255,22 @@ def load_queries(path, vocabulary: Vocabulary, mode: str = "whitespace") -> list
     may grow the vocabulary with out-of-collection words."""
     queries: list[QueryRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON: {exc}") from exc
+    with text_lines(path) as lines:
+        for line in lines:
+            rec = _json_record(line)
             if "id" not in rec:
-                raise ValueError(f"line {line_no}: query record needs 'id'")
+                raise ValueError("query record needs 'id'")
             if "tokens" in rec:
                 tokens = [str(t) for t in rec["tokens"]]
             elif "text" in rec:
                 tokens = tokenize(rec["text"], mode)
             else:
-                raise ValueError(f"line {line_no}: query record needs 'text' or 'tokens'")
+                raise ValueError("query record needs 'text' or 'tokens'")
             if not tokens:
-                raise ValueError(f"line {line_no}: query {rec['id']!r} is empty")
+                raise ValueError(f"query {rec['id']!r} is empty")
             qid = str(rec["id"])
             if qid in seen:
-                raise ValueError(f"line {line_no}: duplicate query id {qid!r}")
+                raise ValueError(f"duplicate query id {qid!r}")
             seen.add(qid)
             queries.append(QueryRecord(id=qid, tokens=vocabulary.intern_all(tokens)))
     return queries

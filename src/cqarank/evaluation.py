@@ -9,6 +9,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .corpus import text_lines
+
 
 class Qrels:
     """Graded judgments: (query_id, doc_id) -> grade in {0, 1, 2}."""
@@ -231,22 +233,16 @@ def write_report(report: MetricReport, text_path, jsonl_path, notes=()) -> None:
 def read_qrels(path) -> Qrels:
     """TREC qrels: `<qid> 0 <docid> <grade>` per line."""
     qrels = Qrels()
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with text_lines(path) as lines:
+        for line in lines:
             parts = line.split()
             if len(parts) != 4:
-                raise ValueError(f"line {line_no}: expected '<qid> 0 <docid> <grade>'")
+                raise ValueError("expected '<qid> 0 <docid> <grade>'")
             try:
                 grade = int(parts[3])
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: bad grade {parts[3]!r}") from exc
-            try:
-                qrels.add(parts[0], parts[2], grade)
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from exc
+            except ValueError:
+                raise ValueError(f"bad grade {parts[3]!r}") from None
+            qrels.add(parts[0], parts[2], grade)
     return qrels
 
 
@@ -269,26 +265,25 @@ def write_run(run: RankedRun, path) -> None:
 def read_run(path) -> RankedRun:
     rankings: dict[str, list[tuple[str, float]]] = {}
     tag = "run"
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with text_lines(path) as lines:
+        for line in lines:
             parts = line.split()
             if len(parts) != 6 or parts[1] != "Q0":
-                raise ValueError(
-                    f"line {line_no}: expected '<qid> Q0 <docid> <rank> <score> <tag>'")
+                raise ValueError("expected '<qid> Q0 <docid> <rank> <score> <tag>'")
             qid, _, doc_id, rank_s, score_s, tag = parts
             try:
                 rank = int(rank_s)
                 score = float(score_s)
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: bad rank or score") from exc
+            except ValueError:
+                raise ValueError("bad rank or score") from None
             entries = rankings.setdefault(qid, [])
             if rank != len(entries) + 1:
-                raise ValueError(f"line {line_no}: rank {rank} out of sequence")
+                raise ValueError(f"rank {rank} out of sequence")
             entries.append((doc_id, score))
     run = RankedRun(tag=tag)
     for qid in rankings:
-        run.add_query(qid, rankings[qid])
+        try:
+            run.add_query(qid, rankings[qid])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return run

@@ -11,6 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .corpus import text_lines
+
 LEAF_RIDGE = 1e-9
 MIN_SPLIT_GAIN = 1e-12
 
@@ -74,12 +76,6 @@ class RegressionTree:
     @property
     def leaf_count(self) -> int:
         return sum(1 for f in self.feature if f == -1)
-
-    def predict(self, x) -> float:
-        node = 0
-        while self.feature[node] != -1:
-            node = self.left[node] if x[self.feature[node]] <= self.threshold[node] else self.right[node]
-        return self.value[node]
 
     def _node_arrays(self, size: int) -> tuple[np.ndarray, ...]:
         """(feature, threshold, left, right, value) padded with leaves to
@@ -145,8 +141,10 @@ def _route(arrays, X: np.ndarray) -> np.ndarray:
     (trees, rows) array.
 
     `arrays` are the (trees, nodes) feature, threshold, left, right and
-    value arrays. Each step moves every (tree, row) pair still at a split
-    one level down, by the rule of RegressionTree.predict.
+    value arrays, with feature -1 at a leaf. Every (tree, row) pair starts
+    at its tree's root, node 0. Each step moves every pair still at a split
+    one level down: to the left child when the row's value of the split
+    feature is <= the split threshold, else to the right child.
     """
     feature, threshold, left, right, value = (a.ravel() for a in arrays)
     n_trees, size = arrays[0].shape
@@ -175,13 +173,8 @@ class LambdaMARTModel:
     training_ndcg: list[float] = field(default_factory=list)
 
     def predict(self, features) -> float:
-        if len(features) != self.feature_count:
-            raise ValueError(
-                f"expected {self.feature_count} features, got {len(features)}")
-        total = 0.0
-        for tree in self.trees:
-            total += self.shrinkage * tree.predict(features)
-        return total
+        """The score of one feature vector."""
+        return float(self.predict_matrix(np.array([features]))[0])
 
     @cached_property
     def _stacked(self) -> tuple[np.ndarray, ...]:
@@ -192,8 +185,8 @@ class LambdaMARTModel:
             len(self.trees), size) for i in range(5))
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        """predict() of every row: all trees route together, and their
-        outputs are added in tree order."""
+        """The score of every row: all trees route together, and their
+        shrunk outputs are added in tree order, starting from 0."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise ValueError(
@@ -471,51 +464,42 @@ def write_letor(dataset, path) -> None:
 def read_letor(path) -> list[RankingInstance]:
     dataset: list[RankingInstance] = []
     n_features = None
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with text_lines(path) as lines:
+        for line in lines:
             if "#" not in line:
-                raise ValueError(f"line {line_no}: missing #<docid> comment")
+                raise ValueError("missing #<docid> comment")
             body, doc_id = line.split("#", 1)
             doc_id = doc_id.strip()
             if not doc_id:
-                raise ValueError(f"line {line_no}: empty doc id")
+                raise ValueError("empty doc id")
             parts = body.split()
             if len(parts) < 2 or not parts[1].startswith("qid:"):
-                raise ValueError(f"line {line_no}: expected '<label> qid:<qid> ...'")
+                raise ValueError("expected '<label> qid:<qid> ...'")
             try:
                 label = int(parts[0])
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: bad label {parts[0]!r}") from exc
-            qid = parts[1][len("qid:"):]
+            except ValueError:
+                raise ValueError(f"bad label {parts[0]!r}") from None
             features = []
             for rank, item in enumerate(parts[2:], start=1):
-                if ":" not in item:
-                    raise ValueError(f"line {line_no}: bad feature token {item!r}")
-                idx_s, val_s = item.split(":", 1)
+                idx_s, _, val_s = item.partition(":")
                 try:
                     idx = int(idx_s)
                     val = float(val_s)
-                except ValueError as exc:
-                    raise ValueError(f"line {line_no}: bad feature token {item!r}") from exc
+                except ValueError:
+                    raise ValueError(f"bad feature token {item!r}") from None
                 if idx != rank:
                     raise ValueError(
-                        f"line {line_no}: feature indices must be 1-based and "
-                        f"strictly ascending (saw {idx}, expected {rank})")
+                        f"feature indices must be 1-based and strictly "
+                        f"ascending (saw {idx}, expected {rank})")
                 features.append(val)
             if not features:
-                raise ValueError(f"line {line_no}: no features")
+                raise ValueError("no features")
             if n_features is None:
                 n_features = len(features)
             elif len(features) != n_features:
-                raise ValueError(f"line {line_no}: expected {n_features} features, "
+                raise ValueError(f"expected {n_features} features, "
                                  f"got {len(features)}")
-            try:
-                inst = RankingInstance(query_id=qid, doc_id=doc_id,
-                                       features=tuple(features), label=label)
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from exc
-            dataset.append(inst)
+            dataset.append(RankingInstance(
+                query_id=parts[1][len("qid:"):], doc_id=doc_id,
+                features=tuple(features), label=label))
     return dataset

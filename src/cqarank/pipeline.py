@@ -241,15 +241,20 @@ def _component_table(assets: ScoringAssets,
 
 
 def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
+    """The query's candidates and, when a topic model is loaded, its topic
+    posterior and term weights (otherwise None and {})."""
     cfg = assets.cfg
     candidates = retrieve_candidates(query.tokens, assets.index, cfg.top_k,
                                      cfg.k1, cfg.b)
     if cfg.pad_candidates and len(candidates) < PAD_TO:
         candidates = _pad(candidates, assets.corpus, cfg, query.id)
-    theta = infer_query_topics(assets.model, query.tokens, cfg.burn_in,
-                               cfg.samples,
-                               seed=query_scoring_seed(cfg.seed, query.id))
-    weights = term_weights(assets.model, theta, query.tokens, cfg.rescale_weights)
+    theta, weights = None, {}
+    if assets.model is not None:
+        theta = infer_query_topics(assets.model, query.tokens, cfg.burn_in,
+                                   cfg.samples,
+                                   seed=query_scoring_seed(cfg.seed, query.id))
+        weights = term_weights(assets.model, theta, query.tokens,
+                               cfg.rescale_weights)
     return PreparedQuery(record=query, candidates=candidates, theta=theta,
                          weights=weights)
 
@@ -397,6 +402,21 @@ def train_ranker(cfg: PipelineConfig, letor_path) -> LambdaMARTModel:
     return train(read_letor(letor_path), cfg.ltr_config(), seed=cfg.seed)
 
 
+def rank_queries(assets: ScoringAssets, queries: list[QueryRecord],
+                 systems) -> dict[str, RankedRun]:
+    """The rank stage: each system's run over the queries. A query without
+    candidates is left out of every run."""
+    runs = {system: RankedRun(tag=system) for system in systems}
+    for query in queries:
+        prepared = prepare_query(assets, query)
+        if not prepared.candidates:
+            continue
+        for system in systems:
+            runs[system].add_query(query.id,
+                                   system_ranking(system, assets, prepared))
+    return runs
+
+
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute every stage; returns the report path. Raises PipelineError
     naming the failing stage."""
@@ -485,16 +505,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
                  for system in cfg.systems}
 
     def _rank() -> None:
-        runs = {system: RankedRun(tag=system) for system in cfg.systems}
-        for query in test_split:
-            prepared = prepare_query(assets, query)
-            if not prepared.candidates:
-                continue
-            for system in cfg.systems:
-                runs[system].add_query(query.id,
-                                       system_ranking(system, assets, prepared))
-        for system in cfg.systems:
-            write_run(runs[system], run_paths[system])
+        for system, run in rank_queries(assets, test_split, cfg.systems).items():
+            write_run(run, run_paths[system])
 
     runner.run(
         "rank",

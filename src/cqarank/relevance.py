@@ -41,9 +41,6 @@ class MixtureWeights:
         return (self.mu1, self.mu2, self.mu3, self.mu4)
 
 
-DEFAULT_MIXTURE = MixtureWeights(0.3, 0.3, 0.2, 0.2)
-
-
 @dataclass(frozen=True)
 class RelevanceFeatures:
     f1: float

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import text_lines
+
 
 @dataclass
 class TopicModel:
@@ -45,20 +47,24 @@ class TopicModel:
 
     @classmethod
     def load(cls, path) -> "TopicModel":
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().split()
+        with text_lines(path) as lines:
+            header = next(lines, "").split()
             if len(header) != 6:
-                raise ValueError(f"{path}: bad topic model header")
+                raise ValueError("bad topic model header")
             k, v = int(header[0]), int(header[1])
             alpha, beta = float(header[2]), float(header[3])
             seed, iterations = int(header[4]), int(header[5])
-            totals = np.array([int(x) for x in f.readline().split()], dtype=np.int64)
+            totals = np.array([int(x) for x in next(lines, "").split()], dtype=np.int64)
+            if totals.shape[0] != k:
+                raise ValueError(f"expected {k} topic totals")
             phi = np.empty((k, v), dtype=np.float64)
             for z in range(k):
-                row = np.array([float(x) for x in f.readline().split()])
+                row = np.array([float(x) for x in next(lines, "").split()])
                 if row.shape[0] != v:
-                    raise ValueError(f"{path}: phi row {z} has wrong length")
+                    raise ValueError(f"phi row {z} has wrong length")
                 phi[z] = row
+            if next(lines, None) is not None:
+                raise ValueError("unexpected line after the last phi row")
         return cls(phi=phi, topic_totals=totals, alpha=alpha, beta=beta,
                    vocab_size=v, iterations=iterations, seed=seed)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, text_lines
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,11 @@ class TranslationTable:
     @classmethod
     def load(cls, path) -> "TranslationTable":
         table: dict[int, dict[int, float]] = {}
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with text_lines(path) as lines:
+            for line in lines:
                 parts = line.split()
                 if len(parts) != 3:
-                    raise ValueError(f"line {line_no}: expected 't w p'")
+                    raise ValueError("expected 't w p'")
                 t, w, p = int(parts[0]), int(parts[1]), float(parts[2])
                 table.setdefault(t, {})[w] = p
         return cls(table)

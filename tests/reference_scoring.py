@@ -1,8 +1,10 @@
-"""Pair-by-pair reference for the component-table scorers.
+"""Pair-by-pair reference for the component-table scorers and the batched
+tree routing.
 
 The loop below scores one (query, candidate) pair at a time, term by term,
-with the same float operations in the same order as the table. Tests
-require the table's scores, feature rows and rankings to equal it with ==.
+with the same float operations in the same order as the table, and walks
+each regression tree one row at a time. Tests require the table's scores,
+feature rows and rankings, and predict_matrix, to equal it with ==.
 """
 
 import math
@@ -13,6 +15,26 @@ from cqarank.corpus import doc_distribution
 from cqarank.index import vsm_score
 from cqarank.relevance import smoothing_lambda
 from cqarank.topics import QueryTopicPosterior
+
+
+def tree_value(tree, x):
+    """The leaf value `x` reaches in `tree`, walked from the root:
+    x[feature] <= threshold goes left."""
+    node = 0
+    while tree.feature[node] != -1:
+        if x[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return tree.value[node]
+
+
+def model_score(model, x):
+    """LambdaMART score of one row: shrunk leaf values added in tree order."""
+    total = 0.0
+    for tree in model.trees:
+        total += model.shrinkage * tree_value(tree, x)
+    return total
 
 
 def _tau(theta, num_topics):
@@ -118,7 +140,7 @@ def system_ranking(system, assets, prepared):
     scored = []
     if system == "t2lm+5":
         for doc_id, features in feature_rows(assets, prepared):
-            scored.append((assets.ranker.predict(features), doc_id))
+            scored.append((model_score(assets.ranker, features), doc_id))
     else:
         for cand in prepared.candidates:
             qa = corpus.pair(cand.qa_id)

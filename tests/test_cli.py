@@ -7,13 +7,15 @@ from pathlib import Path
 import pytest
 
 import cqarank.pipeline as pipeline
-from cqarank.cli import build_parser, config_from_args, flag_name, main
+from cqarank.cli import (MIXTURE_FIELDS, build_parser, config_from_args,
+                         flag_name, main)
 from cqarank.corpus import load_corpus, load_queries
 from cqarank.evaluation import read_qrels, read_run
 from cqarank.index import build_index, retrieve_candidates
 from cqarank.ltr import LambdaMARTModel
-from cqarank.pipeline import (PipelineConfig, PipelineError, ScoringAssets,
-                              prepare_query, run_pipeline, system_ranking)
+from cqarank.pipeline import (ALL_SYSTEMS, SCORING_FIELDS, PipelineConfig,
+                              PipelineError, ScoringAssets, prepare_query,
+                              run_pipeline, system_ranking)
 from cqarank.relevance import score_lm, score_tlm
 from cqarank.synth import SynthSpec, generate, write_synth
 from cqarank.topics import TopicModel
@@ -261,6 +263,48 @@ class TestSubcommands:
                 assert runs[name].ranking(query.id) == [(d, s) for s, d in want]
             fused = system_ranking("t2lm+5", assets, prepare_query(assets, query))
             assert runs["fused"].ranking(query.id) == fused
+
+    def test_rank_reproduces_pipeline_runs(self, tmp_path):
+        """`cqarank rank` over the pipeline's artifacts, with its scoring
+        flags, ranks every test query as the pipeline's rank stage did, for
+        every system."""
+        data = write_synth(SynthSpec(size=60, topics=3, seed=99, queries=12),
+                           tmp_path / "data")
+        exp = tmp_path / "exp"
+        cfg = small_pipeline_cfg(data, exp, gibbs_iters=20, top_k=30, seed=3,
+                                 split_seed=4)
+        run_pipeline(cfg)
+        flags = ["--mode", cfg.mode]
+        for name in SCORING_FIELDS + MIXTURE_FIELDS:
+            value = getattr(cfg, name)
+            if isinstance(value, bool):
+                flags += [flag_name(name)] if value else []
+            else:
+                flags += [flag_name(name), str(value)]
+        checked = 0
+        for system in ALL_SYSTEMS:
+            tag = system.replace("+", "p")
+            out = tmp_path / f"cli_{tag}.txt"
+            assert main(["rank", "--corpus", str(exp / "corpus.json"),
+                         "--queries", str(data["queries"]), "--method", system,
+                         "--translation", str(exp / "translation.tsv"),
+                         "--topics-model", str(exp / "topics.txt"),
+                         "--ranker", str(exp / "ranker.txt"),
+                         "--out", str(out)] + flags) == 0
+            want, got = read_run(exp / f"run_{tag}.txt"), read_run(out)
+            assert want.queries(), system
+            for qid in want.queries():
+                assert got.ranking(qid) == want.ranking(qid), (system, qid)
+                checked += 1
+        assert checked == len(ALL_SYSTEMS) * 6
+
+    def test_evaluate_malformed_run_names_path(self, synth_data, tmp_path, capsys):
+        run = tmp_path / "bad.run"
+        run.write_text("q0 Q0 d1 1 0.5 bm25\nq0 Q0 d2 3 0.4 bm25\n")
+        assert main(["evaluate", "--run", str(run),
+                     "--qrels", str(synth_data["qrels"])]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {run}: line 2: rank 3 out of sequence")
 
     def test_features_without_qrels_labels_zero(self, synth_data, tmp_path):
         out = tmp_path / "w"
@@ -567,6 +611,16 @@ class TestFlagsMirrorConfig:
         monkeypatch.delenv("CQARANK_OUTDIR", raising=False)
         cfg = config_from_args(build_parser().parse_args(["pipeline"]))
         assert cfg == PipelineConfig(qa_path=None, queries_path=None)
+
+    def test_mixture_flags_only_where_read(self):
+        parsers = _subparsers()
+        for command, wanted in (("features", False), ("rank", True),
+                                ("pipeline", True)):
+            dests = {a.dest for a in parsers[command]._actions}
+            assert all((name in dests) == wanted for name in MIXTURE_FIELDS), command
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["features"] + STAGE_ARGV["features"]
+                                      + ["--mu1", "0.5"])
 
     def test_stage_flag_defaults_are_field_defaults(self, monkeypatch):
         monkeypatch.delenv("CQARANK_OUTDIR", raising=False)

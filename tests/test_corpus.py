@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -59,6 +60,30 @@ class TestIngest:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(_rec("p1", "a", "b")) + "\nnot json\n")
         with pytest.raises(ValueError, match="line 2"):
+            ingest_corpus(path)
+
+    @pytest.mark.parametrize("bad", ["not json", "[1, 2]",
+                                     json.dumps({"id": "p2", "question": "a"}),
+                                     json.dumps(_rec("p2", "", "b")),
+                                     json.dumps(_rec("p1", "c", "d"))])
+    def test_bad_qa_line_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "qa.jsonl"
+        path.write_text(json.dumps(_rec("p1", "a", "b")) + f"\n\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ")):
+            ingest_corpus(path)
+
+    @pytest.mark.parametrize("bad", ["{", '{"user": "u9"}',
+                                     '{"user": "u9", "best_answers": -1}',
+                                     '{"user": "u1", "best_answers": 2}'])
+    def test_bad_users_line_names_path_and_line(self, qa_file, tmp_path, bad):
+        users = tmp_path / "users.jsonl"
+        users.write_text(f'{{"user": "u1", "best_answers": 1}}\n{bad}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{users}: line 2: ")):
+            ingest_corpus(qa_file([_rec("p1", "a", "b")]), users)
+
+    def test_empty_corpus_names_path(self, qa_file):
+        path = qa_file([])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty corpus")):
             ingest_corpus(path)
 
     def test_duplicate_id(self, qa_file):
@@ -195,4 +220,14 @@ class TestArtifacts:
         corpus = ingest_corpus(qa_file([_rec("p1", "a", "b")]))
         qpath = write_jsonl(tmp_path / "queries.jsonl", [{"id": "q1", "text": ""}])
         with pytest.raises(ValueError, match="line 1"):
+            load_queries(qpath, corpus.vocabulary)
+
+    @pytest.mark.parametrize("bad", ["oops", "7", '{"text": "a"}', '{"id": "q2"}',
+                                     '{"id": "q2", "text": ""}',
+                                     '{"id": "q1", "text": "a"}'])
+    def test_bad_query_line_names_path_and_line(self, tmp_path, qa_file, bad):
+        corpus = ingest_corpus(qa_file([_rec("p1", "a", "b")]))
+        qpath = tmp_path / "queries.jsonl"
+        qpath.write_text(f'{{"id": "q1", "text": "a"}}\n{bad}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{qpath}: line 2: ")):
             load_queries(qpath, corpus.vocabulary)

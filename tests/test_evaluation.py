@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -184,6 +185,14 @@ class TestQrelsIO:
         assert loaded.judged("q1") == {"d2": 2}
         assert loaded.judged("q2") == {"d1": 1}
 
+    @pytest.mark.parametrize("text, line", [
+        ("q1 0 d9\n", 1), ("q1 0 d9 x\n", 1), ("q1 0 d9 2\n\nq1 0 d9 1\n", 3)])
+    def test_bad_line_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "qrels.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
+            read_qrels(path)
+
 
 class TestRunIO:
     def test_round_trip_random(self, tmp_path):
@@ -204,6 +213,21 @@ class TestRunIO:
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 1 0.9 sys\nq1 Q0 d2 5 0.5 sys\n")
         with pytest.raises(ValueError, match="line 2"):
+            read_run(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("q1 Q0 d1 1 0.9\n", 1), ("q1 Q1 d1 1 0.9 sys\n", 1),
+        ("q1 Q0 d1 1 0.9 sys\nq1 Q0 d2 2 high sys\n", 2)])
+    def test_bad_line_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "run.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
+            read_run(path)
+
+    def test_unordered_ranking_names_path(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 0.1 sys\nq1 Q0 d2 2 0.9 sys\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: scores not")):
             read_run(path)
 
     def test_duplicate_doc_rejected(self):

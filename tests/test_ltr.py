@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cqarank.ltr import (LambdaMARTModel, RankingInstance, RegressionTree,
                          TrainConfig, compute_lambdas, fit_tree,
                          ndcg_of_scores, read_letor, train, write_letor)
+from reference_scoring import model_score, tree_value
 
 
 def make_separable_dataset(n_queries=20, docs_per_query=10, seed=42):
@@ -73,7 +75,7 @@ class TestFitTree:
         hess = np.full(4, 1.0)
         tree = fit_tree(X, lam, hess, max_leaves=4, min_leaf=1)
         assert tree.leaf_count == 1
-        assert tree.predict([0.5]) == pytest.approx(8.0 / (4.0 + 1e-9))
+        assert tree.predict_matrix([[0.5]]).tolist() == pytest.approx([8.0 / (4.0 + 1e-9)])
 
     def test_perfect_split_at_midpoint(self):
         X = np.array([[0.0], [0.2], [0.8], [1.0]])
@@ -83,7 +85,8 @@ class TestFitTree:
         assert tree.leaf_count == 2
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(0.5)
-        assert tree.predict([0.1]) < 0 < tree.predict([0.9])
+        low, high = tree.predict_matrix([[0.1], [0.9]])
+        assert low < 0 < high
 
     def test_leaf_cap(self):
         rng = np.random.RandomState(0)
@@ -206,10 +209,11 @@ class TestPredict:
         model.trees.append(stump)  # trees of different sizes share one stack
         X = np.array(rows)
         got = model.predict_matrix(X)
-        want = [model.predict(tuple(x)) for x in rows]
+        want = [model_score(model, x) for x in rows]
         assert got.tolist() == want
+        assert [model.predict(x) for x in rows] == want
         for tree in model.trees:
-            assert tree.predict_matrix(X).tolist() == [tree.predict(x) for x in rows]
+            assert tree.predict_matrix(X).tolist() == [tree_value(tree, x) for x in rows]
         assert model.predict_matrix(np.zeros((0, 3))).shape == (0,)
 
 
@@ -254,6 +258,16 @@ class TestLetorIO:
         with pytest.raises(ValueError, match="line 2"):
             read_letor(path)
 
+    @pytest.mark.parametrize("bad", ["1 qid:1 1:0.5", "1 qid:1 1:0.5 #",
+                                     "1 1:0.5 #d2", "x qid:1 1:0.5 #d2",
+                                     "1 qid:1 1=0.5 #d2", "1 qid:1 #d2",
+                                     "1 qid:1 1:0.5 2:0.5 #d2", "5 qid:1 1:0.5 #d2"])
+    def test_bad_line_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "x.letor"
+        path.write_text(f"1 qid:1 1:0.5 #d1\n\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ")):
+            read_letor(path)
+
     def test_round_trip_random_instances(self, tmp_path):
         rng = random.Random(99)
         dataset = [
@@ -293,8 +307,7 @@ class TestModelSerialization:
         assert lines[1] == "L 1.5"
         assert lines[2] == "L -2.5"
         rebuilt = RegressionTree.from_lines(lines)
-        assert rebuilt.predict([0, 0, 0.5]) == 1.5
-        assert rebuilt.predict([0, 0, 0.9]) == -2.5
+        assert rebuilt.predict_matrix([[0, 0, 0.5], [0, 0, 0.9]]).tolist() == [1.5, -2.5]
 
     def test_truncated_model_names_path(self, tmp_path):
         """Every cut of a saved model, at a line boundary or inside a line,

@@ -9,13 +9,14 @@ from cqarank.corpus import QueryRecord
 from cqarank.index import ScoredCandidate, build_index
 from cqarank.pipeline import (PipelineConfig, PreparedQuery, ScoringAssets,
                               system_ranking)
-from cqarank.relevance import (DEFAULT_MIXTURE, MixtureWeights,
-                               features_f1_f4, score_lm, score_t2lm,
-                               score_t2lm_plus, score_tlm, smoothing_lambda,
-                               term_weights)
+from cqarank.relevance import (MixtureWeights, features_f1_f4, score_lm,
+                               score_t2lm, score_t2lm_plus, score_tlm,
+                               smoothing_lambda, term_weights)
 from cqarank.topics import TopicModel, infer_query_topics, train_lda
 from cqarank.translation import identity_table, make_parallel_pairs, train_ibm1
 from conftest import build_corpus
+
+MU = MixtureWeights(0.3, 0.3, 0.2, 0.2)  # PipelineConfig's default mu1..mu4
 
 
 def _uniform_model(num_topics=2, vocab_size=8) -> TopicModel:
@@ -70,7 +71,7 @@ class TestMixtureWeights:
     def test_valid(self):
         mu = MixtureWeights(0.25, 0.25, 0.25, 0.25)
         assert mu.as_tuple() == (0.25, 0.25, 0.25, 0.25)
-        assert sum(DEFAULT_MIXTURE.as_tuple()) == pytest.approx(1.0, abs=1e-12)
+        assert PipelineConfig(qa_path="qa", queries_path="q").mixture() == MU
 
     def test_bad_sum(self):
         with pytest.raises(ValueError):
@@ -215,7 +216,7 @@ class TestScoreTLM:
 class TestReductions:
     def test_plus_with_unit_injection_equals_t2lm(self, toy):
         corpus, table, model = toy["corpus"], toy["table"], toy["model"]
-        mu = DEFAULT_MIXTURE
+        mu = MU
         ones = np.ones(model.num_topics)
         for query in toy["queries"]:
             unit_w = {w: 1.0 for w in query}
@@ -305,12 +306,12 @@ class TestMixedScorers:
         broken = type(pair)(id="x", question_tokens=(), answer_tokens=(),
                             asker_id="u", answerer_id="u")
         with pytest.raises(ValueError):
-            score_t2lm([0], broken, DEFAULT_MIXTURE, table, model, corpus.stats)
+            score_t2lm([0], broken, MU, table, model, corpus.stats)
 
     def test_theta_length_mismatch_rejected(self, toy):
         corpus, table, model = toy["corpus"], toy["table"], toy["model"]
         with pytest.raises(ValueError):
-            score_t2lm_plus([0], corpus.pairs[0], DEFAULT_MIXTURE, table,
+            score_t2lm_plus([0], corpus.pairs[0], MU, table,
                             model, np.ones(model.num_topics + 1), {0: 1.0},
                             corpus.stats)
 
@@ -385,7 +386,7 @@ class TestFeatures:
                                        weights, corpus.stats)
                 assert all(math.isfinite(v) for v in feats.as_tuple())
                 assert math.isfinite(score_t2lm_plus(
-                    tokens, pair, DEFAULT_MIXTURE, table, model, theta,
+                    tokens, pair, MU, table, model, theta,
                     weights, corpus.stats))
 
 
@@ -421,7 +422,7 @@ class TestRankCandidates:
     def test_shift_invariance(self, toy):
         corpus, table, model = toy["corpus"], toy["table"], toy["model"]
         query = toy["queries"][0]
-        base = {qa.id: score_t2lm(query, qa, DEFAULT_MIXTURE, table, model,
+        base = {qa.id: score_t2lm(query, qa, MU, table, model,
                                   corpus.stats) for qa in corpus.pairs}
         shifted = {qa_id: score + 100.0 for qa_id, score in base.items()}
         order_a = [qa_id for qa_id, _ in self._ranked(toy, base)]

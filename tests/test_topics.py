@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,24 @@ class TestSerialization:
         assert loaded.beta == model.beta
         assert loaded.iterations == model.iterations
         assert loaded.seed == model.seed
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda lines: ["2 3 0.5 0.01 0"] + lines[1:], 1),           # short header
+        (lambda lines: ["2 x 0.5 0.01 0 9"] + lines[1:], 1),         # bare int
+        (lambda lines: [lines[0], "4 x"] + lines[2:], 2),            # bare int
+        (lambda lines: [lines[0], "4"] + lines[2:], 2),              # too few totals
+        (lambda lines: lines[:2] + ["0.5 0.25 oops"] + lines[3:], 3),  # bare float
+        (lambda lines: lines[:2] + ["0.5 0.5"] + lines[3:], 3),      # short row
+        (lambda lines: lines[:3], 4),                                # missing row
+        (lambda lines: lines + ["0.1"], 5),                          # extra line
+    ])
+    def test_malformed_file_names_path_and_line(self, tmp_path, edit, line):
+        model = TopicModel(phi=np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]),
+                           topic_totals=np.array([4, 6]), alpha=0.5, beta=0.01,
+                           vocab_size=3, iterations=9, seed=0)
+        path = tmp_path / "topics.txt"
+        model.save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{text}\n" for text in edit(lines)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
+            TopicModel.load(path)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -154,6 +155,14 @@ class TestSerialization:
         loaded = TranslationTable.load(path)
         for s in table.sources():
             assert loaded.row(s) == table.row(s)
+
+    @pytest.mark.parametrize("bad", ["1 2", "1 2 0.5 7", "1 x 0.5", "1.5 2 0.5",
+                                     "1 2 half"])
+    def test_bad_line_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"0 3 1.0\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: ")):
+            TranslationTable.load(path)
 
     def test_sorted_by_source_then_target(self, tmp_path):
         table = TranslationTable({2: {5: 0.5, 1: 0.5}, 0: {3: 1.0}})
