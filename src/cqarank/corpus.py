@@ -163,20 +163,30 @@ def _json_record(line: str) -> dict:
     return rec
 
 
+def _record_tokens(rec: dict, tokens_key: str, text_key: str, mode: str) -> list[str]:
+    """The record's `tokens_key` array as strings when it has one, else its
+    `text_key` string tokenized."""
+    if tokens_key in rec:
+        tokens = rec[tokens_key]
+        if not isinstance(tokens, list) or not all(
+                isinstance(t, (str, int, float)) and not isinstance(t, bool)
+                for t in tokens):
+            raise ValueError(f"{tokens_key!r} must be an array of strings or numbers")
+        return [str(t) for t in tokens]
+    text = rec[text_key]
+    if not isinstance(text, str):
+        raise ValueError(f"{text_key!r} must be a string")
+    return tokenize(text, mode)
+
+
 def _pair_from_record(rec: dict, vocab: Vocabulary, mode: str,
                       stopwords: frozenset[str] | None) -> QAPair:
     for key in ("id", "question", "answer", "asker", "answerer"):
         if key not in rec:
             raise ValueError(f"missing field {key!r}")
 
-    if "question_tokens" in rec:
-        q_tokens = [str(t) for t in rec["question_tokens"]]
-    else:
-        q_tokens = tokenize(rec["question"], mode)
-    if "answer_tokens" in rec:
-        a_tokens = [str(t) for t in rec["answer_tokens"]]
-    else:
-        a_tokens = tokenize(rec["answer"], mode)
+    q_tokens = _record_tokens(rec, "question_tokens", "question", mode)
+    a_tokens = _record_tokens(rec, "answer_tokens", "answer", mode)
 
     if stopwords:
         q_tokens = [t for t in q_tokens if t not in stopwords]
@@ -260,12 +270,9 @@ def load_queries(path, vocabulary: Vocabulary, mode: str = "whitespace") -> list
             rec = _json_record(line)
             if "id" not in rec:
                 raise ValueError("query record needs 'id'")
-            if "tokens" in rec:
-                tokens = [str(t) for t in rec["tokens"]]
-            elif "text" in rec:
-                tokens = tokenize(rec["text"], mode)
-            else:
+            if "tokens" not in rec and "text" not in rec:
                 raise ValueError("query record needs 'text' or 'tokens'")
+            tokens = _record_tokens(rec, "tokens", "text", mode)
             if not tokens:
                 raise ValueError(f"query {rec['id']!r} is empty")
             qid = str(rec["id"])

@@ -6,11 +6,20 @@ order so training is bit-reproducible.
 """
 
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus, text_lines
+
+# Term ids are dense and non-negative; below 2**31 every key
+# source * width + target fits in an int64.
+_MAX_TERM_ID = 2**31 - 1
+_ENTRY = np.dtype([("t", np.int64), ("w", np.int64), ("p", np.float64)])
+# Criterion 1: every source row of a table sums to 1 within this.
+_ROW_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -20,55 +29,119 @@ class ParallelPair:
 
 
 class TranslationTable:
-    """Sparse P_tr(w|t): source term t -> {target term w: probability}."""
+    """Sparse P_tr(w|t) as (source t, target w, probability) arrays sorted by
+    (t, w), with the offset of each source's row.
 
-    def __init__(self, table: dict[int, dict[int, float]]) -> None:
-        self._table = table
+    Entries may be given in any order; a repeated (t, w) is rejected.
+    """
+
+    def __init__(self, source, target, prob) -> None:
+        source = np.asarray(source, dtype=np.int64).reshape(-1)
+        target = np.asarray(target, dtype=np.int64).reshape(-1)
+        prob = np.asarray(prob, dtype=np.float64).reshape(-1)
+        if not len(source) == len(target) == len(prob):
+            raise ValueError("source, target and prob differ in length")
+        if len(source) and (min(source.min(), target.min()) < 0
+                            or max(source.max(), target.max()) > _MAX_TERM_ID):
+            raise ValueError(f"term ids must lie in [0, {_MAX_TERM_ID}]")
+        self._width = int(target.max()) + 1 if len(target) else 1
+        keys = source * self._width + target
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys, source, target, prob = keys[order], source[order], target[order], prob[order]
+            if (keys[1:] == keys[:-1]).any():
+                raise ValueError("repeated (source, target) entry")
+        self._keys, self._target, self._prob = keys, target, prob
+        starts = np.flatnonzero(np.diff(source, prepend=-1))
+        self._rows = source[starts]
+        self._offsets = np.r_[starts, len(source)]
+
+    def _lookup(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """P_tr(w|t) for every broadcast (w, t), 0.0 off the table."""
+        out = np.zeros(np.broadcast_shapes(w.shape, t.shape), dtype=np.float64)
+        if not len(self._keys):
+            return out
+        keys = t * self._width + w
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        hit = (self._keys[at] == keys) & (w >= 0) & (w < self._width)
+        out[hit] = self._prob[at[hit]]
+        return out
 
     def prob(self, w: int, t: int) -> float:
         """Stored probability, 0.0 when (t, w) never co-occurred."""
-        return self._table.get(t, {}).get(w, 0.0)
+        return float(self._lookup(np.array(w, dtype=np.int64), np.array(t, dtype=np.int64)))
 
     def columns(self, targets, sources) -> np.ndarray:
-        """P_tr(w|t) for every target w (rows) and source t (columns), read
-        through each source's row."""
-        rows = [self._table.get(t, {}) for t in sources]
-        return np.array([[row.get(w, 0.0) for row in rows] for w in targets],
-                        dtype=np.float64).reshape(len(targets), len(sources))
+        """P_tr(w|t) for every target w (rows) and source t (columns)."""
+        return self._lookup(np.asarray(targets, dtype=np.int64).reshape(-1, 1),
+                            np.asarray(sources, dtype=np.int64).reshape(1, -1))
 
     def row(self, t: int) -> dict[int, float]:
-        return dict(self._table.get(t, {}))
+        i = int(np.searchsorted(self._rows, t))
+        if i == len(self._rows) or self._rows[i] != t:
+            return {}
+        lo, hi = self._offsets[i], self._offsets[i + 1]
+        return dict(zip(self._target[lo:hi].tolist(), self._prob[lo:hi].tolist()))
 
     def sources(self) -> list[int]:
-        return list(self._table.keys())
+        return self._rows.tolist()
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._rows)
 
     def save(self, path) -> None:
         """Text lines "t w p" sorted by (t, w)."""
         with open(path, "w", encoding="utf-8") as f:
-            for t in sorted(self._table):
-                row = self._table[t]
-                for w in sorted(row):
-                    f.write(f"{t} {w} {row[w]!r}\n")
+            for t, lo, hi in zip(self._rows.tolist(), self._offsets[:-1].tolist(),
+                                 self._offsets[1:].tolist()):
+                f.writelines(f"{t} {w} {p!r}\n" for w, p in zip(
+                    self._target[lo:hi].tolist(), self._prob[lo:hi].tolist()))
 
     @classmethod
     def load(cls, path) -> "TranslationTable":
-        table: dict[int, dict[int, float]] = {}
-        with text_lines(path) as lines:
-            for line in lines:
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ValueError("expected 't w p'")
-                t, w, p = int(parts[0]), int(parts[1]), float(parts[2])
-                table.setdefault(t, {})[w] = p
-        return cls(table)
+        """Read a table written by save. A malformed line, a last line
+        without its newline, or a source row that does not sum to 1 raises
+        ValueError naming the path, so a file cut inside a row is caught; a
+        cut between rows still loads as the smaller table."""
+        with open(path, "rb") as f:
+            f.seek(max(f.seek(0, os.SEEK_END) - 1, 0))
+            if f.read(1) not in (b"", b"\n"):
+                raise ValueError(f"{path}: last line has no newline; the file is cut short")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                entries = np.loadtxt(path, dtype=_ENTRY, comments=None, ndmin=1)
+        except ValueError as exc:
+            # loadtxt's row numbers skip blank lines; read again for the line
+            _parse_lines(path)
+            raise ValueError(f"{path}: {exc}") from None
+        try:
+            table = cls(entries["t"], entries["w"], entries["p"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        row_of_entry = np.repeat(np.arange(len(table)), np.diff(table._offsets))
+        sums = np.bincount(row_of_entry, weights=table._prob, minlength=len(table))
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= _ROW_SUM_TOLERANCE))
+        if len(bad):
+            raise ValueError(f"{path}: source {int(table._rows[bad[0]])}: probabilities "
+                             f"sum to {float(sums[bad[0]])!r}, not 1; the file may be cut short")
+        return table
+
+
+def _parse_lines(path) -> None:
+    """Raise `<path>: line N: ...` at the first line that is not "t w p"."""
+    with text_lines(path) as lines:
+        for line in lines:
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError("expected 't w p'")
+            int(parts[0]), int(parts[1]), float(parts[2])
 
 
 def identity_table(term_ids) -> TranslationTable:
     """P_tr(w|t) = 1 iff w == t; reduces TLM to the plain language model."""
-    return TranslationTable({t: {t: 1.0} for t in term_ids})
+    ids = np.unique(np.fromiter(term_ids, dtype=np.int64))
+    return TranslationTable(ids, ids, np.ones(len(ids)))
 
 
 def make_parallel_pairs(corpus: Corpus, direction: str = "pooled_both") -> list[ParallelPair]:
@@ -89,30 +162,42 @@ def make_parallel_pairs(corpus: Corpus, direction: str = "pooled_both") -> list[
     return pairs
 
 
-def uniform_init(pairs) -> dict[int, dict[int, float]]:
-    """P(w|t) = 1/|co-occurring targets of t| before any M-step."""
-    cooc: dict[int, dict[int, float]] = {}
-    for pair in pairs:
-        for t in pair.source:
-            row = cooc.setdefault(t, {})
-            for w in pair.target:
-                row[w] = 0.0
-    for t, row in cooc.items():
-        p = 1.0 / len(row)
-        for w in row:
-            row[w] = p
-    return cooc
+def _flat(sides) -> tuple[np.ndarray, np.ndarray]:
+    lengths = np.fromiter((len(side) for side in sides), dtype=np.int64, count=len(sides))
+    tokens = np.fromiter((t for side in sides for t in side), dtype=np.int64,
+                         count=int(lengths.sum()))
+    return tokens, lengths
+
+
+def _events(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One event per (pair, target token, source token), in that loop order:
+    its source id, its target id and its slot, the (pair, target token) it
+    belongs to. Also the number of slots."""
+    src, src_len = _flat([p.source for p in pairs])
+    tgt, tgt_len = _flat([p.target for p in pairs])
+    per_slot = np.repeat(src_len, tgt_len)
+    slot = np.repeat(np.arange(len(tgt), dtype=np.int32), per_slot)
+    # each event's source position: its pair's first source token plus its
+    # offset within the slot
+    slot_first_src = np.repeat(np.cumsum(src_len) - src_len, tgt_len)
+    slot_first_event = np.cumsum(per_slot) - per_slot
+    pos = np.arange(len(slot), dtype=np.int64) + np.repeat(slot_first_src - slot_first_event,
+                                                           per_slot)
+    return src[pos], tgt[slot], slot, len(tgt)
 
 
 def train_ibm1(pairs, iterations: int = 10,
                prune: float = 0.0) -> TranslationTable:
     """Standard IBM Model 1 EM over the pair list.
 
-    Deterministic given inputs: pair order and within-sentence token order fix
-    the summation order, and the procedure has no random choices. A positive
-    `prune` drops entries below the threshold after the final iteration and
-    renormalizes each source row so the per-source normalization invariant
-    survives pruning.
+    Every (source t, target w) entry is numbered by its first occurrence in
+    the loop order pair, target token, source token, and each E- and M-step
+    sum is a bincount, which adds in input order: slot denominators over
+    source tokens, expected counts in event order and row totals in entry
+    order. So the result is deterministic given the pair list, and does not
+    depend on the Python version. A positive `prune` drops entries below the
+    threshold after the final iteration and renormalizes each source row so
+    the per-source normalization invariant survives pruning.
     """
     pairs = list(pairs)
     if not pairs:
@@ -120,49 +205,65 @@ def train_ibm1(pairs, iterations: int = 10,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    t_prob = uniform_init(pairs)
+    source, target, slot, n_slots = _events(pairs)
+    width = int(target.max()) + 1 if len(target) else 1
+    event_key = source * width + target
+    del source, target
+    keys, first, inverse = np.unique(event_key, return_index=True, return_inverse=True)
+    del event_key
+    order = np.argsort(first)  # entries in first-occurrence order
+    entry_of_key = np.empty(len(keys), dtype=np.int32)
+    entry_of_key[order] = np.arange(len(keys), dtype=np.int32)
+    event_entry = entry_of_key[inverse]
+    del first, inverse
+    entry_source, entry_target = keys[order] // width, keys[order] % width
+
+    t_prob = 1.0 / np.bincount(entry_source)[entry_source]
     for _ in range(iterations):
-        counts: dict[int, dict[int, float]] = {}
-        for pair in pairs:
-            for w in pair.target:
-                denom = 0.0
-                for s in pair.source:
-                    denom += t_prob[s][w]
-                for s in pair.source:
-                    counts.setdefault(s, {})
-                    counts[s][w] = counts[s].get(w, 0.0) + t_prob[s][w] / denom
-        for s, row in counts.items():
-            total = sum(row.values())
-            t_row = t_prob[s]
-            for w, c in row.items():
-                t_row[w] = c / total
+        p = t_prob[event_entry]
+        denom = np.bincount(slot, weights=p, minlength=n_slots)
+        counts = np.bincount(event_entry, weights=p / denom[slot], minlength=len(keys))
+        totals = np.bincount(entry_source, weights=counts)
+        t_prob = counts / totals[entry_source]
 
-    if prune > 0.0:
-        for s in list(t_prob):
-            row = {w: p for w, p in t_prob[s].items() if p >= prune}
-            if not row:
-                # keep the single best entry rather than orphaning a source
-                best = max(t_prob[s].items(), key=lambda item: (item[1], -item[0]))
-                row = {best[0]: best[1]}
-            total = sum(row.values())
-            t_prob[s] = {w: p / total for w, p in row.items()}
+    keep = np.ones(len(keys), dtype=bool)
+    if prune > 0.0 and len(keys):
+        keep, t_prob = _prune(t_prob, entry_source, entry_target, prune)
+    by_key = entry_of_key[keep[entry_of_key]]  # kept entries in (t, w) order
+    return TranslationTable(entry_source[by_key], entry_target[by_key], t_prob[by_key])
 
-    return TranslationTable(t_prob)
+
+def _prune(t_prob, entry_source, entry_target, prune: float):
+    """The entries at or above `prune`, and their probabilities renormalized
+    per row in entry order. A row left empty keeps its single best entry:
+    the highest probability, the smallest target id among ties."""
+    keep = t_prob >= prune
+    n_sources = int(entry_source.max()) + 1
+    orphans = np.flatnonzero(
+        np.bincount(entry_source[keep], minlength=n_sources)[entry_source] == 0)
+    if len(orphans):
+        best = orphans[np.lexsort((entry_target[orphans], -t_prob[orphans],
+                                   entry_source[orphans]))]
+        keep[best[np.r_[True, entry_source[best][1:] != entry_source[best][:-1]]]] = True
+    totals = np.bincount(entry_source[keep], weights=t_prob[keep], minlength=n_sources)
+    return keep, t_prob / totals[entry_source]
 
 
 def corpus_log_likelihood(table: TranslationTable, pairs) -> float:
     """IBM Model 1 data log-likelihood with the constant length terms omitted:
-    sum over pairs and target tokens of ln(sum over source tokens of P_tr(w|s)).
+    sum over pairs and target tokens of ln(sum over source tokens of P_tr(w|s)),
+    added left to right.
 
     A target word with zero translation mass makes the value -inf.
     """
+    pairs = list(pairs)
+    if not pairs:
+        return 0.0
+    source, target, slot, n_slots = _events(pairs)
+    inner = np.bincount(slot, weights=table._lookup(target, source), minlength=n_slots)
+    if (inner <= 0.0).any():
+        return float("-inf")
     total = 0.0
-    for pair in pairs:
-        for w in pair.target:
-            inner = 0.0
-            for s in pair.source:
-                inner += table.prob(w, s)
-            if inner <= 0.0:
-                return float("-inf")
-            total += math.log(inner)
+    for value in inner.tolist():
+        total += math.log(value)
     return total

@@ -1,10 +1,14 @@
-"""Pair-by-pair reference for the component-table scorers and the batched
-tree routing.
+"""Pair-by-pair reference for the component-table scorers, the batched
+tree routing and the flat-array IBM Model 1 EM.
 
 The loop below scores one (query, candidate) pair at a time, term by term,
 with the same float operations in the same order as the table, and walks
 each regression tree one row at a time. Tests require the table's scores,
 feature rows and rankings, and predict_matrix, to equal it with ==.
+
+`ibm1_em` is IBM Model 1 EM as nested dict loops over pairs, target tokens
+and source tokens; tests require train_ibm1's table to equal it entry for
+entry with ==.
 """
 
 import math
@@ -168,3 +172,59 @@ def system_ranking(system, assets, prepared):
             scored.append((s, qa.id))
     scored.sort(key=lambda item: (-item[0], item[1]))
     return [(qa_id, score) for score, qa_id in scored]
+
+
+def uniform_init(pairs):
+    """P(w|t) = 1/|co-occurring targets of t| before any M-step."""
+    cooc = {}
+    for pair in pairs:
+        for t in pair.source:
+            row = cooc.setdefault(t, {})
+            for w in pair.target:
+                row[w] = 0.0
+    for t, row in cooc.items():
+        p = 1.0 / len(row)
+        for w in row:
+            row[w] = p
+    return cooc
+
+
+def ibm1_em(pairs, iterations=10, prune=0.0):
+    """{source t: {target w: P_tr(w|t)}} after `iterations` EM steps, pruned
+    and renormalized per row when `prune` is positive. Row totals are added
+    left to right, also on Python versions whose sum() compensates."""
+    t_prob = uniform_init(pairs)
+    for _ in range(iterations):
+        counts = {}
+        for pair in pairs:
+            for w in pair.target:
+                denom = 0.0
+                for s in pair.source:
+                    denom += t_prob[s][w]
+                for s in pair.source:
+                    counts.setdefault(s, {})
+                    counts[s][w] = counts[s].get(w, 0.0) + t_prob[s][w] / denom
+        for s, row in counts.items():
+            total = _add_in_order(row.values())
+            t_row = t_prob[s]
+            for w, c in row.items():
+                t_row[w] = c / total
+
+    if prune > 0.0:
+        for s in list(t_prob):
+            row = {w: p for w, p in t_prob[s].items() if p >= prune}
+            if not row:
+                # keep the single best entry rather than orphaning a source
+                best = max(t_prob[s].items(), key=lambda item: (item[1], -item[0]))
+                row = {best[0]: best[1]}
+            total = _add_in_order(row.values())
+            t_prob[s] = {w: p / total for w, p in row.items()}
+
+    return t_prob
+
+
+def _add_in_order(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total

@@ -159,6 +159,35 @@ class TestSubcommands:
                      "--ranker", str(ranker), "--out", str(out / "r.txt")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {ranker}:3: ")
 
+    @pytest.mark.parametrize("record", ['{"id": "q1", "tokens": 5}',
+                                        '{"id": "q1", "text": 5}',
+                                        '{"id": "q1", "tokens": "rice"}'])
+    def test_rank_wrong_typed_query_fails_cleanly(self, synth_data, tmp_path,
+                                                  capsys, record):
+        corpus = tmp_path / "corpus.json"
+        main(["ingest", "--qa", str(synth_data["qa"]), "--out", str(corpus)])
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(record + "\n")
+        capsys.readouterr()
+        assert main(["rank", "--corpus", str(corpus), "--queries", str(queries),
+                     "--method", "bm25", "--out", str(tmp_path / "r.txt")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {queries}: line 1: ")
+
+    def test_rank_with_cut_translation_table_fails_cleanly(self, synth_data,
+                                                          tmp_path, capsys):
+        corpus = tmp_path / "corpus.json"
+        table = tmp_path / "tm.tsv"
+        main(["ingest", "--qa", str(synth_data["qa"]), "--out", str(corpus)])
+        main(["train-tm", "--corpus", str(corpus), "--em-iters", "3",
+              "--out", str(table)])
+        lines = table.read_text().splitlines(keepends=True)
+        table.write_text("".join(lines[:-1]))  # the last row loses an entry
+        capsys.readouterr()
+        assert main(["rank", "--corpus", str(corpus),
+                     "--queries", str(synth_data["queries"]), "--method", "tlm",
+                     "--translation", str(table), "--out", str(tmp_path / "r.txt")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {table}: source ")
+
     def test_rank_method_validation(self, synth_data, tmp_path):
         out = tmp_path / "w"
         out.mkdir()

@@ -72,6 +72,24 @@ class TestIngest:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ")):
             ingest_corpus(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("question", 5), ("answer", ["b"]), ("question_tokens", 5),
+        ("question_tokens", "rice"), ("answer_tokens", [["a"]]),
+        ("answer_tokens", [True]), ("answer_tokens", {"a": 1})])
+    def test_wrong_typed_field_names_path_and_line(self, tmp_path, field, value):
+        rec = _rec("p2", "a", "b")
+        rec[field] = value
+        path = tmp_path / "qa.jsonl"
+        path.write_text(json.dumps(_rec("p1", "a", "b")) + f"\n{json.dumps(rec)}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: {field!r} must be")):
+            ingest_corpus(path)
+
+    def test_numeric_tokens_become_strings(self, qa_file):
+        rec = _rec("p1", "ignored", "ignored")
+        rec["question_tokens"] = [7, 2.5, "x"]
+        corpus = ingest_corpus(qa_file([rec]))
+        assert corpus.vocabulary.tokens()[:3] == ["7", "2.5", "x"]
+
     @pytest.mark.parametrize("bad", ["{", '{"user": "u9"}',
                                      '{"user": "u9", "best_answers": -1}',
                                      '{"user": "u1", "best_answers": 2}'])
@@ -230,4 +248,20 @@ class TestArtifacts:
         qpath = tmp_path / "queries.jsonl"
         qpath.write_text(f'{{"id": "q1", "text": "a"}}\n{bad}\n')
         with pytest.raises(ValueError, match=re.escape(f"{qpath}: line 2: ")):
+            load_queries(qpath, corpus.vocabulary)
+
+    @pytest.mark.parametrize("bad, field", [
+        ('{"id": "q2", "tokens": 5}', "tokens"),
+        ('{"id": "q2", "tokens": "rice"}', "tokens"),
+        ('{"id": "q2", "tokens": [["a"]]}', "tokens"),
+        ('{"id": "q2", "tokens": [null]}', "tokens"),
+        ('{"id": "q2", "text": 5}', "text"),
+        ('{"id": "q2", "text": null}', "text")])
+    def test_wrong_typed_query_field_names_path_and_line(self, tmp_path, qa_file,
+                                                         bad, field):
+        corpus = ingest_corpus(qa_file([_rec("p1", "a", "b")]))
+        qpath = tmp_path / "queries.jsonl"
+        qpath.write_text(f'{{"id": "q1", "tokens": ["a", 3]}}\n{bad}\n')
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{qpath}: line 2: {field!r} must be")):
             load_queries(qpath, corpus.vocabulary)
