@@ -6,6 +6,7 @@ formula downstream.
 """
 
 import json
+import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,6 +32,14 @@ def text_lines(path):
         yield lines()
     except ValueError as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from None
+
+
+def ends_with_newline(path) -> bool:
+    """Whether a file is empty or ends with a newline; a text file cut short
+    inside its last line does not."""
+    with open(path, "rb") as f:
+        f.seek(max(f.seek(0, os.SEEK_END) - 1, 0))
+        return f.read(1) in (b"", b"\n")
 
 
 @dataclass(frozen=True)

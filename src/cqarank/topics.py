@@ -5,11 +5,17 @@ phi is read out from the final counts with beta smoothing, so every
 topic-word probability is strictly positive.
 """
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import mul, truediv
 
 import numpy as np
 
-from .corpus import text_lines
+from .corpus import ends_with_newline, text_lines
+
+_ROW_SUM_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -47,6 +53,12 @@ class TopicModel:
 
     @classmethod
     def load(cls, path) -> "TopicModel":
+        """Read a model written by save. A malformed line, a last line
+        without its newline, a size, alpha or beta that is not positive, a
+        negative topic total, or a phi row that is not a distribution (an
+        entry not positive and finite, or a sum off 1 by more than 1e-9)
+        raises ValueError naming the path and line."""
+        complete = ends_with_newline(path)
         with text_lines(path) as lines:
             header = next(lines, "").split()
             if len(header) != 6:
@@ -54,19 +66,29 @@ class TopicModel:
             k, v = int(header[0]), int(header[1])
             alpha, beta = float(header[2]), float(header[3])
             seed, iterations = int(header[4]), int(header[5])
-            totals = np.array([int(x) for x in next(lines, "").split()], dtype=np.int64)
-            if totals.shape[0] != k:
+            if not (k > 0 and v > 0 and 0 < alpha < math.inf and 0 < beta < math.inf):
+                raise ValueError("topics, vocabulary size, alpha and beta must be positive")
+            totals = [int(x) for x in next(lines, "").split()]
+            if len(totals) != k:
                 raise ValueError(f"expected {k} topic totals")
-            phi = np.empty((k, v), dtype=np.float64)
+            if not all(0 <= n < 2**63 for n in totals):
+                raise ValueError("topic totals must be non-negative 64-bit integers")
+            rows = []
             for z in range(k):
                 row = np.array([float(x) for x in next(lines, "").split()])
                 if row.shape[0] != v:
                     raise ValueError(f"phi row {z} has wrong length")
-                phi[z] = row
+                if not (np.all((row > 0) & (row < math.inf))
+                        and abs(row.sum() - 1.0) <= _ROW_SUM_TOLERANCE):
+                    raise ValueError(f"phi row {z} is not a distribution")
+                rows.append(row)
+            if not complete:
+                raise ValueError("last line has no newline; the file is cut short")
             if next(lines, None) is not None:
                 raise ValueError("unexpected line after the last phi row")
-        return cls(phi=phi, topic_totals=totals, alpha=alpha, beta=beta,
-                   vocab_size=v, iterations=iterations, seed=seed)
+        return cls(phi=np.array(rows), topic_totals=np.array(totals, dtype=np.int64),
+                   alpha=alpha, beta=beta, vocab_size=v, iterations=iterations,
+                   seed=seed)
 
 
 @dataclass
@@ -90,41 +112,69 @@ class CollapsedGibbsSampler:
         self.beta = beta
         self.V = vocab_size
         self.rng = np.random.RandomState(seed)
+        self.assignments: list[np.ndarray] = [
+            self.rng.randint(0, self.K, size=len(doc)) for doc in self.docs]
+        lengths = [len(doc) for doc in self.docs]
+        self.num_tokens = sum(lengths)
+        z = np.concatenate([np.zeros(0, dtype=np.int64), *self.assignments])
+        words = np.fromiter(chain.from_iterable(self.docs), dtype=np.int64,
+                            count=self.num_tokens)
         self.n_dk = np.zeros((len(self.docs), self.K), dtype=np.int64)
+        np.add.at(self.n_dk, (np.repeat(np.arange(len(self.docs)), lengths), z), 1)
         self.n_kw = np.zeros((self.K, self.V), dtype=np.int64)
-        self.n_k = np.zeros(self.K, dtype=np.int64)
-        self.assignments: list[np.ndarray] = []
-        for d, doc in enumerate(self.docs):
-            z = self.rng.randint(0, self.K, size=len(doc))
-            self.assignments.append(z)
-            for w, k in zip(doc, z):
-                self.n_dk[d, k] += 1
-                self.n_kw[k, w] += 1
-                self.n_k[k] += 1
+        np.add.at(self.n_kw, (z, words), 1)
+        self.n_k = np.bincount(z, minlength=self.K)
 
     def sweep(self) -> None:
-        """One full pass of per-token topic reassignment."""
-        beta_v = self.V * self.beta
-        for d, doc in enumerate(self.docs):
-            z_d = self.assignments[d]
-            row = self.n_dk[d]
-            for i, w in enumerate(doc):
-                k_old = z_d[i]
-                row[k_old] -= 1
-                self.n_kw[k_old, w] -= 1
-                self.n_k[k_old] -= 1
+        """One full pass of per-token topic reassignment.
 
-                p = (row + self.alpha) * (self.n_kw[:, w] + self.beta) / (self.n_k + beta_v)
-                cum = np.cumsum(p)
-                u = self.rng.random_sample() * cum[-1]
-                k_new = int(np.searchsorted(cum, u, side="right"))
-                if k_new >= self.K:
-                    k_new = self.K - 1
+        The counts are walked as Python lists, next to the smoothed factors
+        n_dk+alpha, n_kw+beta and n_k+V*beta; a factor is recomputed from its
+        integer count whenever that count changes. `accumulate` adds in
+        order as np.cumsum does, `bisect_right` is searchsorted(side="right"),
+        and one random_sample call yields the doubles of one call per token,
+        so every draw is that of a per-token numpy loop. The counts are
+        written back into the arrays at the end of the sweep.
+        """
+        K, alpha, beta = self.K, self.alpha, self.beta
+        beta_v = self.V * beta
+        n_wk = self.n_kw.T.tolist()
+        word_beta = [[n + beta for n in col] for col in n_wk]
+        n_k = self.n_k.tolist()
+        topic_den = [n + beta_v for n in n_k]
+        n_dk = self.n_dk.tolist()
+        draws = iter(self.rng.random_sample(self.num_tokens).tolist())
+        for doc, z_d, row in zip(self.docs, self.assignments, n_dk):
+            row_alpha = [n + alpha for n in row]
+            z = z_d.tolist()
+            # doc before draws: zip stops at the doc's end without taking a draw
+            for i, (w, u) in enumerate(zip(doc, draws)):
+                col, col_beta = n_wk[w], word_beta[w]
+                k = z[i]
+                row[k] -= 1
+                row_alpha[k] = row[k] + alpha
+                col[k] -= 1
+                col_beta[k] = col[k] + beta
+                n_k[k] -= 1
+                topic_den[k] = n_k[k] + beta_v
 
-                z_d[i] = k_new
-                row[k_new] += 1
-                self.n_kw[k_new, w] += 1
-                self.n_k[k_new] += 1
+                cum = list(accumulate(map(truediv, map(mul, row_alpha, col_beta),
+                                          topic_den)))
+                k = bisect_right(cum, u * cum[-1])
+                if k >= K:
+                    k = K - 1
+
+                z[i] = k
+                row[k] += 1
+                row_alpha[k] = row[k] + alpha
+                col[k] += 1
+                col_beta[k] = col[k] + beta
+                n_k[k] += 1
+                topic_den[k] = n_k[k] + beta_v
+            z_d[:] = z
+        self.n_dk[:] = n_dk
+        self.n_kw[:] = np.array(n_wk, dtype=np.int64).T
+        self.n_k[:] = n_k
 
     def read_phi(self) -> np.ndarray:
         return (self.n_kw + self.beta) / (self.n_k + self.V * self.beta)[:, None]
@@ -182,25 +232,31 @@ def infer_query_topics(model: TopicModel, query_tokens, burn_in: int = 50,
         return QueryTopicPosterior(theta=np.full(K, 1.0 / K), oov_fallback=True)
 
     rng = np.random.RandomState(seed)
-    z = rng.randint(0, K, size=len(tokens))
-    n_k = np.zeros(K, dtype=np.int64)
-    for k in z:
-        n_k[k] += 1
-    cols = [model.phi[:, w] for w in tokens]
+    z = rng.randint(0, K, size=len(tokens)).tolist()
+    alpha = model.alpha
+    n_k = np.bincount(z, minlength=K).tolist()
+    k_alpha = [c + alpha for c in n_k]
+    cols = model.phi[:, tokens].T.tolist()
 
     n = len(tokens)
-    acc = np.zeros(K, dtype=np.float64)
+    norm = n + K * alpha
+    acc = [0.0] * K
+    # the same list-walk as CollapsedGibbsSampler.sweep, one draw per token
+    # per sweep, all drawn at once; range before draws, so each sweep takes
+    # exactly n of them
+    draws = iter(rng.random_sample((burn_in + samples) * n).tolist())
     for sweep in range(burn_in + samples):
-        for i in range(n):
-            n_k[z[i]] -= 1
-            p = cols[i] * (n_k + model.alpha)
-            cum = np.cumsum(p)
-            u = rng.random_sample() * cum[-1]
-            k_new = int(np.searchsorted(cum, u, side="right"))
-            if k_new >= K:
-                k_new = K - 1
-            z[i] = k_new
-            n_k[k_new] += 1
+        for i, u in zip(range(n), draws):
+            k = z[i]
+            n_k[k] -= 1
+            k_alpha[k] = n_k[k] + alpha
+            cum = list(accumulate(map(mul, cols[i], k_alpha)))
+            k = bisect_right(cum, u * cum[-1])
+            if k >= K:
+                k = K - 1
+            z[i] = k
+            n_k[k] += 1
+            k_alpha[k] = n_k[k] + alpha
         if sweep >= burn_in:
-            acc += (n_k + model.alpha) / (n + K * model.alpha)
-    return QueryTopicPosterior(theta=acc / samples, oov_fallback=False)
+            acc = [a + c / norm for a, c in zip(acc, k_alpha)]
+    return QueryTopicPosterior(theta=np.array(acc) / samples, oov_fallback=False)

@@ -6,13 +6,12 @@ order so training is bit-reproducible.
 """
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, text_lines
+from .corpus import Corpus, ends_with_newline, text_lines
 
 # Term ids are dense and non-negative; below 2**31 every key
 # source * width + target fits in an int64.
@@ -103,10 +102,8 @@ class TranslationTable:
         without its newline, or a source row that does not sum to 1 raises
         ValueError naming the path, so a file cut inside a row is caught; a
         cut between rows still loads as the smaller table."""
-        with open(path, "rb") as f:
-            f.seek(max(f.seek(0, os.SEEK_END) - 1, 0))
-            if f.read(1) not in (b"", b"\n"):
-                raise ValueError(f"{path}: last line has no newline; the file is cut short")
+        if not ends_with_newline(path):
+            raise ValueError(f"{path}: last line has no newline; the file is cut short")
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")

@@ -9,6 +9,11 @@ feature rows and rankings, and predict_matrix, to equal it with ==.
 `ibm1_em` is IBM Model 1 EM as nested dict loops over pairs, target tokens
 and source tokens; tests require train_ibm1's table to equal it entry for
 entry with ==.
+
+`GibbsReference` and `fold_in` are collapsed Gibbs for LDA training and
+query fold-in as one numpy call chain per token; tests require
+CollapsedGibbsSampler's counts after every sweep, and infer_query_topics's
+posterior, to equal them with ==.
 """
 
 import math
@@ -228,3 +233,85 @@ def _add_in_order(values):
     for value in values:
         total += value
     return total
+
+
+class GibbsReference:
+    """Collapsed Gibbs state for LDA training, counted token by token and
+    swept with np.cumsum and np.searchsorted per token."""
+
+    def __init__(self, docs, num_topics, alpha, beta, vocab_size, seed):
+        self.docs = [tuple(d) for d in docs]
+        self.K = num_topics
+        self.alpha = alpha
+        self.beta = beta
+        self.V = vocab_size
+        self.rng = np.random.RandomState(seed)
+        self.n_dk = np.zeros((len(self.docs), self.K), dtype=np.int64)
+        self.n_kw = np.zeros((self.K, self.V), dtype=np.int64)
+        self.n_k = np.zeros(self.K, dtype=np.int64)
+        self.assignments = []
+        for d, doc in enumerate(self.docs):
+            z = self.rng.randint(0, self.K, size=len(doc))
+            self.assignments.append(z)
+            for w, k in zip(doc, z):
+                self.n_dk[d, k] += 1
+                self.n_kw[k, w] += 1
+                self.n_k[k] += 1
+
+    def sweep(self):
+        beta_v = self.V * self.beta
+        for d, doc in enumerate(self.docs):
+            z_d = self.assignments[d]
+            row = self.n_dk[d]
+            for i, w in enumerate(doc):
+                k_old = z_d[i]
+                row[k_old] -= 1
+                self.n_kw[k_old, w] -= 1
+                self.n_k[k_old] -= 1
+
+                p = (row + self.alpha) * (self.n_kw[:, w] + self.beta) / (self.n_k + beta_v)
+                cum = np.cumsum(p)
+                u = self.rng.random_sample() * cum[-1]
+                k_new = int(np.searchsorted(cum, u, side="right"))
+                if k_new >= self.K:
+                    k_new = self.K - 1
+
+                z_d[i] = k_new
+                row[k_new] += 1
+                self.n_kw[k_new, w] += 1
+                self.n_k[k_new] += 1
+
+    def read_phi(self):
+        return (self.n_kw + self.beta) / (self.n_k + self.V * self.beta)[:, None]
+
+
+def fold_in(model, query_tokens, burn_in=50, samples=20, seed=0):
+    """Fold-in Gibbs with phi frozen, one numpy call chain per token."""
+    K = model.num_topics
+    tokens = [w for w in query_tokens if 0 <= w < model.vocab_size]
+    if not tokens:
+        return QueryTopicPosterior(theta=np.full(K, 1.0 / K), oov_fallback=True)
+
+    rng = np.random.RandomState(seed)
+    z = rng.randint(0, K, size=len(tokens))
+    n_k = np.zeros(K, dtype=np.int64)
+    for k in z:
+        n_k[k] += 1
+    cols = [model.phi[:, w] for w in tokens]
+
+    n = len(tokens)
+    acc = np.zeros(K, dtype=np.float64)
+    for sweep in range(burn_in + samples):
+        for i in range(n):
+            n_k[z[i]] -= 1
+            p = cols[i] * (n_k + model.alpha)
+            cum = np.cumsum(p)
+            u = rng.random_sample() * cum[-1]
+            k_new = int(np.searchsorted(cum, u, side="right"))
+            if k_new >= K:
+                k_new = K - 1
+            z[i] = k_new
+            n_k[k_new] += 1
+        if sweep >= burn_in:
+            acc += (n_k + model.alpha) / (n + K * model.alpha)
+    return QueryTopicPosterior(theta=acc / samples, oov_fallback=False)

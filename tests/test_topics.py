@@ -2,7 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import reference_scoring
 from cqarank.topics import (CollapsedGibbsSampler, TopicModel,
                             infer_query_topics, train_lda)
 
@@ -86,6 +89,61 @@ class TestSamplerCounts:
             assert np.array_equal(sampler.n_kw.sum(axis=1), sampler.n_k)
             assert np.array_equal(sampler.n_dk.sum(axis=1),
                                   np.array([len(d) for d in docs]))
+
+
+def _random_docs(seed, n_docs=20, vocab=15, max_len=12):
+    """Documents over ids [0, vocab), many with repeated tokens, plus one
+    document of a single repeated word."""
+    rng = np.random.RandomState(seed)
+    docs = [[int(w) for w in rng.randint(0, vocab, size=rng.randint(1, max_len))]
+            for _ in range(n_docs)]
+    return docs + [[3, 3, 3, 3, 3]]
+
+
+def _assert_same_state(sampler, reference):
+    assert len(sampler.assignments) == len(reference.assignments)
+    for got, want in zip(sampler.assignments, reference.assignments):
+        assert np.array_equal(got, want)
+    assert np.array_equal(sampler.n_dk, reference.n_dk)
+    assert np.array_equal(sampler.n_kw, reference.n_kw)
+    assert np.array_equal(sampler.n_k, reference.n_k)
+
+
+class TestReferenceSampler:
+    """The list-walking sweep and fold-in against the per-token numpy loop
+    kept in reference_scoring, with ==."""
+
+    @pytest.mark.parametrize("num_topics", [1, 2, 6, 20])
+    @pytest.mark.parametrize("large_alpha", [False, True])
+    def test_counts_equal_after_every_sweep(self, num_topics, large_alpha):
+        alpha = 50.0 / num_topics if large_alpha else 0.01
+        # vocabulary 16 leaves word 15 unused
+        args = (_random_docs(num_topics), num_topics, alpha, 0.01, 16, 5)
+        sampler = CollapsedGibbsSampler(*args)
+        reference = reference_scoring.GibbsReference(*args)
+        _assert_same_state(sampler, reference)
+        for _ in range(4):
+            sampler.sweep()
+            reference.sweep()
+            _assert_same_state(sampler, reference)
+        assert np.array_equal(sampler.read_phi(), reference.read_phi())
+
+    @pytest.mark.parametrize("num_topics", [1, 2, 6, 20])
+    @pytest.mark.parametrize("large_alpha", [False, True])
+    @pytest.mark.parametrize("burn_in", [0, 6])
+    def test_fold_in_equal(self, num_topics, large_alpha, burn_in):
+        alpha = 50.0 / num_topics if large_alpha else 0.01
+        model = train_lda(_random_docs(num_topics), num_topics, alpha, 0.01,
+                          iterations=3, seed=1, vocab_size=16)
+        # one token, a repeated token, in-vocabulary mixed with OOV ids,
+        # OOV only, and a longer query
+        for tokens in ([4], [2, 2, 2], [0, 99, 5, -1, 5], [15, 40],
+                       list(range(12))):
+            for seed in (0, 8):
+                got = infer_query_topics(model, tokens, burn_in, samples=3, seed=seed)
+                want = reference_scoring.fold_in(model, tokens, burn_in, 3, seed)
+                assert np.array_equal(got.theta, want.theta)
+                assert got.oov_fallback == want.oov_fallback
 
 
 class TestInference:
@@ -174,6 +232,11 @@ class TestSerialization:
         (lambda lines: [lines[0], "4"] + lines[2:], 2),              # too few totals
         (lambda lines: lines[:2] + ["0.5 0.25 oops"] + lines[3:], 3),  # bare float
         (lambda lines: lines[:2] + ["0.5 0.5"] + lines[3:], 3),      # short row
+        (lambda lines: lines[:2] + ["1.5 -0.25 -0.25"] + lines[3:], 3),  # negative entry
+        (lambda lines: lines[:2] + ["0.5 0.5 0.0"] + lines[3:], 3),  # zero entry
+        (lambda lines: lines[:2] + ["0.5 0.25 0.5"] + lines[3:], 3),  # sum off 1
+        (lambda lines: [lines[0], "4 -6"] + lines[2:], 2),           # negative total
+        (lambda lines: ["2 3 0.0 0.01 0 9"] + lines[1:], 1),         # alpha 0
         (lambda lines: lines[:3], 4),                                # missing row
         (lambda lines: lines + ["0.1"], 5),                          # extra line
     ])
@@ -186,4 +249,120 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         path.write_text("".join(f"{text}\n" for text in edit(lines)))
         with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
+            TopicModel.load(path)
+
+
+@st.composite
+def _topic_models(draw):
+    """A TopicModel whose phi rows sum to 1 and whose every entry is at
+    least 1e-4."""
+    k, v = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows = []
+    for _ in range(k):
+        weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=v, max_size=v))
+        total = sum(weights)
+        rows.append([x / total for x in weights])
+    totals = draw(st.lists(st.integers(0, 10**6), min_size=k, max_size=k))
+    return TopicModel(phi=np.array(rows), topic_totals=np.array(totals, dtype=np.int64),
+                      alpha=draw(st.floats(1e-3, 100.0)), beta=draw(st.floats(1e-4, 1.0)),
+                      vocab_size=v, iterations=draw(st.integers(1, 10**4)),
+                      seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _corrupt(lines, kind, data):
+    """`lines` of a saved model with one corruption of `kind`; every kind
+    breaks the layout or an invariant that load checks (a shifted phi entry
+    moves its row's sum off 1 by at least 1e-6)."""
+    def line_from(first):
+        return data.draw(st.integers(first, len(lines) - 1))
+
+    def one_of(values):
+        return data.draw(st.sampled_from(values))
+
+    if kind == "drop line":
+        i = line_from(0)
+        return lines[:i] + lines[i + 1:]
+    if kind == "repeat line":
+        i = line_from(0)
+        return lines[:i + 1] + lines[i:]
+    # the header is line 0, the totals line 1 and the phi rows 2 and on
+    if kind in ("bad size", "bad prior"):
+        i = 0
+    elif kind == "negative total":
+        i = 1
+    else:
+        i = line_from(2 if kind.endswith("phi entry") else 0)
+    fields = lines[i].split()
+    if kind == "bad size":
+        j = one_of([0, 1])
+    elif kind == "bad prior":
+        j = one_of([2, 3])
+    else:
+        j = data.draw(st.integers(0, len(fields) - 1))
+    if kind == "drop field":
+        del fields[j]
+    elif kind == "extra field":
+        fields.insert(j, fields[j])
+    elif kind == "not a number":
+        fields[j] = one_of(["x", "1..2", "--", "0x1", "1e", "+-1"])
+    elif kind == "bad size":
+        fields[j] = one_of(["0", "-3"])
+    elif kind == "bad prior":
+        fields[j] = one_of(["0", "-1", "0.0", "-2.5", "nan", "inf"])
+    elif kind == "negative total":
+        fields[j] = str(-data.draw(st.integers(1, 10**6)))
+    elif kind == "bad phi entry":
+        fields[j] = one_of(["nan", "inf", "-inf", "0.0", "-0.5"])
+    else:
+        shift = data.draw(st.floats(1e-6, 10.0)) * one_of([-1, 1])
+        fields[j] = repr(float(fields[j]) + shift)
+    return lines[:i] + [" ".join(fields)] + lines[i + 1:]
+
+
+_PROPERTY = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestRoundTripProperties:
+    @_PROPERTY
+    @given(model=_topic_models())
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, model):
+        path = tmp_path_factory.mktemp("rt") / "topics.txt"
+        model.save(path)
+        saved = path.read_bytes()
+        loaded = TopicModel.load(path)
+        assert np.array_equal(loaded.phi, model.phi)
+        assert np.array_equal(loaded.topic_totals, model.topic_totals)
+        assert ((loaded.alpha, loaded.beta, loaded.vocab_size, loaded.iterations,
+                 loaded.seed) == (model.alpha, model.beta, model.vocab_size,
+                                  model.iterations, model.seed))
+        loaded.save(path)
+        assert path.read_bytes() == saved
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(model=_topic_models())
+    def test_every_cut_names_path_and_line(self, tmp_path_factory, model):
+        path = tmp_path_factory.mktemp("cut") / "topics.txt"
+        model.save(path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line \d+: "):
+                TopicModel.load(path)
+
+    @pytest.mark.parametrize("kind", [
+        "drop line", "repeat line", "drop field", "extra field", "not a number",
+        "bad size", "bad prior", "negative total", "bad phi entry",
+        "shifted phi entry"])
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(model=_topic_models(), data=st.data())
+    def test_every_corruption_names_path_and_line(self, tmp_path_factory, model,
+                                                  kind, data):
+        path = tmp_path_factory.mktemp("bad") / "topics.txt"
+        model.save(path)
+        lines = _corrupt(path.read_text().splitlines(), kind, data)
+        path.write_text("".join(f"{line}\n" for line in lines))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line \d+: "):
             TopicModel.load(path)

@@ -1,12 +1,17 @@
 """The benchmark's per-layer tracer (cqabench/tracing.py) replaces cqarank
 names by (owner, attribute). A renamed or removed name would stop it from
-installing, so every one of them must still resolve."""
+installing, so every one of them must still resolve; and its work counters
+read the traced calls' arguments by parameter name, so those names must
+still be parameters."""
 
+import ast
 import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 import cqarank.pipeline as pipeline
+from cqarank.translation import ParallelPair
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "cqabench"))
 
@@ -32,3 +37,47 @@ def test_tracer_installs_and_restores_every_name():
         wrapped = [inspect.getattr_static(owner, attr) for owner, attr in TRACED]
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert [inspect.getattr_static(owner, attr) for owner, attr in TRACED] == originals
+
+
+def _arguments_read(work):
+    """The names a work counter `work(arguments, result)` reads as
+    arguments["name"]."""
+    func = ast.parse(textwrap.dedent(inspect.getsource(work))).body[0]
+    arguments = func.args.args[0].arg
+    return {node.slice.value for node in ast.walk(func)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == arguments and isinstance(node.slice, ast.Constant)}
+
+
+def test_work_counters_read_parameters_of_the_traced_function():
+    """A counter reads the traced call's bound arguments by parameter name,
+    so a renamed parameter would fail only in a traced run."""
+    read = {}
+    for owner, attr, _, work in tracing.FUNCTIONS:
+        if work is None:
+            continue
+        function = inspect.getattr_static(owner, attr)
+        if isinstance(function, classmethod):
+            function = function.__func__
+        names = _arguments_read(work)
+        assert names <= set(inspect.signature(function).parameters), attr
+        read[attr] = names
+    assert read == {
+        "train_ibm1": {"pairs", "iterations"},
+        "train_lda": {"docs", "iterations"},
+        "infer_query_topics": {"model", "query_tokens", "burn_in", "samples"},
+    }
+
+
+def test_work_counters_count_traced_calls():
+    docs = [[0, 1, 1], [2, 0]]
+    pairs = [ParallelPair(source=(0, 1), target=(2,)),
+             ParallelPair(source=(1,), target=(0, 2))]
+    with tracing.Tracer().installed() as tracer:
+        pipeline.train_ibm1(pairs, 3)
+        model = pipeline.train_lda(docs, 2, iterations=4, seed=0)
+        pipeline.infer_query_topics(model, [0, 9, 2], burn_in=2, samples=3)
+        pipeline.infer_query_topics(model, [9], burn_in=2, samples=3)
+    work = {name: entry[2] for (_, name), entry in tracer.table.items()}
+    assert work == {"translation.train_ibm1": 2 * 3, "topics.train_lda": 5 * 4,
+                    "topics.infer": 2 * (2 + 3)}
