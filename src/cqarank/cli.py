@@ -17,14 +17,15 @@ import sys
 import typing
 
 from .corpus import load_corpus, load_queries, save_corpus
-from .evaluation import (MetricReport, comparison_table, evaluate_run,
-                         read_qrels, read_run, write_report, write_run)
+from .evaluation import (comparison_table, read_qrels, read_run, write_report,
+                         write_run)
 from .index import build_index
 from .ltr import LambdaMARTModel
 from .pipeline import (ALL_SYSTEMS, LDA_FIELDS, RANKER_FIELDS, SCORING_FIELDS,
                        TM_FIELDS, PipelineConfig, PipelineError, ScoringAssets,
-                       ingest, rank_queries, run_pipeline, train_ranker,
-                       train_topics, train_translation, write_features)
+                       evaluate_runs, ingest, rank_queries, run_pipeline,
+                       train_ranker, train_topics, train_translation,
+                       write_features)
 from .synth import SynthSpec, write_synth
 from .topics import TopicModel
 from .translation import TranslationTable
@@ -268,12 +269,11 @@ def _cmd_rank(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = config_from_args(args)
     qrels = read_qrels(cfg.qrels_path)
-    report = MetricReport(k=cfg.depth)
+    runs = [read_run(run_path) for run_path in args.run]
+    report = evaluate_runs([(run.tag, run) for run in runs], qrels, cfg.depth,
+                           cfg.rel_threshold)
     lacking = []
-    for run_path in args.run:
-        run = read_run(run_path)
-        report = report.merge(evaluate_run(run, qrels, cfg.depth,
-                                           cfg.rel_threshold))
+    for run in runs:
         absent = set(qrels.queries()).difference(run.queries())
         lacking.append(f"{run.tag} lacks {len(absent)} of {len(qrels.queries())} "
                        f"qrels queries (not averaged)")

@@ -94,9 +94,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int | None:
         return self._id_of.get(token)
 
-    def token_of(self, term_id: int) -> str:
-        return self._tokens[term_id]
-
     def tokens(self) -> list[str]:
         return list(self._tokens)
 

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .corpus import text_lines
+from .corpus import ends_with_newline, text_lines
 
 
 class Qrels:
@@ -90,9 +90,9 @@ def ndcg_at_k(ranked_doc_ids, query_grades: dict[str, int], k: int) -> float:
     ordering comes from the query's judged grades."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ideal = sorted(query_grades.values(), reverse=True)[:k]
-    idcg = sum((2.0 ** g - 1.0) / math.log2(1.0 + r)
-               for r, g in enumerate(ideal, start=1))
+    idcg = 0.0  # a plain loop: sum() is compensated from Python 3.12 on
+    for rank, g in enumerate(sorted(query_grades.values(), reverse=True)[:k], start=1):
+        idcg += (2.0 ** g - 1.0) / math.log2(1.0 + rank)
     if idcg == 0.0:
         return 0.0
     dcg = 0.0
@@ -122,26 +122,16 @@ class MetricReport:
     k: int
     systems: dict[str, SystemMetrics] = field(default_factory=dict)
 
-    def merge(self, other: "MetricReport") -> "MetricReport":
-        if other.k != self.k:
-            raise ValueError("cannot merge reports at different depths")
-        merged = MetricReport(k=self.k, systems=dict(self.systems))
-        for name, metrics in other.systems.items():
-            if name in merged.systems:
-                raise ValueError(f"duplicate system {name!r}")
-            merged.systems[name] = metrics
-        return merged
-
 
 def evaluate_run(run: RankedRun, qrels: Qrels, k: int = 10,
-                 rel_threshold: int = 1, system: str | None = None,
-                 queries=None) -> MetricReport:
+                 rel_threshold: int = 1, queries=None) -> SystemMetrics:
     """MAP@k and NDCG@k averaged over `queries`, by default the run's own.
 
     A query the run lacks scores AP = NDCG = 0 (trec_eval -c) and is
-    counted in `missing`; a run query outside `queries` is an error.
+    counted in `missing`; a run query outside `queries` is an error. Both
+    means add left to right, not by sum(), so they do not depend on the
+    Python version.
     """
-    name = system if system is not None else run.tag
     in_run = set(run.queries())
     for qid in sorted(in_run):
         if not qrels.has_query(qid):
@@ -162,14 +152,13 @@ def evaluate_run(run: RankedRun, qrels: Qrels, k: int = 10,
         )
     if not per_query:
         raise ValueError("run has no queries")
+    ap_sum = ndcg_sum = 0.0
+    for q in per_query.values():
+        ap_sum += q.ap
+        ndcg_sum += q.ndcg
     n = len(per_query)
-    metrics = SystemMetrics(
-        map_at_k=sum(q.ap for q in per_query.values()) / n,
-        ndcg_at_k=sum(q.ndcg for q in per_query.values()) / n,
-        per_query=per_query,
-        missing=n - len(in_run),
-    )
-    return MetricReport(k=k, systems={name: metrics})
+    return SystemMetrics(map_at_k=ap_sum / n, ndcg_at_k=ndcg_sum / n,
+                         per_query=per_query, missing=n - len(in_run))
 
 
 def comparison_table(report: MetricReport, notes=()) -> str:
@@ -263,6 +252,11 @@ def write_run(run: RankedRun, path) -> None:
 
 
 def read_run(path) -> RankedRun:
+    """A run file as write_run writes it. A last line without its newline
+    raises ValueError naming the path: a file cut inside its last line can
+    still parse, with the tag or a doc id cut short."""
+    if not ends_with_newline(path):
+        raise ValueError(f"{path}: last line has no newline; the file is cut short")
     rankings: dict[str, list[tuple[str, float]]] = {}
     tag = "run"
     with text_lines(path) as lines:

@@ -7,7 +7,6 @@ from .corpus import Corpus
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
-DEFAULT_TOP_K = 500
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ def vsm_score(query_tokens, qa_id: str, index: InvertedIndex) -> float:
     return dot / (math.sqrt(q_norm_sq) * d_norm)
 
 
-def retrieve_candidates(query_tokens, index: InvertedIndex, k: int = DEFAULT_TOP_K,
+def retrieve_candidates(query_tokens, index: InvertedIndex, k: int,
                         k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[ScoredCandidate]:
     """Top-k pairs by BM25; ties broken by ascending qa_id. Docs sharing no
     term with the query are not returned."""

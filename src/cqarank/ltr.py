@@ -11,7 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import text_lines
+from .corpus import ends_with_newline, text_lines
+from .evaluation import ndcg_at_k
 
 LEAF_RIDGE = 1e-9
 MIN_SPLIT_GAIN = 1e-12
@@ -31,11 +32,11 @@ class RankingInstance:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    trees: int = 50
-    leaves: int = 4
-    learning_rate: float = 0.2
-    min_leaf_instances: int = 30
-    ndcg_truncation: int = 10
+    trees: int
+    leaves: int
+    learning_rate: float
+    min_leaf_instances: int
+    ndcg_truncation: int
 
     def __post_init__(self) -> None:
         if min(self.trees, self.leaves, self.min_leaf_instances,
@@ -72,10 +73,6 @@ class RegressionTree:
         self.left[node] = left
         self.right[node] = right
         self.value[node] = 0.0
-
-    @property
-    def leaf_count(self) -> int:
-        return sum(1 for f in self.feature if f == -1)
 
     def _node_arrays(self, size: int) -> tuple[np.ndarray, ...]:
         """(feature, threshold, left, right, value) padded with leaves to
@@ -273,20 +270,6 @@ def _ideal_dcg(labels: np.ndarray, k: int) -> float:
     return float((gains * discounts).sum())
 
 
-def ndcg_of_scores(scores, labels, k: int) -> float:
-    """NDCG@k of ranking `labels` by descending `scores` (graded gains)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    idcg = _ideal_dcg(labels, k)
-    if idcg == 0.0:
-        return 0.0
-    pos = _ranked_positions(scores)
-    mask = pos <= k
-    gains = (2.0 ** labels[mask]) - 1.0
-    dcg = float((gains / np.log2(1.0 + pos[mask])).sum())
-    return dcg / idcg
-
-
 def compute_lambdas(scores, labels, truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise lambda gradients and hessians for one query.
 
@@ -410,9 +393,13 @@ def fit_tree(X, lambdas, hessians, max_leaves: int, min_leaf: int) -> Regression
     return tree
 
 
-def train(dataset, config: TrainConfig = TrainConfig(), seed: int = 0) -> LambdaMARTModel:
+def train(dataset, config: TrainConfig, seed: int = 0) -> LambdaMARTModel:
     """Boost `config.trees` rounds of lambda-gradient trees over the pooled
-    per-query rows. Deterministic given the dataset order."""
+    per-query rows. Deterministic given the dataset order.
+
+    After each tree, `training_ndcg` gets the mean over queries of
+    `ndcg_at_k`, the measure the report uses, of the rows ranked by
+    descending score (ties in input order)."""
     dataset = list(dataset)
     if not dataset:
         raise ValueError("empty dataset")
@@ -429,6 +416,8 @@ def train(dataset, config: TrainConfig = TrainConfig(), seed: int = 0) -> Lambda
     for i, inst in enumerate(dataset):
         groups.setdefault(inst.query_id, []).append(i)
     group_idx = [np.array(rows, dtype=np.int64) for rows in groups.values()]
+    # each query's grades, keyed by its rows' positions within the query
+    group_grades = [dict(enumerate(labels[rows].tolist())) for rows in group_idx]
 
     scores = np.zeros(len(dataset), dtype=np.float64)
     trees: list[RegressionTree] = []
@@ -444,9 +433,9 @@ def train(dataset, config: TrainConfig = TrainConfig(), seed: int = 0) -> Lambda
         tree = fit_tree(X, lam, hess, config.leaves, config.min_leaf_instances)
         trees.append(tree)
         scores += config.learning_rate * tree.predict_matrix(X)
-        round_ndcg = float(np.mean(
-            [ndcg_of_scores(scores[rows], labels[rows], k) for rows in group_idx]))
-        training_ndcg.append(round_ndcg)
+        training_ndcg.append(float(np.mean([
+            ndcg_at_k(np.argsort(-scores[rows], kind="stable").tolist(), grades, k)
+            for rows, grades in zip(group_idx, group_grades)])))
 
     return LambdaMARTModel(trees=trees, shrinkage=config.learning_rate,
                            feature_count=n_features, config=config, seed=seed,
@@ -462,6 +451,11 @@ def write_letor(dataset, path) -> None:
 
 
 def read_letor(path) -> list[RankingInstance]:
+    """Rows as write_letor writes them. A last line without its newline
+    raises ValueError naming the path: a file cut inside its last line can
+    still parse, with the doc id cut short."""
+    if not ends_with_newline(path):
+        raise ValueError(f"{path}: last line has no newline; the file is cut short")
     dataset: list[RankingInstance] = []
     n_features = None
     with text_lines(path) as lines:

@@ -20,7 +20,8 @@ from .corpus import (Corpus, QueryRecord, ingest_corpus, load_corpus,
                      load_queries, save_corpus)
 from .evaluation import (MetricReport, Qrels, RankedRun, evaluate_run,
                          read_qrels, read_run, write_report, write_run)
-from .index import InvertedIndex, build_index, retrieve_candidates, vsm_score
+from .index import (DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index,
+                    retrieve_candidates, vsm_score)
 from .ltr import LambdaMARTModel, RankingInstance, TrainConfig, read_letor, train, write_letor
 from .quality import quality_feature
 # features_f1_f4 and score_* stay imported: per-layer tracing looks them up here
@@ -50,8 +51,8 @@ class PipelineConfig:
     mode: str = "whitespace"
     stopwords_path: str | None = None
     field: str = "question_and_answer"
-    k1: float = 1.2
-    b: float = 0.75
+    k1: float = DEFAULT_K1
+    b: float = DEFAULT_B
     top_k: int = 500
 
     em_iters: int = 10
@@ -417,6 +418,21 @@ def rank_queries(assets: ScoringAssets, queries: list[QueryRecord],
     return runs
 
 
+def evaluate_runs(runs, qrels: Qrels, depth: int, rel_threshold: int,
+                  queries=None) -> MetricReport:
+    """The evaluate stage of both run_pipeline and `cqarank evaluate`: the
+    report of each (system, run) pair in order, each run averaged over
+    `queries`, by default its own queries. A repeated system name is an
+    error."""
+    report = MetricReport(k=depth)
+    for system, run in runs:
+        if system in report.systems:
+            raise ValueError(f"duplicate system {system!r}")
+        report.systems[system] = evaluate_run(run, qrels, depth, rel_threshold,
+                                              queries)
+    return report
+
+
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute every stage; returns the report path. Raises PipelineError
     naming the failing stage."""
@@ -525,13 +541,9 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         # every judged test query counts; one missing from a run scores 0
         with open(split_path, encoding="utf-8") as f:
             judged = [q for q in json.load(f)["test"] if qrels.has_query(q)]
-        report = MetricReport(k=cfg.depth)
-        for system in cfg.systems:
-            run = read_run(run_paths[system])
-            report = report.merge(evaluate_run(run, qrels, cfg.depth,
-                                               cfg.rel_threshold, system=system,
-                                               queries=judged))
-        write_report(report, report_txt, report_jsonl)
+        runs = ((system, read_run(run_paths[system])) for system in cfg.systems)
+        write_report(evaluate_runs(runs, qrels, cfg.depth, cfg.rel_threshold,
+                                   judged), report_txt, report_jsonl)
 
     runner.run(
         "evaluate",

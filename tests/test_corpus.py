@@ -141,10 +141,10 @@ class TestIngest:
         records = [_rec(f"p{i}", f"a b w{i}", f"c w{i} w{i}") for i in range(6)]
         corpus_a = ingest_corpus(qa_file(records, "fwd.jsonl"))
         corpus_b = ingest_corpus(qa_file(records[::-1], "rev.jsonl"))
-        by_token_a = {corpus_a.vocabulary.token_of(t): c
-                      for t, c in corpus_a.stats.frequencies.items()}
-        by_token_b = {corpus_b.vocabulary.token_of(t): c
-                      for t, c in corpus_b.stats.frequencies.items()}
+        tokens_a = corpus_a.vocabulary.tokens()
+        tokens_b = corpus_b.vocabulary.tokens()
+        by_token_a = {tokens_a[t]: c for t, c in corpus_a.stats.frequencies.items()}
+        by_token_b = {tokens_b[t]: c for t, c in corpus_b.stats.frequencies.items()}
         assert by_token_a == by_token_b
         assert corpus_a.stats.total_tokens == corpus_b.stats.total_tokens
 

@@ -4,12 +4,15 @@ import random
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from cqarank.evaluation import (MetricReport, Qrels, RankedRun, SystemMetrics,
                                 average_precision_at_k, comparison_table,
                                 evaluate_run, ndcg_at_k, read_qrels, read_run,
                                 report_records, write_qrels, write_run)
+from cqarank.pipeline import evaluate_runs
 
 
 class TestAveragePrecision:
@@ -96,26 +99,25 @@ class TestEvaluateRun:
         qrels = self._qrels()
         run = RankedRun(tag="sys")
         run.add_query("q1", [("d1", 2.0), ("d2", 1.0)])
-        report = evaluate_run(run, qrels, k=10)
-        assert report.systems["sys"].map_at_k == pytest.approx(1.0)
-        assert report.systems["sys"].ndcg_at_k == pytest.approx(1.0)
+        m = evaluate_run(run, qrels, k=10)
+        assert m.map_at_k == pytest.approx(1.0)
+        assert m.ndcg_at_k == pytest.approx(1.0)
 
     def test_mean_over_queries(self):
         qrels = self._qrels()
         run = RankedRun(tag="sys")
         run.add_query("q1", [("d1", 2.0), ("d2", 1.0)])      # AP 1.0
         run.add_query("q2", [("dx", 2.0), ("d3", 1.0)])      # AP 0.5
-        report = evaluate_run(run, qrels, k=10)
-        assert report.systems["sys"].map_at_k == pytest.approx(0.75)
+        assert evaluate_run(run, qrels, k=10).map_at_k == pytest.approx(0.75)
 
     def test_query_set_scores_missing_queries_zero(self):
         qrels = self._qrels()
         run = RankedRun(tag="sys")
         run.add_query("q1", [("d1", 2.0), ("d2", 1.0)])      # AP 1.0
-        m = evaluate_run(run, qrels, k=10, queries=["q1", "q2"]).systems["sys"]
+        m = evaluate_run(run, qrels, k=10, queries=["q1", "q2"])
         assert (m.map_at_k, m.ndcg_at_k, m.missing) == (0.5, 0.5, 1)
         assert (m.per_query["q2"].ap, m.per_query["q2"].ndcg) == (0.0, 0.0)
-        default = evaluate_run(run, qrels, k=10).systems["sys"]
+        default = evaluate_run(run, qrels, k=10)
         assert (default.map_at_k, default.missing) == (1.0, 0)
 
     def test_run_query_outside_query_set_rejected(self):
@@ -135,8 +137,7 @@ class TestEvaluateRun:
         qrels.add("q1", "d1", 0)
         run = RankedRun(tag="sys")
         run.add_query("q1", [("d1", 1.0)])
-        report = evaluate_run(run, qrels, k=10)
-        assert report.systems["sys"].per_query["q1"].flagged
+        assert evaluate_run(run, qrels, k=10).per_query["q1"].flagged
 
     def test_metrics_in_unit_interval(self):
         rng = random.Random(17)
@@ -148,8 +149,7 @@ class TestEvaluateRun:
                 qrels.add(f"q{q}", d, rng.choice([0, 1, 2]))
             scored = sorted(((rng.random(), d) for d in docs), reverse=True)
             run.add_query(f"q{q}", [(d, s) for s, d in scored])
-        report = evaluate_run(run, qrels, k=10)
-        m = report.systems["sys"]
+        m = evaluate_run(run, qrels, k=10)
         assert 0.0 <= m.map_at_k <= 1.0
         assert 0.0 <= m.ndcg_at_k <= 1.0
 
@@ -241,6 +241,66 @@ class TestRunIO:
             run.add_query("q1", [("d1", 0.1), ("d2", 0.9)])
 
 
+# ids and tags: no whitespace, as the run format needs
+_NAME = st.text("abcdefghijklmnopqrstuvwxyz0123456789+-_.", min_size=1, max_size=6)
+
+
+@st.composite
+def _runs(draw):
+    run = RankedRun(tag=draw(_NAME))
+    for qid in draw(st.lists(_NAME, min_size=1, max_size=3, unique=True)):
+        docs = draw(st.lists(_NAME, min_size=1, max_size=4, unique=True))
+        scores = draw(st.lists(st.floats(allow_nan=False), min_size=len(docs),
+                               max_size=len(docs)))
+        run.add_query(qid, list(zip(docs, sorted(scores, reverse=True))))
+    return run
+
+
+_PROPERTY = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestRunRoundTripProperties:
+    @_PROPERTY
+    @given(run=_runs())
+    def test_write_read_write_is_byte_identical(self, tmp_path_factory, run):
+        path = tmp_path_factory.mktemp("rt") / "run.txt"
+        write_run(run, path)
+        saved = path.read_bytes()
+        loaded = read_run(path)
+        assert loaded.tag == run.tag
+        assert {q: loaded.ranking(q) for q in loaded.queries()} == \
+            {q: run.ranking(q) for q in run.queries()}
+        write_run(loaded, path)
+        assert path.read_bytes() == saved
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run=_runs())
+    def test_every_cut_raises_or_is_a_line_prefix(self, tmp_path_factory, run):
+        """A cut inside a line can still parse, with the tag or a doc id cut
+        short, so only a cut at a line boundary may load."""
+        path = tmp_path_factory.mktemp("cut") / "run.txt"
+        write_run(run, path)
+        data = path.read_bytes()
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            try:
+                loaded = read_run(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                continue
+            assert cut == 0 or data[cut - 1:cut] == b"\n", cut
+            write_run(loaded, path)
+            assert path.read_bytes() == data[:cut]
+
+    def test_missing_final_newline_names_path(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 0.9 t2lm+\nq1 Q0 d2 2 0.5 t2l")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: last line has no newline")):
+            read_run(path)
+
+
 class TestReport:
     # published MAPs from the comparison the report format mirrors,
     # used purely as formatting fixtures
@@ -262,18 +322,36 @@ class TestReport:
         assert "+3.34" in text    # t2lm+ over t2lm
         assert "N/A" in text
 
-    def test_merge_and_records(self):
-        r1 = MetricReport(k=10, systems={"a": SystemMetrics(0.5, 0.6)})
-        r2 = MetricReport(k=10, systems={"b": SystemMetrics(0.7, 0.8)})
-        merged = r1.merge(r2)
-        records = report_records(merged)
+    def test_records_are_json(self):
+        report = MetricReport(k=10, systems={"a": SystemMetrics(0.5, 0.6),
+                                             "b": SystemMetrics(0.7, 0.8)})
+        records = report_records(report)
         systems = [r for r in records if r["type"] == "system"]
-        assert {r["system"] for r in systems} == {"a", "b"}
+        assert [r["system"] for r in systems] == ["a", "b"]
         for rec in records:
             json.dumps(rec)  # serializable
 
-    def test_merge_depth_mismatch(self):
-        r1 = MetricReport(k=10)
-        r2 = MetricReport(k=5)
-        with pytest.raises(ValueError):
-            r1.merge(r2)
+
+class TestEvaluateRuns:
+    def _qrels(self):
+        qrels = Qrels()
+        qrels.add("q1", "d1", 2)
+        qrels.add("q2", "d2", 1)
+        return qrels
+
+    def test_one_report_in_run_order(self):
+        good, bad = RankedRun(tag="good"), RankedRun(tag="bad")
+        good.add_query("q1", [("d1", 1.0)])
+        bad.add_query("q1", [("d9", 1.0)])
+        report = evaluate_runs([("z", good), ("a", bad)], self._qrels(), 10, 1,
+                               queries=["q1", "q2"])
+        assert report.k == 10 and list(report.systems) == ["z", "a"]
+        assert report.systems["z"] == evaluate_run(good, self._qrels(), 10, 1,
+                                                   ["q1", "q2"])
+        assert (report.systems["z"].map_at_k, report.systems["a"].map_at_k) == (0.5, 0.0)
+
+    def test_repeated_system_rejected(self):
+        run = RankedRun(tag="sys")
+        run.add_query("q1", [("d1", 1.0)])
+        with pytest.raises(ValueError, match="duplicate system 'sys'"):
+            evaluate_runs([(run.tag, run), (run.tag, run)], self._qrels(), 10, 1)

@@ -1,14 +1,22 @@
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from cqarank.evaluation import Qrels, RankedRun, evaluate_run
 from cqarank.ltr import (LambdaMARTModel, RankingInstance, RegressionTree,
-                         TrainConfig, compute_lambdas, fit_tree,
-                         ndcg_of_scores, read_letor, train, write_letor)
+                         TrainConfig, compute_lambdas, fit_tree, read_letor,
+                         train, write_letor)
 from reference_scoring import model_score, tree_value
+
+# the stock configuration; a test that needs other values replaces them
+CONFIG = TrainConfig(trees=50, leaves=4, learning_rate=0.2,
+                     min_leaf_instances=30, ndcg_truncation=10)
 
 
 def make_separable_dataset(n_queries=20, docs_per_query=10, seed=42):
@@ -74,7 +82,7 @@ class TestFitTree:
         lam = np.full(4, 2.0)
         hess = np.full(4, 1.0)
         tree = fit_tree(X, lam, hess, max_leaves=4, min_leaf=1)
-        assert tree.leaf_count == 1
+        assert tree.feature.count(-1) == 1
         assert tree.predict_matrix([[0.5]]).tolist() == pytest.approx([8.0 / (4.0 + 1e-9)])
 
     def test_perfect_split_at_midpoint(self):
@@ -82,7 +90,7 @@ class TestFitTree:
         lam = np.array([-1.0, -1.0, 1.0, 1.0])
         hess = np.full(4, 1.0)
         tree = fit_tree(X, lam, hess, max_leaves=2, min_leaf=1)
-        assert tree.leaf_count == 2
+        assert tree.feature.count(-1) == 2
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(0.5)
         low, high = tree.predict_matrix([[0.1], [0.9]])
@@ -94,7 +102,7 @@ class TestFitTree:
         lam = rng.randn(200)
         hess = np.abs(rng.rand(200)) + 0.1
         tree = fit_tree(X, lam, hess, max_leaves=4, min_leaf=5)
-        assert tree.leaf_count <= 4
+        assert tree.feature.count(-1) <= 4
 
     def test_min_leaf_respected(self):
         rng = np.random.RandomState(1)
@@ -103,34 +111,30 @@ class TestFitTree:
         hess = np.ones(40)
         tree = fit_tree(X, lam, hess, max_leaves=8, min_leaf=15)
         # only one split can satisfy 15/15
-        assert tree.leaf_count <= 2
+        assert tree.feature.count(-1) <= 2
 
     def test_fewer_rows_than_min_leaf(self):
         X = np.array([[0.0], [1.0]])
         tree = fit_tree(X, np.array([1.0, -1.0]), np.ones(2),
                         max_leaves=4, min_leaf=30)
-        assert tree.leaf_count == 1
+        assert tree.feature.count(-1) == 1
 
 
 class TestTraining:
     def test_separable_dataset_reaches_perfect_ndcg(self):
         dataset = make_separable_dataset()
-        config = TrainConfig(trees=50, leaves=4, learning_rate=0.2,
-                             min_leaf_instances=30, ndcg_truncation=10)
-        model = train(dataset, config, seed=0)
+        model = train(dataset, CONFIG, seed=0)
         assert model.training_ndcg[-1] == pytest.approx(1.0)
 
     def test_training_ndcg_nearly_monotone(self):
         dataset = make_separable_dataset()
-        model = train(dataset, TrainConfig(), seed=0)
+        model = train(dataset, CONFIG, seed=0)
         for prev, cur in zip(model.training_ndcg, model.training_ndcg[1:]):
             assert cur >= prev - 0.01
 
     def test_config_echo(self):
         dataset = make_separable_dataset(n_queries=8)
-        config = TrainConfig(trees=50, leaves=4, learning_rate=0.2,
-                             min_leaf_instances=30)
-        model = train(dataset, config, seed=0)
+        model = train(dataset, CONFIG, seed=0)
         assert (model.config.trees, model.config.leaves,
                 model.config.learning_rate,
                 model.config.min_leaf_instances) == (50, 4, 0.2, 30)
@@ -141,8 +145,7 @@ class TestTraining:
             RankingInstance("q0", "d0", (1.0, 0.0), 2),
             RankingInstance("q0", "d1", (0.0, 1.0), 0),
         ]
-        config = TrainConfig(trees=10, leaves=2, learning_rate=0.2,
-                             min_leaf_instances=1)
+        config = replace(CONFIG, trees=10, leaves=2, min_leaf_instances=1)
         model = train(dataset, config, seed=0)
         assert model.predict((1.0, 0.0)) > model.predict((0.0, 1.0))
 
@@ -150,11 +153,33 @@ class TestTraining:
         dataset = [RankingInstance("q0", "d0", (0.1,), 1),
                    RankingInstance("q1", "d1", (0.2,), 1)]
         with pytest.raises(ValueError, match="no preference signal"):
-            train(dataset, TrainConfig(), seed=0)
+            train(dataset, CONFIG, seed=0)
+
+    def test_training_ndcg_is_the_reports_ndcg(self):
+        """Each tree's training NDCG is the report's NDCG@k of the training
+        rows ranked by the model so far, ties in row order."""
+        rng = random.Random(8)
+        dataset = [RankingInstance(f"q{q}", f"d{d}", (rng.random(), rng.random()),
+                                   rng.choice([0, 0, 1, 2]))
+                   for q in range(12) for d in range(rng.randint(1, 25))]
+        for trees in (1, 6):
+            model = train(dataset, replace(CONFIG, trees=trees, min_leaf_instances=5),
+                          seed=0)
+            qrels, run = Qrels(), RankedRun()
+            scores = model.predict_matrix([inst.features for inst in dataset])
+            for q in dict.fromkeys(inst.query_id for inst in dataset):
+                rows = [i for i, inst in enumerate(dataset) if inst.query_id == q]
+                for i in rows:
+                    qrels.add(q, dataset[i].doc_id, dataset[i].label)
+                rows.sort(key=lambda i: -scores[i])
+                run.add_query(q, [(dataset[i].doc_id, float(scores[i])) for i in rows])
+            report = evaluate_run(run, qrels, CONFIG.ndcg_truncation)
+            assert model.training_ndcg[-1] == pytest.approx(report.ndcg_at_k,
+                                                            rel=1e-12, abs=0.0)
 
     def test_deterministic(self):
         dataset = make_separable_dataset(n_queries=6)
-        config = TrainConfig(trees=10, min_leaf_instances=10)
+        config = replace(CONFIG, trees=10, min_leaf_instances=10)
         m1 = train(dataset, config, seed=0)
         m2 = train(dataset, config, seed=0)
         for t1, t2 in zip(m1.trees, m2.trees):
@@ -164,25 +189,25 @@ class TestTraining:
 class TestPredict:
     def test_empty_model_scores_zero(self):
         model = LambdaMARTModel(trees=[], shrinkage=0.2, feature_count=3,
-                                config=TrainConfig(), seed=0)
+                                config=CONFIG, seed=0)
         assert model.predict((0.0, 0.0, 0.0)) == 0.0
 
     def test_single_leaf_shrinkage(self):
         tree = RegressionTree()
         tree._add_leaf(5.0)
         model = LambdaMARTModel(trees=[tree], shrinkage=0.2, feature_count=2,
-                                config=TrainConfig(), seed=0)
+                                config=CONFIG, seed=0)
         assert model.predict((0.1, 0.2)) == pytest.approx(1.0)
 
     def test_repeatable(self):
         dataset = make_separable_dataset(n_queries=5)
-        model = train(dataset, TrainConfig(trees=5, min_leaf_instances=10), seed=0)
+        model = train(dataset, replace(CONFIG, trees=5, min_leaf_instances=10), seed=0)
         x = (0.7, 0.1, 0.9)
         assert model.predict(x) == model.predict(x)
 
     def test_length_mismatch(self):
         model = LambdaMARTModel(trees=[], shrinkage=0.2, feature_count=3,
-                                config=TrainConfig(), seed=0)
+                                config=CONFIG, seed=0)
         with pytest.raises(ValueError):
             model.predict((1.0,))
         with pytest.raises(ValueError):
@@ -190,8 +215,8 @@ class TestPredict:
 
     def test_matrix_equals_per_row_predict(self):
         dataset = make_separable_dataset(n_queries=12)
-        model = train(dataset, TrainConfig(trees=12, leaves=6,
-                                           min_leaf_instances=5), seed=0)
+        model = train(dataset, replace(CONFIG, trees=12, leaves=6,
+                                       min_leaf_instances=5), seed=0)
         rng = random.Random(5)
         rows = [list(inst.features) for inst in dataset]
         # rows sitting exactly on a split threshold, and just either side
@@ -215,16 +240,6 @@ class TestPredict:
         for tree in model.trees:
             assert tree.predict_matrix(X).tolist() == [tree_value(tree, x) for x in rows]
         assert model.predict_matrix(np.zeros((0, 3))).shape == (0,)
-
-
-class TestNDCGHelper:
-    def test_perfect_and_inverted(self):
-        assert ndcg_of_scores([3.0, 2.0, 1.0], [2, 1, 0], 10) == pytest.approx(1.0)
-        inverted = ndcg_of_scores([1.0, 2.0, 3.0], [2, 1, 0], 10)
-        assert inverted < 1.0
-
-    def test_all_zero_labels(self):
-        assert ndcg_of_scores([1.0, 2.0], [0, 0], 10) == 0.0
 
 
 class TestLetorIO:
@@ -282,10 +297,65 @@ class TestLetorIO:
         assert read_letor(path) == dataset
 
 
+# ids: no whitespace and no '#', as the LETOR format needs
+_NAME = st.text("abcdefghijklmnopqrstuvwxyz0123456789:+-_.", min_size=1, max_size=6)
+
+
+@st.composite
+def _letor_rows(draw):
+    n_features = draw(st.integers(1, 3))
+    return draw(st.lists(st.builds(
+        RankingInstance, query_id=_NAME, doc_id=_NAME,
+        features=st.tuples(*[st.floats(allow_nan=False)] * n_features),
+        label=st.sampled_from([0, 1, 2])), min_size=1, max_size=5))
+
+
+_PROPERTY = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestLetorRoundTripProperties:
+    @_PROPERTY
+    @given(rows=_letor_rows())
+    def test_write_read_write_is_byte_identical(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("rt") / "rows.letor"
+        write_letor(rows, path)
+        saved = path.read_bytes()
+        assert read_letor(path) == rows
+        write_letor(read_letor(path), path)
+        assert path.read_bytes() == saved
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=_letor_rows())
+    def test_every_cut_raises_or_is_a_line_prefix(self, tmp_path_factory, rows):
+        """A cut inside a line can still parse, with the doc id cut short,
+        so only a cut at a line boundary may load."""
+        path = tmp_path_factory.mktemp("cut") / "rows.letor"
+        write_letor(rows, path)
+        data = path.read_bytes()
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            try:
+                loaded = read_letor(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                continue
+            assert cut == 0 or data[cut - 1:cut] == b"\n", cut
+            write_letor(loaded, path)
+            assert path.read_bytes() == data[:cut]
+
+    def test_missing_final_newline_names_path(self, tmp_path):
+        path = tmp_path / "rows.letor"
+        path.write_text("1 qid:1 1:0.5 #d12\n0 qid:1 1:0.25 #d1")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: last line has no newline")):
+            read_letor(path)
+
+
 class TestModelSerialization:
     def test_round_trip_predictions(self, tmp_path):
         dataset = make_separable_dataset(n_queries=6)
-        model = train(dataset, TrainConfig(trees=8, min_leaf_instances=10), seed=3)
+        model = train(dataset, replace(CONFIG, trees=8, min_leaf_instances=10), seed=3)
         path = tmp_path / "model.txt"
         model.save(path)
         loaded = LambdaMARTModel.load(path)
@@ -313,7 +383,7 @@ class TestModelSerialization:
         """Every cut of a saved model, at a line boundary or inside a line,
         raises ValueError naming the file."""
         dataset = make_separable_dataset(n_queries=6)
-        model = train(dataset, TrainConfig(trees=2, min_leaf_instances=10), seed=3)
+        model = train(dataset, replace(CONFIG, trees=2, min_leaf_instances=10), seed=3)
         full = tmp_path / "model.txt"
         model.save(full)
         text = full.read_text()

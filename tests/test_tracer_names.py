@@ -1,8 +1,9 @@
 """The benchmark's per-layer tracer (cqabench/tracing.py) replaces cqarank
 names by (owner, attribute). A renamed or removed name would stop it from
-installing, so every one of them must still resolve; and its work counters
+installing, so every one of them must still resolve; its work counters
 read the traced calls' arguments by parameter name, so those names must
-still be parameters."""
+still be parameters; and a call moved out of the traced namespace would
+leave its metric reading 0, so a traced run must still call each name."""
 
 import ast
 import inspect
@@ -11,6 +12,8 @@ import textwrap
 from pathlib import Path
 
 import cqarank.pipeline as pipeline
+from cqarank.corpus import load_queries
+from cqarank.synth import SynthSpec, write_synth
 from cqarank.translation import ParallelPair
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "cqabench"))
@@ -81,3 +84,31 @@ def test_work_counters_count_traced_calls():
     work = {name: entry[2] for (_, name), entry in tracer.table.items()}
     assert work == {"translation.train_ibm1": 2 * 3, "topics.train_lda": 5 * 4,
                     "topics.infer": 2 * (2 + 3)}
+
+
+def test_a_traced_run_calls_every_live_name(tmp_path):
+    """A pipeline run and one served query, as the benchmark runs them,
+    call every traced name but those the serving path left: it scores a
+    candidate list from one ComponentTable and one predict_matrix call."""
+    data = write_synth(SynthSpec(size=50, topics=3, seed=1), tmp_path / "data")
+    cfg = pipeline.PipelineConfig(
+        qa_path=str(data["qa"]), users_path=str(data["users"]),
+        queries_path=str(data["queries"]), qrels_path=str(data["qrels"]),
+        outdir=str(tmp_path / "exp"), topics=3, gibbs_iters=20, trees=5)
+    exp = tmp_path / "exp"
+    with tracing.Tracer().installed() as tracer:
+        pipeline.run_pipeline(cfg)
+        corpus = pipeline.load_corpus(exp / "corpus.json")
+        assets = pipeline.ScoringAssets(
+            corpus=corpus, index=pipeline.build_index(corpus, cfg.field),
+            table=pipeline.TranslationTable.load(exp / "translation.tsv"),
+            model=pipeline.TopicModel.load(exp / "topics.txt"), cfg=cfg,
+            ranker=pipeline.LambdaMARTModel.load(exp / "ranker.txt"))
+        query = load_queries(cfg.queries_path, corpus.vocabulary, cfg.mode)[0]
+        prepared = pipeline.prepare_query(assets, query)
+        assert pipeline.system_ranking("t2lm+5", assets, prepared)
+    called = {name for _, name in tracer.table}
+    never = {name for _, _, name, _ in tracing.FUNCTIONS} - called
+    assert never == {"ltr.predict", "relevance.f1f4", "relevance.score_lm",
+                     "relevance.score_tlm", "relevance.score_t2lm",
+                     "relevance.score_t2lm_plus"}
