@@ -10,6 +10,10 @@ import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+
+# Criterion 1: each translation table or topic model row sums to 1 within this.
+ROW_SUM_TOLERANCE = 1e-9
 
 
 @contextmanager
@@ -91,9 +95,6 @@ class Vocabulary:
     def intern_all(self, tokens) -> tuple[int, ...]:
         return tuple(self.intern(t) for t in tokens)
 
-    def id_of(self, token: str) -> int | None:
-        return self._id_of.get(token)
-
     def tokens(self) -> list[str]:
         return list(self._tokens)
 
@@ -150,9 +151,6 @@ class Corpus:
 
     def pair(self, qa_id: str) -> QAPair:
         return self._by_id[qa_id]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
     def best_answer_count(self, user_id: str) -> int:
         rec = self.users.get(user_id)
@@ -313,9 +311,17 @@ def save_corpus(corpus: Corpus, path) -> None:
         f.write("\n")
 
 
+def _list_of(value, kind) -> bool:
+    """Whether `value` is a list of exactly `kind` (an int list holds no bools)."""
+    return type(value) is list and set(map(type, value)) <= {kind}
+
+
 def load_corpus(path) -> Corpus:
-    """Read a corpus written by save_corpus; a malformed file raises
-    ValueError naming the path."""
+    """Read a corpus written by save_corpus. A file that is not JSON, lacks
+    a key or breaks a rule of the format raises ValueError naming the path.
+    The rules: distinct string tokens; one non-negative int frequency per
+    token; token ids that are ints in [0, V); string pair and user ids;
+    non-negative int best-answer counts; no repeated pair or user."""
     with open(path, encoding="utf-8") as f:
         try:
             payload = json.load(f)
@@ -324,22 +330,39 @@ def load_corpus(path) -> Corpus:
     if not isinstance(payload, dict) or payload.get("format") != "cqarank-corpus-v1":
         raise ValueError(f"{path}: not a cqarank corpus file")
     try:
+        tokens, freq = payload["vocabulary"], payload["frequencies"]
+        if not _list_of(tokens, str):
+            raise ValueError("the vocabulary must be a list of strings")
         vocab = Vocabulary()
-        for token in payload["vocabulary"]:
-            vocab.intern(token)
-        stats = CollectionStats({i: c for i, c in enumerate(payload["frequencies"])
-                                 if c > 0})
-        pairs = [
-            QAPair(
-                id=rec["id"],
-                question_tokens=tuple(rec["q"]),
-                answer_tokens=tuple(rec["a"]),
-                asker_id=rec["asker"],
-                answerer_id=rec["answerer"],
-            )
-            for rec in payload["pairs"]
-        ]
-        users = {uid: UserRecord(uid, count) for uid, count in payload["users"]}
+        vocab.intern_all(tokens)
+        if len(vocab) != len(tokens):
+            raise ValueError("the vocabulary repeats a token")
+        if not (_list_of(freq, int) and len(freq) == len(tokens)
+                and min(freq, default=0) >= 0):
+            raise ValueError(f"frequencies must be {len(tokens)} non-negative integers")
+        stats = CollectionStats({i: c for i, c in enumerate(freq) if c > 0})
+        pairs = []
+        for rec in payload["pairs"]:
+            if not (type(rec["id"]) is type(rec["asker"]) is type(rec["answerer"]) is str
+                    and type(rec["q"]) is type(rec["a"]) is list):
+                raise ValueError("a pair needs string ids and token id lists")
+            pairs.append(QAPair(id=rec["id"], question_tokens=tuple(rec["q"]),
+                                answer_tokens=tuple(rec["a"]), asker_id=rec["asker"],
+                                answerer_id=rec["answerer"]))
+        size = len(vocab)
+        for pair in pairs:
+            for t in chain(pair.question_tokens, pair.answer_tokens):
+                if type(t) is not int or not 0 <= t < size:
+                    raise ValueError(f"token id {t!r} is not an integer in [0, {size})")
+        if len({p.id for p in pairs}) != len(pairs):
+            raise ValueError("repeated pair id")
+        users = {}
+        for uid, count in payload["users"]:
+            if type(uid) is not str or type(count) is not int or count < 0:
+                raise ValueError("a user needs a string id and a non-negative count")
+            if uid in users:
+                raise ValueError(f"repeated user {uid!r}")
+            users[uid] = UserRecord(uid, count)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

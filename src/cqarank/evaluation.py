@@ -123,8 +123,8 @@ class MetricReport:
     systems: dict[str, SystemMetrics] = field(default_factory=dict)
 
 
-def evaluate_run(run: RankedRun, qrels: Qrels, k: int = 10,
-                 rel_threshold: int = 1, queries=None) -> SystemMetrics:
+def evaluate_run(run: RankedRun, qrels: Qrels, k: int, rel_threshold: int,
+                 queries=None) -> SystemMetrics:
     """MAP@k and NDCG@k averaged over `queries`, by default the run's own.
 
     A query the run lacks scores AP = NDCG = 0 (trec_eval -c) and is
@@ -233,14 +233,6 @@ def read_qrels(path) -> Qrels:
                 raise ValueError(f"bad grade {parts[3]!r}") from None
             qrels.add(parts[0], parts[2], grade)
     return qrels
-
-
-def write_qrels(qrels: Qrels, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for qid in sorted(qrels.queries()):
-            judged = qrels.judged(qid)
-            for doc_id in sorted(judged):
-                f.write(f"{qid} 0 {doc_id} {judged[doc_id]}\n")
 
 
 def write_run(run: RankedRun, path) -> None:

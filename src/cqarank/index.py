@@ -13,7 +13,6 @@ DEFAULT_B = 0.75
 class ScoredCandidate:
     qa_id: str
     score: float
-    rank: int
 
 
 class InvertedIndex:
@@ -23,8 +22,7 @@ class InvertedIndex:
     for O(1) scoring lookups.
     """
 
-    def __init__(self, field: str) -> None:
-        self.field = field
+    def __init__(self) -> None:
         self._tf: dict[int, dict[str, int]] = {}
         self.doc_len: dict[str, int] = {}
         self.doc_count = 0
@@ -63,7 +61,7 @@ def build_index(corpus: Corpus, field: str = "question_and_answer") -> InvertedI
     """Index the selected field(s) of every pair. Deterministic."""
     if not corpus.pairs:
         raise ValueError("empty corpus")
-    index = InvertedIndex(field)
+    index = InvertedIndex()
     total_len = 0
     for pair in corpus.pairs:
         tokens = _field_tokens(pair, field)
@@ -142,4 +140,4 @@ def retrieve_candidates(query_tokens, index: InvertedIndex, k: int,
             # query-side tf multiplies the per-term contribution
             scores[qa_id] = scores.get(qa_id, 0.0) + q_tf * contrib
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
-    return [ScoredCandidate(qa_id=d, score=s, rank=i + 1) for i, (d, s) in enumerate(ranked)]
+    return [ScoredCandidate(qa_id=d, score=s) for d, s in ranked]

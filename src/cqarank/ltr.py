@@ -6,6 +6,7 @@ orders everywhere, split ties broken by lowest feature index then lowest
 threshold.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -212,8 +213,9 @@ class LambdaMARTModel:
 
     @classmethod
     def load(cls, path) -> "LambdaMARTModel":
-        """Read a model written by save(). A malformed or truncated file
-        raises ValueError naming the path and line."""
+        """Read a model written by save(). A malformed or truncated file, a
+        split feature outside [0, feature_count), or a non-finite shrinkage,
+        threshold or leaf value raises ValueError naming the path and line."""
         with open(path, encoding="utf-8") as f:
             lines = f.read().split("\n")
         if lines[0] != "cqarank-lambdamart-v1":
@@ -237,6 +239,8 @@ class LambdaMARTModel:
                 raise ValueError("truncated line")
             (feature_count,) = take("feature_count", int)
             (shrinkage,) = take("shrinkage", float)
+            if not math.isfinite(shrinkage):
+                raise ValueError("shrinkage is not finite")
             config = TrainConfig(*take("config", int, int, float, int, int))
             (seed,) = take("seed", int)
             trees = []
@@ -244,8 +248,15 @@ class LambdaMARTModel:
                 n_lines = take("tree", int, int)[1]
                 if pos + n_lines > len(lines):
                     raise ValueError(f"tree {i} is truncated")
-                trees.append(RegressionTree.from_lines(lines[pos:pos + n_lines]))
-                pos += n_lines
+                tree = RegressionTree.from_lines(lines[pos:pos + n_lines])
+                for feat, left, *values in zip(tree.feature, tree.left,
+                                               tree.threshold, tree.value):
+                    pos += 1  # node n of a tree is its line n (preorder)
+                    if left >= 0 and not 0 <= feat < feature_count:
+                        raise ValueError(f"split feature {feat} outside [0, {feature_count})")
+                    if not all(map(math.isfinite, values)):
+                        raise ValueError("threshold or leaf value is not finite")
+                trees.append(tree)
             if pos < len(lines):
                 pos += 1
                 raise ValueError("unexpected line after the last tree")

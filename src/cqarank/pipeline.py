@@ -20,8 +20,8 @@ from .corpus import (Corpus, QueryRecord, ingest_corpus, load_corpus,
                      load_queries, save_corpus)
 from .evaluation import (MetricReport, Qrels, RankedRun, evaluate_run,
                          read_qrels, read_run, write_report, write_run)
-from .index import (DEFAULT_B, DEFAULT_K1, InvertedIndex, build_index,
-                    retrieve_candidates, vsm_score)
+from .index import (DEFAULT_B, DEFAULT_K1, InvertedIndex, ScoredCandidate,
+                    build_index, retrieve_candidates, vsm_score)
 from .ltr import LambdaMARTModel, RankingInstance, TrainConfig, read_letor, train, write_letor
 from .quality import quality_feature
 # features_f1_f4 and score_* stay imported: per-layer tracing looks them up here
@@ -263,8 +263,6 @@ def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
 def _pad(candidates, corpus: Corpus, cfg: PipelineConfig, query_id: str):
     """Top candidate lists shorter than PAD_TO get random extra pairs, the
     protocol's labeling-workload padding."""
-    from .index import ScoredCandidate
-
     have = {c.qa_id for c in candidates}
     pool = sorted(p.id for p in corpus.pairs if p.id not in have)
     need = min(PAD_TO - len(candidates), len(pool))
@@ -272,11 +270,7 @@ def _pad(candidates, corpus: Corpus, cfg: PipelineConfig, query_id: str):
         return candidates
     rng = random.Random(query_scoring_seed(cfg.seed + 1, query_id))
     extras = rng.sample(pool, need)
-    padded = list(candidates)
-    for i, qa_id in enumerate(extras):
-        padded.append(ScoredCandidate(qa_id=qa_id, score=0.0,
-                                      rank=len(candidates) + i + 1))
-    return padded
+    return candidates + [ScoredCandidate(qa_id=qa_id, score=0.0) for qa_id in extras]
 
 
 def _feature_vectors(assets: ScoringAssets,
@@ -446,6 +440,12 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
                             "(qrels required to train or evaluate)")
     if not Path(cfg.qrels_path).exists():
         raise PipelineError(f"stage validate failed: missing qrels input {cfg.qrels_path}")
+    if not cfg.systems:
+        raise PipelineError("stage validate failed: no systems to rank")
+    for i, system in enumerate(cfg.systems):
+        if system not in _SCORERS or system in cfg.systems[:i]:
+            problem = "unknown" if system not in _SCORERS else "repeated"
+            raise PipelineError(f"stage validate failed: {problem} system {system!r}")
     cfg.mixture()  # validates the mu sum early
 
     outdir = Path(cfg.outdir)

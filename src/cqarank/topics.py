@@ -13,9 +13,7 @@ from operator import mul, truediv
 
 import numpy as np
 
-from .corpus import ends_with_newline, text_lines
-
-_ROW_SUM_TOLERANCE = 1e-9
+from .corpus import ROW_SUM_TOLERANCE, ends_with_newline, text_lines
 
 
 @dataclass
@@ -79,7 +77,7 @@ class TopicModel:
                 if row.shape[0] != v:
                     raise ValueError(f"phi row {z} has wrong length")
                 if not (np.all((row > 0) & (row < math.inf))
-                        and abs(row.sum() - 1.0) <= _ROW_SUM_TOLERANCE):
+                        and abs(row.sum() - 1.0) <= ROW_SUM_TOLERANCE):
                     raise ValueError(f"phi row {z} is not a distribution")
                 rows.append(row)
             if not complete:

@@ -11,14 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, ends_with_newline, text_lines
+from .corpus import ROW_SUM_TOLERANCE, Corpus, ends_with_newline, text_lines
 
 # Term ids are dense and non-negative; below 2**31 every key
 # source * width + target fits in an int64.
 _MAX_TERM_ID = 2**31 - 1
 _ENTRY = np.dtype([("t", np.int64), ("w", np.int64), ("p", np.float64)])
-# Criterion 1: every source row of a table sums to 1 within this.
-_ROW_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,6 @@ class TranslationTable:
         hit = (self._keys[at] == keys) & (w >= 0) & (w < self._width)
         out[hit] = self._prob[at[hit]]
         return out
-
-    def prob(self, w: int, t: int) -> float:
-        """Stored probability, 0.0 when (t, w) never co-occurred."""
-        return float(self._lookup(np.array(w, dtype=np.int64), np.array(t, dtype=np.int64)))
 
     def columns(self, targets, sources) -> np.ndarray:
         """P_tr(w|t) for every target w (rows) and source t (columns)."""
@@ -118,7 +112,7 @@ class TranslationTable:
             raise ValueError(f"{path}: {exc}") from None
         row_of_entry = np.repeat(np.arange(len(table)), np.diff(table._offsets))
         sums = np.bincount(row_of_entry, weights=table._prob, minlength=len(table))
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= _ROW_SUM_TOLERANCE))
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
         if len(bad):
             raise ValueError(f"{path}: source {int(table._rows[bad[0]])}: probabilities "
                              f"sum to {float(sums[bad[0]])!r}, not 1; the file may be cut short")

@@ -71,7 +71,7 @@ def score_tlm(query_tokens, q_tokens, table, stats):
     for w in query_tokens:
         trans = 0.0
         for t, p_t in q_dist.items():
-            trans += table.prob(w, t) * p_t
+            trans += table.row(t).get(w, 0.0) * p_t
         p = (1.0 - lam) * trans + lam * stats.prob(w)
         total += math.log(p)
     return total
@@ -91,7 +91,7 @@ def term_components(query_tokens, qa, table, model, tau, weight_of, stats):
         exact = weight_of(w) * q_dist.get(w, 0.0)
         trans = 0.0
         for t, p_t in q_dist.items():
-            trans += table.prob(w, t) * p_t
+            trans += table.row(t).get(w, 0.0) * p_t
         topic = float(u_w @ phi_q)
         answer = weight_of(w) * a_dist.get(w, 0.0)
         components.append((exact, trans, topic, answer, stats.prob(w)))

@@ -494,6 +494,18 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="missing qa input"):
             run_pipeline(cfg)
 
+    @pytest.mark.parametrize("systems, problem", [
+        ((), "no systems to rank"),
+        (("bm25", "bogus"), "unknown system 'bogus'"),
+        (("bm25", "lm", "bm25"), "repeated system 'bm25'"),
+    ])
+    def test_bad_systems_fail_before_any_stage(self, synth_data, tmp_path,
+                                               systems, problem):
+        cfg = small_pipeline_cfg(synth_data, tmp_path / "out", systems=systems)
+        with pytest.raises(PipelineError, match=f"stage validate failed: {problem}"):
+            run_pipeline(cfg)
+        assert not (tmp_path / "out" / "corpus.json").exists()
+
     def test_apply_existing_ranker(self, synth_data, tmp_path):
         first = small_pipeline_cfg(synth_data, tmp_path / "train_run")
         run_pipeline(first)

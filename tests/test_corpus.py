@@ -3,10 +3,12 @@ import random
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cqarank.corpus import (doc_distribution, ingest_corpus, load_corpus,
                             load_queries, save_corpus, tokenize)
-from conftest import write_jsonl
+from conftest import build_corpus, write_jsonl
 
 
 def _rec(pid, q, a, asker="u1", answerer="u2"):
@@ -175,7 +177,7 @@ class TestProbabilities:
 
     def test_collection_prob_direct(self, qa_file):
         corpus = ingest_corpus(qa_file([_rec("p1", "a a", "b")]))
-        a_id = corpus.vocabulary.id_of("a")
+        a_id = corpus.vocabulary.tokens().index("a")
         assert corpus.stats.prob(a_id) == pytest.approx(2 / 3)
 
     def test_collection_prob_unseen_floor(self, qa_file):
@@ -232,7 +234,7 @@ class TestArtifacts:
         queries = load_queries(qpath, corpus.vocabulary)
         assert len(queries) == 1
         assert len(corpus.vocabulary) == v_before + 1
-        assert queries[0].tokens[0] == corpus.vocabulary.id_of("a")
+        assert queries[0].tokens[0] == corpus.vocabulary.tokens().index("a")
 
     def test_load_queries_rejects_empty(self, tmp_path, qa_file):
         corpus = ingest_corpus(qa_file([_rec("p1", "a", "b")]))
@@ -265,3 +267,83 @@ class TestArtifacts:
         with pytest.raises(ValueError,
                            match=re.escape(f"{qpath}: line 2: {field!r} must be")):
             load_queries(qpath, corpus.vocabulary)
+
+
+_USERS = ("u1", "u2", "ü3")
+
+
+@st.composite
+def _corpora(draw):
+    """A corpus of 1-4 pairs over a small vocabulary, with any pair ids."""
+    ids = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    words = st.lists(st.sampled_from(["a", "bb", "c", "dé", "e"]), max_size=4)
+    specs = [(qa_id, " ".join(draw(words) or ["a"]), " ".join(draw(words)),
+              draw(st.sampled_from(_USERS)), draw(st.sampled_from(_USERS)))
+             for qa_id in ids]
+    return build_corpus(specs, draw(st.dictionaries(st.sampled_from(_USERS),
+                                                    st.integers(0, 50))))
+
+
+def _set_token(payload, value):
+    payload["pairs"][0]["q"][0] = value
+
+
+# each edit leaves valid JSON that breaks one rule of the format
+CORRUPTIONS = {
+    "token id past the vocabulary": lambda p: _set_token(p, len(p["vocabulary"])),
+    "negative token id": lambda p: _set_token(p, -1),
+    "bool token id": lambda p: _set_token(p, False),
+    "float token id": lambda p: _set_token(p, 0.0),
+    "question as a string": lambda p: p["pairs"][0].update(q="abc"),
+    "frequencies cut short": lambda p: p["frequencies"].pop(),
+    "negative frequency": lambda p: p["frequencies"].__setitem__(0, -1),
+    "repeated vocabulary token": lambda p: p["vocabulary"].append(p["vocabulary"][0]),
+    "numeric pair id": lambda p: p["pairs"][0].update(id=7),
+    "numeric asker": lambda p: p["pairs"][0].update(asker=1),
+    "repeated pair": lambda p: p["pairs"].append(p["pairs"][0]),
+    "negative best-answer count": lambda p: p["users"][0].__setitem__(1, -1),
+    "numeric user id": lambda p: p["users"][0].__setitem__(0, 3),
+    "repeated user": lambda p: p["users"].append(p["users"][0]),
+}
+
+_PROPERTY = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestCorpusFileProperties:
+    @_PROPERTY
+    @given(corpus=_corpora())
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, corpus):
+        path = tmp_path_factory.mktemp("rt") / "corpus.json"
+        save_corpus(corpus, path)
+        saved = path.read_bytes()
+        loaded = load_corpus(path)
+        assert loaded.pairs == corpus.pairs and loaded.users == corpus.users
+        save_corpus(loaded, path)
+        assert path.read_bytes() == saved
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(corpus=_corpora())
+    def test_every_cut_raises_but_the_final_newline(self, tmp_path_factory, corpus):
+        path = tmp_path_factory.mktemp("cut") / "corpus.json"
+        save_corpus(corpus, path)
+        data = path.read_bytes()
+        for cut in range(len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+                load_corpus(path)
+        path.write_bytes(data[:-1])
+        save_corpus(load_corpus(path), path)
+        assert path.read_bytes() == data
+
+    @_PROPERTY
+    @given(corpus=_corpora(), corruption=st.sampled_from(sorted(CORRUPTIONS)))
+    def test_each_corruption_names_the_path(self, tmp_path_factory, corpus, corruption):
+        path = tmp_path_factory.mktemp("bad") / "corpus.json"
+        save_corpus(corpus, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        CORRUPTIONS[corruption](payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed corpus: ")):
+            load_corpus(path)

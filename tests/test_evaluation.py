@@ -11,7 +11,7 @@ import oracle
 from cqarank.evaluation import (MetricReport, Qrels, RankedRun, SystemMetrics,
                                 average_precision_at_k, comparison_table,
                                 evaluate_run, ndcg_at_k, read_qrels, read_run,
-                                report_records, write_qrels, write_run)
+                                report_records, write_run)
 from cqarank.pipeline import evaluate_runs
 
 
@@ -99,7 +99,7 @@ class TestEvaluateRun:
         qrels = self._qrels()
         run = RankedRun(tag="sys")
         run.add_query("q1", [("d1", 2.0), ("d2", 1.0)])
-        m = evaluate_run(run, qrels, k=10)
+        m = evaluate_run(run, qrels, 10, 1)
         assert m.map_at_k == pytest.approx(1.0)
         assert m.ndcg_at_k == pytest.approx(1.0)
 
@@ -108,36 +108,36 @@ class TestEvaluateRun:
         run = RankedRun(tag="sys")
         run.add_query("q1", [("d1", 2.0), ("d2", 1.0)])      # AP 1.0
         run.add_query("q2", [("dx", 2.0), ("d3", 1.0)])      # AP 0.5
-        assert evaluate_run(run, qrels, k=10).map_at_k == pytest.approx(0.75)
+        assert evaluate_run(run, qrels, 10, 1).map_at_k == pytest.approx(0.75)
 
     def test_query_set_scores_missing_queries_zero(self):
         qrels = self._qrels()
         run = RankedRun(tag="sys")
         run.add_query("q1", [("d1", 2.0), ("d2", 1.0)])      # AP 1.0
-        m = evaluate_run(run, qrels, k=10, queries=["q1", "q2"])
+        m = evaluate_run(run, qrels, 10, 1, queries=["q1", "q2"])
         assert (m.map_at_k, m.ndcg_at_k, m.missing) == (0.5, 0.5, 1)
         assert (m.per_query["q2"].ap, m.per_query["q2"].ndcg) == (0.0, 0.0)
-        default = evaluate_run(run, qrels, k=10)
+        default = evaluate_run(run, qrels, 10, 1)
         assert (default.map_at_k, default.missing) == (1.0, 0)
 
     def test_run_query_outside_query_set_rejected(self):
         run = RankedRun(tag="sys")
         run.add_query("q1", [("d1", 1.0)])
         with pytest.raises(ValueError, match="outside the evaluated queries"):
-            evaluate_run(run, self._qrels(), k=10, queries=["q2"])
+            evaluate_run(run, self._qrels(), 10, 1, queries=["q2"])
 
     def test_unknown_query_rejected(self):
         run = RankedRun(tag="sys")
         run.add_query("mystery", [("d1", 1.0)])
         with pytest.raises(ValueError, match="unknown query"):
-            evaluate_run(run, self._qrels(), k=10)
+            evaluate_run(run, self._qrels(), 10, 1)
 
     def test_flagging_no_relevant(self):
         qrels = Qrels()
         qrels.add("q1", "d1", 0)
         run = RankedRun(tag="sys")
         run.add_query("q1", [("d1", 1.0)])
-        assert evaluate_run(run, qrels, k=10).per_query["q1"].flagged
+        assert evaluate_run(run, qrels, 10, 1).per_query["q1"].flagged
 
     def test_metrics_in_unit_interval(self):
         rng = random.Random(17)
@@ -149,7 +149,7 @@ class TestEvaluateRun:
                 qrels.add(f"q{q}", d, rng.choice([0, 1, 2]))
             scored = sorted(((rng.random(), d) for d in docs), reverse=True)
             run.add_query(f"q{q}", [(d, s) for s, d in scored])
-        m = evaluate_run(run, qrels, k=10)
+        m = evaluate_run(run, qrels, 10, 1)
         assert 0.0 <= m.map_at_k <= 1.0
         assert 0.0 <= m.ndcg_at_k <= 1.0
 
@@ -175,12 +175,9 @@ class TestQrelsIO:
         with pytest.raises(ValueError, match="line 1"):
             read_qrels(path)
 
-    def test_round_trip(self, tmp_path):
-        qrels = Qrels()
-        qrels.add("q2", "d1", 1)
-        qrels.add("q1", "d2", 2)
+    def test_reads_every_judgment(self, tmp_path):
         path = tmp_path / "qrels.txt"
-        write_qrels(qrels, path)
+        path.write_text("q1 0 d2 2\nq2 0 d1 1\n")
         loaded = read_qrels(path)
         assert loaded.judged("q1") == {"d2": 2}
         assert loaded.judged("q2") == {"d1": 1}

@@ -28,8 +28,8 @@ def _token_docs(corpus, field="question_and_answer"):
 class TestBuild:
     def test_postings(self, two_doc_corpus):
         index = build_index(two_doc_corpus)
-        a = two_doc_corpus.vocabulary.id_of("a")
-        b = two_doc_corpus.vocabulary.id_of("b")
+        a = two_doc_corpus.vocabulary.tokens().index("a")
+        b = two_doc_corpus.vocabulary.tokens().index("b")
         assert (index.df(a), index.tf(a, "d1"), index.tf(a, "d2")) == (1, 1, 0)
         assert (index.df(b), index.tf(b, "d1"), index.tf(b, "d2")) == (2, 1, 1)
 
@@ -64,7 +64,7 @@ class TestBM25:
 
     def test_matches_direct_formula(self, two_doc_corpus):
         index = build_index(two_doc_corpus)
-        a = two_doc_corpus.vocabulary.id_of("a")
+        a = two_doc_corpus.vocabulary.tokens().index("a")
         got = bm25_score([a], "d1", index, k1=1.2, b=0.75)
         want = oracle.bm25([a], _token_docs(two_doc_corpus), "d1", k1=1.2, b=0.75)
         assert got == pytest.approx(want, abs=1e-12)
@@ -78,7 +78,7 @@ class TestBM25:
             ("d3", "y z", "", "u1", "u2"),
         ])
         index = build_index(corpus)
-        a = corpus.vocabulary.id_of("a")
+        a = corpus.vocabulary.tokens().index("a")
         one = bm25_score([a], "d1", index)
         two = bm25_score([a], "d2", index)
         assert two > one
@@ -104,7 +104,7 @@ class TestVSM:
 
     def test_orthogonal_terms_score_zero(self, two_doc_corpus):
         index = build_index(two_doc_corpus)
-        a = two_doc_corpus.vocabulary.id_of("a")
+        a = two_doc_corpus.vocabulary.tokens().index("a")
         assert vsm_score([a], "d2", index) == 0.0
 
     def test_matches_direct_cosine(self):
@@ -114,8 +114,8 @@ class TestVSM:
         ])
         index = build_index(corpus)
         docs = _token_docs(corpus)
-        a = corpus.vocabulary.id_of("a")
-        b = corpus.vocabulary.id_of("b")
+        a = corpus.vocabulary.tokens().index("a")
+        b = corpus.vocabulary.tokens().index("b")
         for doc_id in ("d1", "d2"):
             got = vsm_score([a, b], doc_id, index)
             assert got == pytest.approx(oracle.vsm([a, b], docs, doc_id), abs=1e-12)
@@ -127,7 +127,7 @@ class TestRetrieve:
         corpus = build_corpus([(f"d{i}", f"common w{i}", "", "u1", "u2")
                                for i in range(10)])
         index = build_index(corpus)
-        common = corpus.vocabulary.id_of("common")
+        common = corpus.vocabulary.tokens().index("common")
         results = retrieve_candidates([common], index, k=500)
         assert len(results) == 10
 
@@ -138,7 +138,7 @@ class TestRetrieve:
             ("m5", "a", "", "u1", "u2"),
         ])
         index = build_index(corpus)
-        a = corpus.vocabulary.id_of("a")
+        a = corpus.vocabulary.tokens().index("a")
         results = retrieve_candidates([a], index, k=3)
         assert [r.qa_id for r in results] == ["a1", "m5", "z9"]
 
@@ -146,20 +146,20 @@ class TestRetrieve:
         index = build_index(two_doc_corpus)
         assert retrieve_candidates([777], index, k=5) == []
 
-    def test_sorted_with_matching_ranks(self):
+    def test_sorted_by_descending_score(self):
         corpus = build_corpus([(f"d{i}", "a " * (i + 1), "", "u1", "u2")
                                for i in range(6)])
         index = build_index(corpus)
-        a = corpus.vocabulary.id_of("a")
+        a = corpus.vocabulary.tokens().index("a")
         results = retrieve_candidates([a], index, k=4)
         scores = [r.score for r in results]
         assert scores == sorted(scores, reverse=True)
-        assert [r.rank for r in results] == [1, 2, 3, 4]
+        assert [r.qa_id for r in results] == ["d5", "d4", "d3", "d2"]
 
     def test_agrees_with_bm25_score(self, two_doc_corpus):
         index = build_index(two_doc_corpus)
-        a = two_doc_corpus.vocabulary.id_of("a")
-        b = two_doc_corpus.vocabulary.id_of("b")
+        a = two_doc_corpus.vocabulary.tokens().index("a")
+        b = two_doc_corpus.vocabulary.tokens().index("b")
         results = {r.qa_id: r.score for r in retrieve_candidates([a, b], index, k=10)}
         for doc_id, score in results.items():
             assert score == pytest.approx(bm25_score([a, b], doc_id, index), abs=1e-12)
@@ -175,8 +175,8 @@ class TestInvariance:
         specs = [(f"d{i}", f"a w{i} w{i}", f"b w{i}", "u1", "u2") for i in range(5)]
         fwd = build_corpus(specs)
         rev = build_corpus(specs[::-1])
-        q = [fwd.vocabulary.id_of("a"), fwd.vocabulary.id_of("b")]
-        q_rev = [rev.vocabulary.id_of("a"), rev.vocabulary.id_of("b")]
+        q = [fwd.vocabulary.tokens().index("a"), fwd.vocabulary.tokens().index("b")]
+        q_rev = [rev.vocabulary.tokens().index("a"), rev.vocabulary.tokens().index("b")]
         idx_fwd = build_index(fwd)
         idx_rev = build_index(rev)
         for pid in ("d0", "d3"):

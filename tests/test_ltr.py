@@ -173,7 +173,7 @@ class TestTraining:
                     qrels.add(q, dataset[i].doc_id, dataset[i].label)
                 rows.sort(key=lambda i: -scores[i])
                 run.add_query(q, [(dataset[i].doc_id, float(scores[i])) for i in rows])
-            report = evaluate_run(run, qrels, CONFIG.ndcg_truncation)
+            report = evaluate_run(run, qrels, CONFIG.ndcg_truncation, 1)
             assert model.training_ndcg[-1] == pytest.approx(report.ndcg_at_k,
                                                             rel=1e-12, abs=0.0)
 
@@ -407,3 +407,73 @@ class TestModelSerialization:
     def test_bad_node_lines_rejected(self, lines):
         with pytest.raises(ValueError):
             RegressionTree.from_lines(lines)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _models(draw):
+    """A model of 1-3 trees, each with at least one split, over 1-6
+    features."""
+    feature_count = draw(st.integers(1, 6))
+
+    def grow(tree, depth):
+        if depth < 2 and (depth == 0 or draw(st.booleans())):
+            node = tree._add_leaf(0.0)
+            feat, thr = draw(st.integers(0, feature_count - 1)), draw(_FINITE)
+            left, right = grow(tree, depth + 1), grow(tree, depth + 1)
+            tree._make_split(node, feat, thr, left, right)
+            return node
+        return tree._add_leaf(draw(_FINITE))
+
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        trees.append(RegressionTree())
+        grow(trees[-1], 0)
+    return LambdaMARTModel(
+        trees=trees, shrinkage=draw(st.floats(1e-3, 1.0)), feature_count=feature_count,
+        config=replace(CONFIG, trees=len(trees)), seed=draw(st.integers(0, 2**31 - 1)))
+
+
+# the edits the loader rejects: (prefix of the first line edited, index of
+# the field replaced, its new value given the model's feature_count)
+RANKER_CORRUPTIONS = {
+    "split feature -2": ("S ", 1, lambda n: -2),
+    "split feature -1": ("S ", 1, lambda n: -1),
+    "split feature feature_count": ("S ", 1, lambda n: n),
+    "split feature past feature_count": ("S ", 1, lambda n: n + 9),
+    "nan threshold": ("S ", 2, lambda n: "nan"),
+    "infinite threshold": ("S ", 2, lambda n: "-inf"),
+    "nan leaf": ("L ", 1, lambda n: "nan"),
+    "infinite leaf": ("L ", 1, lambda n: "inf"),
+    "nan shrinkage": ("shrinkage ", 1, lambda n: "nan"),
+    "infinite shrinkage": ("shrinkage ", 1, lambda n: "inf"),
+}
+
+
+class TestModelFileProperties:
+    @_PROPERTY
+    @given(model=_models())
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, model):
+        path = tmp_path_factory.mktemp("rt") / "ranker.txt"
+        model.save(path)
+        saved = path.read_bytes()
+        LambdaMARTModel.load(path).save(path)
+        assert path.read_bytes() == saved
+
+    @_PROPERTY
+    @given(model=_models(), corruption=st.sampled_from(sorted(RANKER_CORRUPTIONS)))
+    def test_each_corruption_names_path_and_line(self, tmp_path_factory, model,
+                                                 corruption):
+        path = tmp_path_factory.mktemp("bad") / "ranker.txt"
+        model.save(path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        prefix, field, value = RANKER_CORRUPTIONS[corruption]
+        at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        parts = lines[at].split()
+        parts[field] = str(value(model.feature_count))
+        lines[at] = " ".join(parts)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{at + 1}: ")):
+            LambdaMARTModel.load(path)

@@ -142,8 +142,8 @@ class TestTermWeights:
 def lm_setup():
     """P_ml(a|C) = 0.4 exactly: 4 of 10 corpus tokens are 'a'."""
     corpus = build_corpus([("p1", "a b", "a a a c c c c c", "u1", "u2")])
-    a = corpus.vocabulary.id_of("a")
-    b = corpus.vocabulary.id_of("b")
+    a = corpus.vocabulary.tokens().index("a")
+    b = corpus.vocabulary.tokens().index("b")
     return corpus, a, b
 
 
@@ -249,7 +249,7 @@ class TestReductions:
 class TestMixedScorers:
     def test_direct_term_value(self):
         corpus = build_corpus([("p1", "a b", "", "u1", "u2")])
-        a = corpus.vocabulary.id_of("a")
+        a = corpus.vocabulary.tokens().index("a")
         pair = corpus.pair("p1")
         model = _uniform_model(vocab_size=len(corpus.vocabulary))
         table = identity_table([a])
@@ -292,8 +292,8 @@ class TestMixedScorers:
         for corpus_obj in (low, high):
             corpus_obj.vocabulary.intern("pad")
         model = _uniform_model(vocab_size=3)
-        a_low = low.vocabulary.id_of("a")
-        a_high = high.vocabulary.id_of("a")
+        a_low = low.vocabulary.tokens().index("a")
+        a_high = high.vocabulary.tokens().index("a")
         s_low = score_t2lm([a_low], low.pair("p1"), mu, identity_table([a_low]),
                            model, low.stats)
         s_high = score_t2lm([a_high], high.pair("p1"), mu,
@@ -401,8 +401,8 @@ class TestRankCandidates:
         assets = ScoringAssets(corpus=corpus, index=build_index(corpus),
                                table=toy["table"], model=toy["model"],
                                cfg=PipelineConfig(qa_path="", queries_path=""))
-        candidates = [ScoredCandidate(qa_id=qa_id, score=score, rank=i + 1)
-                      for i, (qa_id, score) in enumerate(scores.items())]
+        candidates = [ScoredCandidate(qa_id=qa_id, score=score)
+                      for qa_id, score in scores.items()]
         prepared = PreparedQuery(record=QueryRecord(id="q", tokens=(0,)),
                                  candidates=candidates, theta=None, weights={})
         return system_ranking("bm25", assets, prepared)
