@@ -12,6 +12,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
+import numpy as np
+
 # Criterion 1: each translation table or topic model row sums to 1 within this.
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -319,9 +321,10 @@ def _list_of(value, kind) -> bool:
 def load_corpus(path) -> Corpus:
     """Read a corpus written by save_corpus. A file that is not JSON, lacks
     a key or breaks a rule of the format raises ValueError naming the path.
-    The rules: distinct string tokens; one non-negative int frequency per
-    token; token ids that are ints in [0, V); string pair and user ids;
-    non-negative int best-answer counts; no repeated pair or user."""
+    The rules: distinct string tokens; one int frequency per token, its
+    count in the pairs' questions and answers; token ids that are ints in
+    [0, V); string pair and user ids; non-negative int best-answer counts;
+    no repeated pair or user."""
     with open(path, encoding="utf-8") as f:
         try:
             payload = json.load(f)
@@ -350,10 +353,13 @@ def load_corpus(path) -> Corpus:
                                 answer_tokens=tuple(rec["a"]), asker_id=rec["asker"],
                                 answerer_id=rec["answerer"]))
         size = len(vocab)
-        for pair in pairs:
-            for t in chain(pair.question_tokens, pair.answer_tokens):
-                if type(t) is not int or not 0 <= t < size:
-                    raise ValueError(f"token id {t!r} is not an integer in [0, {size})")
+        ids = list(chain.from_iterable(chain(pair.question_tokens, pair.answer_tokens)
+                                       for pair in pairs))
+        for t in ids:
+            if type(t) is not int or not 0 <= t < size:
+                raise ValueError(f"token id {t!r} is not an integer in [0, {size})")
+        if np.bincount(np.array(ids, dtype=np.int64), minlength=size).tolist() != freq:
+            raise ValueError("frequencies differ from the token counts of the pairs")
         if len({p.id for p in pairs}) != len(pairs):
             raise ValueError("repeated pair id")
         users = {}

@@ -41,8 +41,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if min(self.trees, self.leaves, self.min_leaf_instances,
-               self.ndcg_truncation) < 1 or self.learning_rate <= 0:
+               self.ndcg_truncation) < 1:
             raise ValueError("all training parameters must be positive")
+        if not 0 < self.learning_rate < math.inf:  # false for nan too
+            raise ValueError(f"learning rate {self.learning_rate!r} is not "
+                             f"positive and finite")
 
 
 class RegressionTree:
@@ -266,14 +269,6 @@ class LambdaMARTModel:
                    config=config, seed=seed)
 
 
-def _ranked_positions(scores: np.ndarray) -> np.ndarray:
-    """1-based rank of each doc under the current scores; ties keep input order."""
-    order = np.argsort(-scores, kind="stable")
-    pos = np.empty(len(scores), dtype=np.int64)
-    pos[order] = np.arange(1, len(scores) + 1)
-    return pos
-
-
 def _ideal_dcg(labels: np.ndarray, k: int) -> float:
     top = np.sort(labels)[::-1][:k]
     gains = (2.0 ** top) - 1.0
@@ -281,103 +276,142 @@ def _ideal_dcg(labels: np.ndarray, k: int) -> float:
     return float((gains * discounts).sum())
 
 
-def compute_lambdas(scores, labels, truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise lambda gradients and hessians for one query.
+@dataclass(frozen=True)
+class _Queries:
+    """The rows of a set of queries and their preference pairs, as flat
+    arrays. A query's labels, and so its pairs and ideal DCG, never change
+    during training, so `train` builds this once."""
+    query: np.ndarray  # each row's query number
+    rank: np.ndarray  # 1-based rank in its query of each row of the query-sorted order
+    ideal_dcg: np.ndarray  # each query's ideal DCG@k
+    first: np.ndarray  # each preference pair's higher-labelled row
+    second: np.ndarray  # and its lower-labelled row in the same query
 
-    For every pair with label_i > label_j:
+
+def _index_queries(groups: list[np.ndarray], labels: np.ndarray, k: int) -> _Queries:
+    """`groups` holds each query's row indices. A query whose ideal DCG is 0
+    gets no pairs."""
+    query = np.empty(len(labels), dtype=np.int64)
+    ideal = np.zeros(len(groups))
+    first, second = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for q, rows in enumerate(groups):
+        query[rows] = q
+        grades = labels[rows]
+        ideal[q] = _ideal_dcg(grades, k)
+        if ideal[q] != 0.0:
+            i, j = np.nonzero(grades[:, None] > grades[None, :])
+            first.append(rows[i])
+            second.append(rows[j])
+    sizes = np.bincount(query, minlength=len(groups))
+    rank = np.arange(1, len(labels) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return _Queries(query=query, rank=rank, ideal_dcg=ideal,
+                    first=np.concatenate(first), second=np.concatenate(second))
+
+
+def compute_lambdas(scores, labels, truncation: int, *,
+                    queries: _Queries | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise lambda gradients and hessians for one query, or, given the
+    `queries` that `train` builds once from `labels`, for every query at once.
+
+    For every pair with label_i > label_j in the same query:
       rho = 1/(1 + exp(score_i - score_j))
       lambda_i += |deltaNDCG@k(i,j)| * rho,  lambda_j -= the same
       hessian  += |deltaNDCG@k(i,j)| * rho * (1 - rho)  on both docs
-    deltaNDCG comes from swapping i and j in the current score-sorted order.
+    deltaNDCG comes from swapping i and j in the current score-sorted order
+    of their query, ties in input order. np.bincount adds the pairs up in
+    their fixed order.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape != labels.shape or scores.ndim != 1 or len(scores) < 1:
         raise ValueError("scores and labels must be equal-length 1-d arrays")
     n = len(scores)
-    lam = np.zeros(n, dtype=np.float64)
-    hess = np.zeros(n, dtype=np.float64)
-    idcg = _ideal_dcg(labels, truncation)
-    if idcg == 0.0:
-        return lam, hess
-
-    pos = _ranked_positions(scores)
+    if queries is None:
+        queries = _index_queries([np.arange(n)], labels, truncation)
+    # each row's rank in its query by descending score; lexsort is stable,
+    # so ties keep input order
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.lexsort((-scores, queries.query))] = queries.rank
     disc = np.where(pos <= truncation, 1.0 / np.log2(1.0 + pos), 0.0)
     gains = (2.0 ** labels) - 1.0
-
-    values = np.unique(labels)[::-1]
-    for ai, a in enumerate(values):
-        idx_a = np.flatnonzero(labels == a)
-        for b in values[ai + 1:]:
-            idx_b = np.flatnonzero(labels == b)
-            d = scores[idx_a][:, None] - scores[idx_b][None, :]
-            e = np.exp(-np.abs(d))
-            rho = np.where(d >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
-            delta = np.abs((gains[idx_a][:, None] - gains[idx_b][None, :])
-                           * (disc[idx_a][:, None] - disc[idx_b][None, :])) / idcg
-            step = delta * rho
-            curve = step * (1.0 - rho)
-            lam[idx_a] += step.sum(axis=1)
-            lam[idx_b] -= step.sum(axis=0)
-            hess[idx_a] += curve.sum(axis=1)
-            hess[idx_b] += curve.sum(axis=0)
+    i, j = queries.first, queries.second
+    d = scores[i] - scores[j]
+    e = np.exp(-np.abs(d))
+    rho = np.where(d >= 0, e, 1.0) / (1.0 + e)
+    step = (np.abs((gains[i] - gains[j]) * (disc[i] - disc[j]))
+            / queries.ideal_dcg[queries.query[i]]) * rho
+    curve = step * (1.0 - rho)
+    lam = np.bincount(i, step, n) - np.bincount(j, step, n)
+    hess = np.bincount(i, curve, n) + np.bincount(j, curve, n)
     return lam, hess
 
 
-def _best_split(X: np.ndarray, g: np.ndarray, idx: np.ndarray, min_leaf: int):
-    """Best (gain, feature, threshold, left_idx, right_idx) for one node;
-    None when no split satisfies the min-leaf constraint with positive gain."""
-    n = len(idx)
+def _column_order(X: np.ndarray) -> np.ndarray:
+    """Each feature's row indices in ascending value order, ties by row
+    index: a (features, rows) array."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+
+
+def _best_split(g: np.ndarray, rows: np.ndarray, column_order: np.ndarray,
+                sorted_values: np.ndarray, min_leaf: int):
+    """Best (gain, feature, threshold, left_rows, right_rows) for the node
+    holding `rows`; None when no split satisfies the min-leaf constraint
+    with positive gain. Each feature's node rows are picked out of its
+    `column_order` row, already in value order; nothing is sorted."""
+    n = len(rows)
     if n < 2 * min_leaf:
         return None
-    g_node = g[idx]
-    total = g_node.sum()
+    in_node = np.zeros(column_order.shape[1], dtype=bool)
+    in_node[rows] = True
+    total = g[rows].sum()
     parent = total * total / n
+    # a cut after sorted position i leaves i + 1 rows on the left; it must
+    # fall between two distinct values, with min_leaf rows on each side
+    lo, hi = min_leaf - 1, n - min_leaf
+    n_left = np.arange(lo + 1, hi + 1)
     best = None
-    for feat in range(X.shape[1]):
-        vals = X[idx, feat]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sg = g_node[order]
-        csum = np.cumsum(sg)
-        n_left = np.arange(1, n)
-        boundary = sv[:-1] < sv[1:]
-        valid = boundary & (n_left >= min_leaf) & ((n - n_left) >= min_leaf)
-        if not valid.any():
-            continue
-        left_sum = csum[:-1]
+    for feat, (order, values) in enumerate(zip(column_order, sorted_values)):
+        keep = in_node[order]
+        node_order = order[keep]
+        sv = values[keep]
+        left_sum = np.cumsum(g[node_order])[lo:hi]
         right_sum = total - left_sum
         gain = np.where(
-            valid,
+            sv[lo:hi] < sv[lo + 1:hi + 1],
             left_sum ** 2 / n_left + right_sum ** 2 / (n - n_left) - parent,
             -np.inf)
         i = int(np.argmax(gain))  # first max: lowest threshold on ties
-        if gain[i] <= MIN_SPLIT_GAIN:
-            continue
-        if best is None or gain[i] > best[0]:
-            thr = float((sv[i] + sv[i + 1]) / 2.0)
-            if thr >= sv[i + 1]:  # midpoint of adjacent floats can round up
-                thr = float(sv[i])
-            best = (float(gain[i]), feat, thr,
-                    idx[order[:i + 1]], idx[order[i + 1:]])
+        if gain[i] <= MIN_SPLIT_GAIN or best is not None and gain[i] <= best[0]:
+            continue  # equal gains keep the lowest feature
+        cut = lo + i
+        thr = float((sv[cut] + sv[cut + 1]) / 2.0)
+        if thr >= sv[cut + 1]:  # midpoint of adjacent floats can round up
+            thr = float(sv[cut])
+        best = (float(gain[i]), feat, thr, node_order[:cut + 1], node_order[cut + 1:])
     return best
 
 
-def fit_tree(X, lambdas, hessians, max_leaves: int, min_leaf: int) -> RegressionTree:
+def fit_tree(X, lambdas, hessians, max_leaves: int, min_leaf: int, *,
+             column_order: np.ndarray | None = None) -> RegressionTree:
     """Greedy best-first variance-reduction tree on the lambda targets.
 
     Leaf values are Newton steps: sum(lambda) / (sum(hessian) + ridge).
+    `column_order` is `_column_order(X)`, which `train` sorts once for all
+    its trees.
     """
     X = np.asarray(X, dtype=np.float64)
     g = np.asarray(lambdas, dtype=np.float64)
     h = np.asarray(hessians, dtype=np.float64)
+    if column_order is None:
+        column_order = _column_order(X)
+    sorted_values = X[column_order, np.arange(X.shape[1])[:, None]]
     tree = RegressionTree()
 
-    def leaf_value(idx) -> float:
-        return float(g[idx].sum() / (h[idx].sum() + LEAF_RIDGE))
+    def leaf_value(rows) -> float:
+        return float(g[rows].sum() / (h[rows].sum() + LEAF_RIDGE))
 
-    root_idx = np.arange(X.shape[0])
-    root = tree._add_leaf(leaf_value(root_idx))
+    root_rows = np.arange(X.shape[0])
+    root = tree._add_leaf(leaf_value(root_rows))
     if X.shape[0] < min_leaf:
         return tree
 
@@ -385,19 +419,19 @@ def fit_tree(X, lambdas, hessians, max_leaves: int, min_leaf: int) -> Regression
     # creation order breaks exact gain ties deterministically
     candidates = []
     seq = 0
-    split = _best_split(X, g, root_idx, min_leaf)
+    split = _best_split(g, root_rows, column_order, sorted_values, min_leaf)
     if split is not None:
         candidates.append((split[0], seq, root, split))
     leaves = 1
     while candidates and leaves < max_leaves:
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        _, _, node, (gain, feat, thr, left_idx, right_idx) = candidates.pop(0)
-        left = tree._add_leaf(leaf_value(left_idx))
-        right = tree._add_leaf(leaf_value(right_idx))
+        _, _, node, (gain, feat, thr, left_rows, right_rows) = candidates.pop(0)
+        left = tree._add_leaf(leaf_value(left_rows))
+        right = tree._add_leaf(leaf_value(right_rows))
         tree._make_split(node, feat, thr, left, right)
         leaves += 1
-        for child, child_idx in ((left, left_idx), (right, right_idx)):
-            child_split = _best_split(X, g, child_idx, min_leaf)
+        for child, child_rows in ((left, left_rows), (right, right_rows)):
+            child_split = _best_split(g, child_rows, column_order, sorted_values, min_leaf)
             if child_split is not None:
                 seq += 1
                 candidates.append((child_split[0], seq, child, child_split))
@@ -434,14 +468,12 @@ def train(dataset, config: TrainConfig, seed: int = 0) -> LambdaMARTModel:
     trees: list[RegressionTree] = []
     training_ndcg: list[float] = []
     k = config.ndcg_truncation
+    queries = _index_queries(group_idx, labels, k)
+    columns = _column_order(X)
     for _ in range(config.trees):
-        lam = np.zeros_like(scores)
-        hess = np.zeros_like(scores)
-        for rows in group_idx:
-            l_q, h_q = compute_lambdas(scores[rows], labels[rows], k)
-            lam[rows] = l_q
-            hess[rows] = h_q
-        tree = fit_tree(X, lam, hess, config.leaves, config.min_leaf_instances)
+        lam, hess = compute_lambdas(scores, labels, k, queries=queries)
+        tree = fit_tree(X, lam, hess, config.leaves, config.min_leaf_instances,
+                        column_order=columns)
         trees.append(tree)
         scores += config.learning_rate * tree.predict_matrix(X)
         training_ndcg.append(float(np.mean([

@@ -447,6 +447,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
             problem = "unknown" if system not in _SCORERS else "repeated"
             raise PipelineError(f"stage validate failed: {problem} system {system!r}")
     cfg.mixture()  # validates the mu sum early
+    cfg.ltr_config()  # and the ranker settings
 
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,12 @@ entry with ==.
 query fold-in as one numpy call chain per token; tests require
 CollapsedGibbsSampler's counts after every sweep, and infer_query_topics's
 posterior, to equal them with ==.
+
+`query_lambdas` and `fit_tree` are LambdaMART's gradients one query at a
+time, in blocks of label pairs, and its tree fit with every feature
+re-sorted at every node. Tests require the flat lambdas to match them within
+1e-12, and ltr.fit_tree to pick the same split at every node on tie-free
+features.
 """
 
 import math
@@ -22,6 +28,7 @@ import numpy as np
 
 from cqarank.corpus import doc_distribution
 from cqarank.index import vsm_score
+from cqarank.ltr import LEAF_RIDGE, MIN_SPLIT_GAIN, RegressionTree
 from cqarank.relevance import smoothing_lambda
 from cqarank.topics import QueryTopicPosterior
 
@@ -315,3 +322,113 @@ def fold_in(model, query_tokens, burn_in=50, samples=20, seed=0):
         if sweep >= burn_in:
             acc += (n_k + model.alpha) / (n + K * model.alpha)
     return QueryTopicPosterior(theta=acc / samples, oov_fallback=False)
+
+
+def query_lambdas(scores, labels, truncation):
+    """LambdaMART lambdas and hessians of one query, summed one block of
+    label pairs at a time."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = len(scores)
+    lam = np.zeros(n, dtype=np.float64)
+    hess = np.zeros(n, dtype=np.float64)
+    top = np.sort(labels)[::-1][:truncation]
+    discounts = 1.0 / np.log2(1.0 + np.arange(1, len(top) + 1))
+    idcg = float((((2.0 ** top) - 1.0) * discounts).sum())
+    if idcg == 0.0:
+        return lam, hess
+
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.argsort(-scores, kind="stable")] = np.arange(1, n + 1)
+    disc = np.where(pos <= truncation, 1.0 / np.log2(1.0 + pos), 0.0)
+    gains = (2.0 ** labels) - 1.0
+
+    values = np.unique(labels)[::-1]
+    for ai, a in enumerate(values):
+        idx_a = np.flatnonzero(labels == a)
+        for b in values[ai + 1:]:
+            idx_b = np.flatnonzero(labels == b)
+            d = scores[idx_a][:, None] - scores[idx_b][None, :]
+            e = np.exp(-np.abs(d))
+            rho = np.where(d >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+            delta = np.abs((gains[idx_a][:, None] - gains[idx_b][None, :])
+                           * (disc[idx_a][:, None] - disc[idx_b][None, :])) / idcg
+            step = delta * rho
+            curve = step * (1.0 - rho)
+            lam[idx_a] += step.sum(axis=1)
+            lam[idx_b] -= step.sum(axis=0)
+            hess[idx_a] += curve.sum(axis=1)
+            hess[idx_b] += curve.sum(axis=0)
+    return lam, hess
+
+
+def _best_split(X, g, idx, min_leaf):
+    """Best (gain, feature, threshold, left_idx, right_idx) for one node,
+    each feature's node rows sorted anew; None when no split satisfies the
+    min-leaf constraint with positive gain."""
+    n = len(idx)
+    if n < 2 * min_leaf:
+        return None
+    g_node = g[idx]
+    total = g_node.sum()
+    parent = total * total / n
+    best = None
+    for feat in range(X.shape[1]):
+        vals = X[idx, feat]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        csum = np.cumsum(g_node[order])
+        n_left = np.arange(1, n)
+        valid = (sv[:-1] < sv[1:]) & (n_left >= min_leaf) & ((n - n_left) >= min_leaf)
+        if not valid.any():
+            continue
+        left_sum = csum[:-1]
+        right_sum = total - left_sum
+        gain = np.where(
+            valid,
+            left_sum ** 2 / n_left + right_sum ** 2 / (n - n_left) - parent,
+            -np.inf)
+        i = int(np.argmax(gain))  # first max: lowest threshold on ties
+        if gain[i] <= MIN_SPLIT_GAIN:
+            continue
+        if best is None or gain[i] > best[0]:
+            thr = float((sv[i] + sv[i + 1]) / 2.0)
+            if thr >= sv[i + 1]:
+                thr = float(sv[i])
+            best = (float(gain[i]), feat, thr,
+                    idx[order[:i + 1]], idx[order[i + 1:]])
+    return best
+
+
+def fit_tree(X, g, h, max_leaves, min_leaf):
+    """Best-first regression tree as ltr.fit_tree grows it: the candidate
+    split of highest gain expands first, creation order breaking ties."""
+    X = np.asarray(X, dtype=np.float64)
+    tree = RegressionTree()
+
+    def leaf_value(idx):
+        return float(g[idx].sum() / (h[idx].sum() + LEAF_RIDGE))
+
+    root_idx = np.arange(X.shape[0])
+    tree._add_leaf(leaf_value(root_idx))
+    if X.shape[0] < min_leaf:
+        return tree
+    candidates = []
+    seq = 0
+    split = _best_split(X, g, root_idx, min_leaf)
+    if split is not None:
+        candidates.append((split[0], seq, 0, split))
+    leaves = 1
+    while candidates and leaves < max_leaves:
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        _, _, node, (_, feat, thr, left_idx, right_idx) = candidates.pop(0)
+        left = tree._add_leaf(leaf_value(left_idx))
+        right = tree._add_leaf(leaf_value(right_idx))
+        tree._make_split(node, feat, thr, left, right)
+        leaves += 1
+        for child, child_idx in ((left, left_idx), (right, right_idx)):
+            child_split = _best_split(X, g, child_idx, min_leaf)
+            if child_split is not None:
+                seq += 1
+                candidates.append((child_split[0], seq, child, child_split))
+    return tree

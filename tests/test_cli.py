@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -503,6 +504,17 @@ class TestPipeline:
                                                systems, problem):
         cfg = small_pipeline_cfg(synth_data, tmp_path / "out", systems=systems)
         with pytest.raises(PipelineError, match=f"stage validate failed: {problem}"):
+            run_pipeline(cfg)
+        assert not (tmp_path / "out" / "corpus.json").exists()
+
+    @pytest.mark.parametrize("setting, problem", [
+        ({"learning_rate": math.nan}, "learning rate nan is not positive and finite"),
+        ({"trees": 0}, "all training parameters must be positive"),
+    ])
+    def test_bad_ranker_settings_fail_before_any_stage(self, synth_data, tmp_path,
+                                                       setting, problem):
+        cfg = small_pipeline_cfg(synth_data, tmp_path / "out", **setting)
+        with pytest.raises(ValueError, match=problem):
             run_pipeline(cfg)
         assert not (tmp_path / "out" / "corpus.json").exists()
 

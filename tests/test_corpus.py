@@ -220,6 +220,18 @@ class TestArtifacts:
         with pytest.raises(ValueError, match=f"corpus.json: missing key '{key}'"):
             load_corpus(out)
 
+    def test_edited_frequency_names_path(self, qa_file, tmp_path):
+        """A frequency that is not its token's count in the pairs would move
+        P(w|C), and with it every smoothed score."""
+        out = tmp_path / "corpus.json"
+        save_corpus(ingest_corpus(qa_file([_rec("p1", "a b", "c a")])), out)
+        payload = json.loads(out.read_text())
+        payload["frequencies"][0] += 1000
+        out.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{out}: malformed corpus: frequencies differ from the token counts")):
+            load_corpus(out)
+
     def test_corpus_not_json_names_path(self, tmp_path):
         out = tmp_path / "corpus.json"
         out.write_text('{"format": "cqarank-corpus-v1", "voc')
@@ -297,6 +309,7 @@ CORRUPTIONS = {
     "question as a string": lambda p: p["pairs"][0].update(q="abc"),
     "frequencies cut short": lambda p: p["frequencies"].pop(),
     "negative frequency": lambda p: p["frequencies"].__setitem__(0, -1),
+    "frequency off by one": lambda p: p["frequencies"].__setitem__(0, p["frequencies"][0] + 1),
     "repeated vocabulary token": lambda p: p["vocabulary"].append(p["vocabulary"][0]),
     "numeric pair id": lambda p: p["pairs"][0].update(id=7),
     "numeric asker": lambda p: p["pairs"][0].update(asker=1),

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cqarank.ltr as ltr
+import reference_scoring as ref
 from cqarank.evaluation import Qrels, RankedRun, evaluate_run
 from cqarank.ltr import (LambdaMARTModel, RankingInstance, RegressionTree,
                          TrainConfig, compute_lambdas, fit_tree, read_letor,
@@ -96,6 +98,13 @@ class TestFitTree:
         low, high = tree.predict_matrix([[0.1], [0.9]])
         assert low < 0 < high
 
+    def test_gain_ties_go_to_the_lowest_feature_then_threshold(self):
+        # cuts after rows 0 and 2 both gain 1 + 1/3, in both equal columns
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        tree = fit_tree(X, np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4),
+                        max_leaves=2, min_leaf=1)
+        assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+
     def test_leaf_cap(self):
         rng = np.random.RandomState(0)
         X = rng.rand(200, 3)
@@ -120,7 +129,90 @@ class TestFitTree:
         assert tree.feature.count(-1) == 1
 
 
+_PROPERTY = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _query_rows(draw):
+    """Rows of 1-8 queries of 1-12 rows each, interleaved. A query's labels
+    come from one of {0}, {2} or {0, 1, 2}; scores repeat often, so ranks
+    tie."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    query, labels = [], []
+    for q, size in enumerate(sizes):
+        grades = draw(st.sampled_from([[0], [2], [0, 1, 2]]))
+        query += [q] * size
+        labels += draw(st.lists(st.sampled_from(grades), min_size=size, max_size=size))
+    order = draw(st.permutations(range(len(query))))
+    score = st.sampled_from([-1.5, 0.0, 0.25, 3.0]) | st.floats(-40, 40)
+    scores = draw(st.lists(score, min_size=len(query), max_size=len(query)))
+    return (np.array(query)[order], np.array(labels)[order], np.array(scores),
+            draw(st.integers(1, 12)))
+
+
+class TestFlatLambdas:
+    """compute_lambdas over every query at once against the per-query,
+    block-by-block reference."""
+
+    @_PROPERTY
+    @given(case=_query_rows())
+    def test_match_the_per_query_reference(self, case):
+        query, labels, scores, k = case
+        groups = [np.flatnonzero(query == q) for q in range(query.max() + 1)]
+        lam, hess = compute_lambdas(scores, labels, k,
+                                    queries=ltr._index_queries(groups, labels, k))
+        for rows in groups:
+            want_lam, want_hess = ref.query_lambdas(scores[rows], labels[rows], k)
+            for got in (lam[rows], hess[rows]), compute_lambdas(scores[rows], labels[rows], k):
+                np.testing.assert_allclose(got[0], want_lam, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got[1], want_hess, rtol=0, atol=1e-12)
+            assert abs(lam[rows].sum()) < 1e-9
+            if len(set(labels[rows].tolist())) == 1:  # one row, or ideal DCG 0
+                assert lam[rows].tolist() == hess[rows].tolist() == [0.0] * len(rows)
+
+
+@st.composite
+def _tie_free_nodes(draw):
+    """Targets over 2-60 rows of 1-4 features, no value repeated within a
+    feature, and the tree's leaf cap and min-leaf count."""
+    n = draw(st.integers(2, 60))
+    column = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True)
+    X = np.array([draw(column) for _ in range(draw(st.integers(1, 4)))]).T
+    g = np.array(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+    h = np.array(draw(st.lists(st.floats(0.1, 2), min_size=n, max_size=n)))
+    return X, g, h, draw(st.integers(2, 8)), draw(st.integers(1, 10))
+
+
+class TestPresortedSplits:
+    @_PROPERTY
+    @given(case=_tie_free_nodes())
+    def test_same_splits_as_per_node_sorting(self, case):
+        """Each node's rows are picked out of the column order sorted once;
+        without value ties, that is the order a per-node sort gives."""
+        X, g, h, max_leaves, min_leaf = case
+        got = fit_tree(X, g, h, max_leaves, min_leaf)
+        want = ref.fit_tree(X, g, h, max_leaves, min_leaf)
+        assert (got.feature, got.threshold, got.left, got.right) == (
+            want.feature, want.threshold, want.left, want.right)
+        np.testing.assert_allclose(got.value, want.value, rtol=0, atol=1e-12)
+
+
 class TestTraining:
+    def test_calls_the_traced_names_once_per_tree(self, monkeypatch):
+        """The benchmark times compute_lambdas and fit_tree by replacing
+        them in the module; a train that stopped calling either name would
+        leave its timing at 0."""
+        calls = {}
+        for name in ("compute_lambdas", "fit_tree"):
+            def counted(*args, _name=name, _original=getattr(ltr, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(ltr, name, counted)
+        config = replace(CONFIG, trees=7, min_leaf_instances=10)
+        train(make_separable_dataset(n_queries=6), config, seed=0)
+        assert calls == {"compute_lambdas": 7, "fit_tree": 7}
+
     def test_separable_dataset_reaches_perfect_ndcg(self):
         dataset = make_separable_dataset()
         model = train(dataset, CONFIG, seed=0)
@@ -310,10 +402,6 @@ def _letor_rows(draw):
         label=st.sampled_from([0, 1, 2])), min_size=1, max_size=5))
 
 
-_PROPERTY = settings(max_examples=40, deadline=None,
-                     suppress_health_check=[HealthCheck.too_slow])
-
-
 class TestLetorRoundTripProperties:
     @_PROPERTY
     @given(rows=_letor_rows())
@@ -392,6 +480,22 @@ class TestModelSerialization:
             cut.write_text(text[:end])
             with pytest.raises(ValueError, match="cut.txt"):
                 LambdaMARTModel.load(cut)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_names_config_line(self, tmp_path, value):
+        dataset = make_separable_dataset(n_queries=6)
+        model = train(dataset, replace(CONFIG, trees=2, min_leaf_instances=10), seed=3)
+        path = tmp_path / "model.txt"
+        model.save(path)
+        lines = path.read_text().split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith("config "))
+        parts = lines[at].split()
+        parts[3] = value
+        lines[at] = " ".join(parts)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{at + 1}: learning rate {value} is not positive and finite")):
+            LambdaMARTModel.load(path)
 
     def test_deeply_nested_tree_names_path(self, tmp_path):
         path = tmp_path / "deep.txt"
