@@ -1,7 +1,10 @@
 """Inverted index with BM25 and VSM scoring; top-K candidate generation."""
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import Corpus
 
@@ -9,8 +12,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
+class ScoredCandidate(NamedTuple):
     qa_id: str
     score: float
 
@@ -18,35 +20,63 @@ class ScoredCandidate:
 class InvertedIndex:
     """Term -> postings over Q&A pairs, for one field selection.
 
-    Each term's postings are a {qa_id: term frequency} dict in corpus order,
-    for O(1) scoring lookups.
+    Pairs are numbered in corpus order. A posting of term t in pair d is the
+    key t * N + d, N the pair count; the keys are sorted, so term t's
+    postings are the slice start[t]:start[t + 1], in corpus order, and tfs
+    holds each posting's term frequency. One-value lookups read the arrays
+    through memoryviews, which return Python numbers without numpy's
+    per-call overhead.
     """
 
-    def __init__(self) -> None:
-        self._tf: dict[int, dict[str, int]] = {}
-        self.doc_len: dict[str, int] = {}
-        self.doc_count = 0
-        self.avgdl = 0.0
-        self._doc_norm: dict[str, float] = {}
+    def __init__(self, doc_ids: list[str], keys: np.ndarray, tfs: np.ndarray,
+                 start: np.ndarray, vsm_idfs: list[float], doc_lens: np.ndarray,
+                 doc_norms: np.ndarray, avgdl: float) -> None:
+        self.doc_ids = doc_ids
+        self.doc_count = len(doc_ids)
+        self.avgdl = avgdl
+        self._pos = {qa_id: d for d, qa_id in enumerate(doc_ids)}
+        self._keys, self._tfs, self._start = keys, tfs, start
+        self._doc_lens = doc_lens
+        self._vsm_idfs = vsm_idfs
+        self._key_at, self._tf_at, self._start_at, self._len_at, self._norm_at = (
+            memoryview(a) for a in (keys, tfs, start, doc_lens, doc_norms))
+        # rank of each pair's id in ascending order, the tie-break of retrieval
+        self._id_rank = np.empty(self.doc_count, dtype=np.int64)
+        self._id_rank[sorted(range(self.doc_count), key=doc_ids.__getitem__)] = (
+            np.arange(self.doc_count))
+
+    def _postings(self, term: int) -> tuple[int, int]:
+        """The slice of the term's postings; empty for a term no pair holds."""
+        if 0 <= term < len(self._vsm_idfs):
+            return self._start_at[term], self._start_at[term + 1]
+        return 0, 0
 
     def df(self, term: int) -> int:
-        return len(self._tf.get(term, ()))
+        lo, hi = self._postings(term)
+        return hi - lo
 
     def tf(self, term: int, qa_id: str) -> int:
-        return self._tf.get(term, {}).get(qa_id, 0)
+        d = self._pos.get(qa_id)
+        if d is None:
+            return 0
+        key = term * self.doc_count + d
+        lo, hi = self._postings(term)
+        i = bisect_left(self._key_at, key, lo, hi)
+        return self._tf_at[i] if i < hi and self._key_at[i] == key else 0
+
+    def doc_len(self, qa_id: str) -> int:
+        return self._len_at[self._pos[qa_id]]
 
     def vsm_idf(self, term: int) -> float:
-        df = self.df(term)
-        if df == 0:
-            return 0.0
-        return math.log(self.doc_count / df)
+        return self._vsm_idfs[term] if 0 <= term < len(self._vsm_idfs) else 0.0
 
     def bm25_idf(self, term: int) -> float:
         df = self.df(term)
         return math.log((self.doc_count - df + 0.5) / (df + 0.5) + 1.0)
 
     def doc_norm(self, qa_id: str) -> float:
-        return self._doc_norm.get(qa_id, 0.0)
+        d = self._pos.get(qa_id)
+        return 0.0 if d is None else self._norm_at[d]
 
 
 def _field_tokens(pair, field: str):
@@ -58,30 +88,31 @@ def _field_tokens(pair, field: str):
 
 
 def build_index(corpus: Corpus, field: str = "question_and_answer") -> InvertedIndex:
-    """Index the selected field(s) of every pair. Deterministic."""
+    """Index the selected field(s) of every pair in one pass: np.unique over
+    the keys term * N + pair gives every posting and its frequency.
+    Deterministic."""
     if not corpus.pairs:
         raise ValueError("empty corpus")
-    index = InvertedIndex()
-    total_len = 0
-    for pair in corpus.pairs:
-        tokens = _field_tokens(pair, field)
-        index.doc_len[pair.id] = len(tokens)
-        total_len += len(tokens)
-        for term in tokens:
-            index._tf.setdefault(term, {})
-            index._tf[term][pair.id] = index._tf[term].get(pair.id, 0) + 1
-    index.doc_count = len(corpus.pairs)
-    index.avgdl = total_len / index.doc_count
+    fields = [_field_tokens(pair, field) for pair in corpus.pairs]
+    n = len(fields)
+    lens = np.array([len(tokens) for tokens in fields], dtype=np.int64)
+    total_len = int(lens.sum())
+    terms = np.fromiter((t for tokens in fields for t in tokens), dtype=np.int64,
+                        count=total_len)
+    keys, first, tfs = np.unique(terms * n + np.repeat(np.arange(n), lens),
+                                 return_index=True, return_counts=True)
+    term_of, docs = np.divmod(keys, n)
+    n_terms = int(terms.max()) + 1 if total_len else 0
+    start = np.searchsorted(term_of, np.arange(n_terms + 1))
+    idfs = [math.log(n / df) if df else 0.0 for df in np.diff(start).tolist()]
 
-    # tf-idf norms for cosine scoring, over each doc's full term set
-    for pair in corpus.pairs:
-        tokens = _field_tokens(pair, field)
-        acc = 0.0
-        for term in dict.fromkeys(tokens):
-            w = index.tf(term, pair.id) * index.vsm_idf(term)
-            acc += w * w
-        index._doc_norm[pair.id] = math.sqrt(acc)
-    return index
+    # tf-idf norms for cosine scoring, each pair's terms added in the order
+    # they first occur in it
+    order = np.argsort(first)
+    w = tfs[order] * np.array(idfs, dtype=np.float64)[term_of[order]]
+    norms = np.sqrt(np.bincount(docs[order], weights=w * w, minlength=n))
+    return InvertedIndex([pair.id for pair in corpus.pairs], keys, tfs, start,
+                         idfs, lens, norms, total_len / n)
 
 
 def bm25_score(query_tokens, qa_id: str, index: InvertedIndex,
@@ -89,7 +120,7 @@ def bm25_score(query_tokens, qa_id: str, index: InvertedIndex,
     """Okapi BM25 with idf = ln((N - df + 0.5)/(df + 0.5) + 1)."""
     if k1 <= 0 or not 0.0 <= b <= 1.0:
         raise ValueError("require k1 > 0 and 0 <= b <= 1")
-    dl = index.doc_len[qa_id]
+    dl = index.doc_len(qa_id)
     score = 0.0
     for term in query_tokens:
         tf = index.tf(term, qa_id)
@@ -123,21 +154,32 @@ def vsm_score(query_tokens, qa_id: str, index: InvertedIndex) -> float:
 def retrieve_candidates(query_tokens, index: InvertedIndex, k: int,
                         k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[ScoredCandidate]:
     """Top-k pairs by BM25; ties broken by ascending qa_id. Docs sharing no
-    term with the query are not returned."""
+    term with the query are not returned.
+
+    The query terms' postings are laid end to end in query order, so the
+    one bincount that sums them adds each pair's terms in that order,
+    starting from 0.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores: dict[str, float] = {}
-    for term in dict.fromkeys(query_tokens):
-        entries = index._tf.get(term)
-        if not entries:
-            continue
-        q_tf = query_tokens.count(term)
-        idf = index.bm25_idf(term)
-        for qa_id, tf in entries.items():
-            dl = index.doc_len[qa_id]
-            denom = tf + k1 * (1.0 - b + b * dl / index.avgdl)
-            contrib = idf * tf * (k1 + 1.0) / denom
-            # query-side tf multiplies the per-term contribution
-            scores[qa_id] = scores.get(qa_id, 0.0) + q_tf * contrib
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
-    return [ScoredCandidate(qa_id=d, score=s) for d, s in ranked]
+    terms = [t for t in dict.fromkeys(query_tokens) if index.df(t)]
+    if not terms:
+        return []
+    lo = index._start[terms]
+    counts = index._start[np.add(terms, 1)] - lo
+    # posting positions: each term's slice, one after another
+    at = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts),
+                                                  counts)
+    docs = index._keys[at] % index.doc_count
+    tf = index._tfs[at]
+    idf = np.repeat([index.bm25_idf(t) for t in terms], counts)
+    # query-side tf multiplies the per-term contribution
+    q_tf = np.repeat([query_tokens.count(t) for t in terms], counts)
+    dl = index._doc_lens[docs]
+    denom = tf + k1 * (1.0 - b + b * dl / index.avgdl)
+    contrib = idf * tf * (k1 + 1.0) / denom
+    scores = np.bincount(docs, weights=q_tf * contrib, minlength=index.doc_count)
+    matched = np.flatnonzero(np.bincount(docs, minlength=index.doc_count))
+    top = matched[np.lexsort((index._id_rank[matched], -scores[matched]))][:k]
+    return [ScoredCandidate(index.doc_ids[d], s)
+            for d, s in zip(top.tolist(), scores[top].tolist())]

@@ -192,11 +192,11 @@ class LambdaMARTModel:
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise ValueError(
                 f"expected {self.feature_count} features, got shape {X.shape}")
-        leaves = _route(self._stacked, X)
-        out = np.zeros(X.shape[0], dtype=np.float64)
-        for t in range(len(self.trees)):
-            out += self.shrinkage * leaves[t]
-        return out
+        if not self.trees:
+            return np.zeros(X.shape[0], dtype=np.float64)
+        steps = self.shrinkage * _route(self._stacked, X)
+        # cumsum adds the trees in order; + 0.0 is the starting 0 (-0.0 -> 0.0)
+        return np.cumsum(steps, axis=0, out=steps)[-1] + 0.0
 
     def save(self, path) -> None:
         cfg = self.config

@@ -209,6 +209,17 @@ class ScoringAssets:
     ranker: LambdaMARTModel | None = None
     # per-pair entries, filled the first time a pair is a candidate
     entries: dict[str, CandidateEntry] = field(default_factory=dict, repr=False)
+    # the fold-in generator, reseeded for every query. Quoted and built by
+    # a lambda: numpy loads numpy.random on first access, and an import of
+    # this module should not load it
+    rng: "np.random.RandomState" = field(
+        default_factory=lambda: np.random.RandomState(), repr=False, compare=False)
+    # the last prepared query scored and its component table, which every
+    # system ranking that query shares; one table is kept, however many
+    # prepared queries a caller holds. Like `entries` and `rng`, it belongs
+    # to one thread.
+    last_table: "tuple[PreparedQuery, ComponentTable] | None" = field(
+        default=None, repr=False, compare=False)
 
     def entry(self, qa_id: str) -> CandidateEntry:
         found = self.entries.get(qa_id)
@@ -233,12 +244,15 @@ class PreparedQuery:
 
 def _component_table(assets: ScoringAssets,
                      prepared: PreparedQuery) -> ComponentTable:
-    """The prepared query's component table over its candidates."""
-    return ComponentTable(
-        prepared.record.tokens,
-        [assets.entry(c.qa_id).terms for c in prepared.candidates],
-        assets.corpus.stats, assets.table, assets.model, prepared.theta,
-        prepared.weights)
+    """The prepared query's component table over its candidates, built once
+    for all the systems that rank it in a row."""
+    if assets.last_table is None or assets.last_table[0] is not prepared:
+        assets.last_table = (prepared, ComponentTable(
+            prepared.record.tokens,
+            [assets.entry(c.qa_id).terms for c in prepared.candidates],
+            assets.corpus.stats, assets.table, assets.model, prepared.theta,
+            prepared.weights))
+    return assets.last_table[1]
 
 
 def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
@@ -253,7 +267,8 @@ def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
     if assets.model is not None:
         theta = infer_query_topics(assets.model, query.tokens, cfg.burn_in,
                                    cfg.samples,
-                                   seed=query_scoring_seed(cfg.seed, query.id))
+                                   seed=query_scoring_seed(cfg.seed, query.id),
+                                   rng=assets.rng)
         weights = term_weights(assets.model, theta, query.tokens,
                                cfg.rescale_weights)
     return PreparedQuery(record=query, candidates=candidates, theta=theta,

@@ -11,6 +11,7 @@ weight to 1 reproduces the matching baseline exactly.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,7 +148,8 @@ class ComponentTable:
     """Component probabilities of one query against its candidates.
 
     Rows are the query's distinct words in first-occurrence order, columns
-    the candidates. Each component is computed here, when a scorer asks:
+    the candidates. Each component is computed the first time a scorer asks
+    for it and kept, so every scorer of the query shares it:
 
       exact[w, c]      P_ml(w|q)
       trans[w, c]      sum_t P_tr(w|t) P_ml(t|q), added in doc_distribution order
@@ -159,9 +161,9 @@ class ComponentTable:
     and answer, the question-side lambda smooths the first four against
     P(w|C), the answer-side lambda the last, and the log is summed over
     query token occurrences in query order. That order, math.log per value
-    and one 1-D dot product per topic entry keep every score bit-identical
-    to evaluating the pair alone, term by term. The table keeps only its
-    inputs and stores no column.
+    and topic sums added topic by topic in index order keep every score
+    bit-identical to evaluating the pair alone, term by term. The kept
+    arrays are shared: read them, do not write them.
     """
 
     def __init__(self, query_tokens, docs: list[DocumentTerms],
@@ -184,6 +186,7 @@ class ComponentTable:
     def _per_word(self, values) -> np.ndarray:
         return np.array(values, dtype=np.float64).reshape(len(self.words), 1)
 
+    @cached_property
     def _question(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _flatten([d.q_terms for d in self.docs], [d.q_probs for d in self.docs])
 
@@ -196,17 +199,20 @@ class ComponentTable:
         out[j, owner[i]] = probs[i]
         return out
 
+    @cached_property
     def exact(self) -> np.ndarray:
-        return self._match(*self._question())
+        return self._match(*self._question)
 
+    @cached_property
     def answer(self) -> np.ndarray:
         return self._match(*_flatten([d.a_terms for d in self.docs],
                                      [d.a_probs for d in self.docs]))
 
+    @cached_property
     def trans(self) -> np.ndarray:
         if self._table is None:
             raise ValueError("translation scoring needs a translation table")
-        terms, probs, owner = self._question()
+        terms, probs, owner = self._question
         sources, inverse = np.unique(terms, return_inverse=True)
         p_tr = self._table.columns(self.words, sources.tolist())
         out = np.empty(self.shape, dtype=np.float64)
@@ -217,24 +223,30 @@ class ComponentTable:
         return out
 
     def _topic(self, tau: np.ndarray) -> np.ndarray:
-        phi_qs = [d.phi_q for d in self.docs]
-        rows = []
-        for w in self.words:
-            u_w = tau * self._model.phi_column(w)
-            rows.append([float(u_w @ phi_q) for phi_q in phi_qs])
-        return np.array(rows, dtype=np.float64).reshape(self.shape)
+        """sum_i tau_i phi_i(w) phi_q_i, the products added topic by topic in
+        index order. A BLAS dot product would add them in an order that
+        depends on the CPU's kernel."""
+        K = len(tau)
+        u = tau[:, None] * np.array([self._model.phi_column(w) for w in self.words]
+                                    ).reshape(len(self.words), K).T
+        phi_q = np.array([d.phi_q for d in self.docs]).reshape(len(self.docs), K).T
+        terms = u[:, :, None] * phi_q[:, None, :]
+        return np.cumsum(terms, axis=0, out=terms)[-1].copy()
 
     def _num_topics(self) -> int:
         if self._model is None:
             raise ValueError("topic scoring needs a topic model")
         return self._model.num_topics
 
+    @cached_property
     def topic(self) -> np.ndarray:
         return self._topic(_tau_vector(self._theta, self._num_topics()))
 
+    @cached_property
     def topic_flat(self) -> np.ndarray:
         return self._topic(np.ones(self._num_topics(), dtype=np.float64))
 
+    @cached_property
     def weight(self) -> np.ndarray:
         if self._weights is None:
             raise ValueError("term-weighted scoring needs term weights")
@@ -261,16 +273,15 @@ class ComponentTable:
     def _components(self, weighted: bool):
         """(exact, translation, topic, answer) under the scorer's weighting."""
         if weighted:
-            weight = self.weight()
-            return (weight * self.exact(), self.trans(), self.topic(),
-                    weight * self.answer())
-        return self.exact(), self.trans(), self.topic_flat(), self.answer()
+            return (self.weight * self.exact, self.trans, self.topic,
+                    self.weight * self.answer)
+        return self.exact, self.trans, self.topic_flat, self.answer
 
     def lm(self) -> np.ndarray:
-        return self._log_sums(self._question_side(self.exact()))[0]
+        return self._log_sums(self._question_side(self.exact))[0]
 
     def tlm(self) -> np.ndarray:
-        return self._log_sums(self._question_side(self.trans()))[0]
+        return self._log_sums(self._question_side(self.trans))[0]
 
     def mixture(self, mu: MixtureWeights, weighted: bool) -> np.ndarray:
         """T2LM (unweighted) or T2LM+ (W(w) and the topic posterior)."""

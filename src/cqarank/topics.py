@@ -213,12 +213,18 @@ def train_lda(docs, num_topics: int, alpha: float | None = None, beta: float = 0
 
 
 def infer_query_topics(model: TopicModel, query_tokens, burn_in: int = 50,
-                       samples: int = 20, seed: int = 0) -> QueryTopicPosterior:
+                       samples: int = 20, seed: int = 0,
+                       rng: "np.random.RandomState | None" = None) -> QueryTopicPosterior:
     """Fold-in Gibbs with phi frozen.
 
     theta[z] = (n_z + alpha)/(n + K*alpha) averaged over post-burn-in sweeps,
     where n counts the query tokens inside the training vocabulary. A query
     with no in-vocabulary tokens gets the uniform posterior, flagged.
+
+    The draws come from `rng` reseeded with `seed`, the stream of a new
+    RandomState(seed); a caller that folds in many queries passes one
+    generator and so does not build one per query. Without `rng` the call
+    makes its own.
     """
     if len(query_tokens) == 0:
         raise ValueError("empty query")
@@ -229,7 +235,9 @@ def infer_query_topics(model: TopicModel, query_tokens, burn_in: int = 50,
     if not tokens:
         return QueryTopicPosterior(theta=np.full(K, 1.0 / K), oov_fallback=True)
 
-    rng = np.random.RandomState(seed)
+    if rng is None:
+        rng = np.random.RandomState()
+    rng.seed(seed)
     z = rng.randint(0, K, size=len(tokens)).tolist()
     alpha = model.alpha
     n_k = np.bincount(z, minlength=K).tolist()

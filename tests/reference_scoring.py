@@ -2,7 +2,8 @@
 tree routing and the flat-array IBM Model 1 EM.
 
 The loop below scores one (query, candidate) pair at a time, term by term,
-with the same float operations in the same order as the table, and walks
+with the same float operations in the same order as the table (a topic
+entry adds its products topic by topic in index order), and walks
 each regression tree one row at a time. Tests require the table's scores,
 feature rows and rankings, and predict_matrix, to equal it with ==.
 
@@ -14,6 +15,11 @@ entry with ==.
 query fold-in as one numpy call chain per token; tests require
 CollapsedGibbsSampler's counts after every sweep, and infer_query_topics's
 posterior, to equal them with ==.
+
+`ReferenceIndex`, `build_index` and `retrieve_candidates` are the inverted
+index as a {term: {qa_id: tf}} dict in corpus order, scored one posting at
+a time; tests require the array index's postings, norms and candidates to
+equal them with ==.
 
 `query_lambdas` and `fit_tree` are LambdaMART's gradients one query at a
 time, in blocks of label pairs, and its tree fit with every feature
@@ -27,7 +33,7 @@ import math
 import numpy as np
 
 from cqarank.corpus import doc_distribution
-from cqarank.index import vsm_score
+from cqarank.index import ScoredCandidate, vsm_score
 from cqarank.ltr import LEAF_RIDGE, MIN_SPLIT_GAIN, RegressionTree
 from cqarank.relevance import smoothing_lambda
 from cqarank.topics import QueryTopicPosterior
@@ -99,7 +105,9 @@ def term_components(query_tokens, qa, table, model, tau, weight_of, stats):
         trans = 0.0
         for t, p_t in q_dist.items():
             trans += table.row(t).get(w, 0.0) * p_t
-        topic = float(u_w @ phi_q)
+        topic = 0.0
+        for u, p in zip(u_w.tolist(), phi_q.tolist()):
+            topic += u * p
         answer = weight_of(w) * a_dist.get(w, 0.0)
         components.append((exact, trans, topic, answer, stats.prob(w)))
     return components
@@ -432,3 +440,73 @@ def fit_tree(X, g, h, max_leaves, min_leaf):
                 seq += 1
                 candidates.append((child_split[0], seq, child, child_split))
     return tree
+
+
+class ReferenceIndex:
+    """Term -> {qa_id: term frequency} in corpus order, with per-pair
+    lengths and tf-idf norms."""
+
+    def __init__(self):
+        self.postings = {}
+        self.doc_len = {}
+        self.doc_norm = {}
+        self.doc_count = 0
+        self.avgdl = 0.0
+
+    def df(self, term):
+        return len(self.postings.get(term, ()))
+
+    def tf(self, term, qa_id):
+        return self.postings.get(term, {}).get(qa_id, 0)
+
+    def vsm_idf(self, term):
+        df = self.df(term)
+        return math.log(self.doc_count / df) if df else 0.0
+
+    def bm25_idf(self, term):
+        df = self.df(term)
+        return math.log((self.doc_count - df + 0.5) / (df + 0.5) + 1.0)
+
+
+def build_index(corpus, field="question_and_answer"):
+    index = ReferenceIndex()
+    docs = []
+    total_len = 0
+    for pair in corpus.pairs:
+        tokens = pair.question_tokens
+        if field == "question_and_answer":
+            tokens = tokens + pair.answer_tokens
+        docs.append((pair.id, tokens))
+        index.doc_len[pair.id] = len(tokens)
+        total_len += len(tokens)
+        for term in tokens:
+            row = index.postings.setdefault(term, {})
+            row[pair.id] = row.get(pair.id, 0) + 1
+    index.doc_count = len(corpus.pairs)
+    index.avgdl = total_len / index.doc_count
+    for qa_id, tokens in docs:
+        acc = 0.0
+        for term in dict.fromkeys(tokens):
+            w = index.tf(term, qa_id) * index.vsm_idf(term)
+            acc += w * w
+        index.doc_norm[qa_id] = math.sqrt(acc)
+    return index
+
+
+def retrieve_candidates(query_tokens, index, k, k1=1.2, b=0.75):
+    """Top-k pairs by BM25, ties broken by ascending qa_id; pairs sharing no
+    term with the query are left out."""
+    scores = {}
+    for term in dict.fromkeys(query_tokens):
+        entries = index.postings.get(term)
+        if not entries:
+            continue
+        q_tf = query_tokens.count(term)
+        idf = index.bm25_idf(term)
+        for qa_id, tf in entries.items():
+            dl = index.doc_len[qa_id]
+            denom = tf + k1 * (1.0 - b + b * dl / index.avgdl)
+            contrib = idf * tf * (k1 + 1.0) / denom
+            scores[qa_id] = scores.get(qa_id, 0.0) + q_tf * contrib
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+    return [ScoredCandidate(qa_id=d, score=s) for d, s in ranked]

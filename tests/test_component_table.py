@@ -4,16 +4,20 @@ with ==, not merely close."""
 
 import dataclasses
 import json
+from functools import cached_property
 
+import numpy as np
 import pytest
 
+import cqarank.pipeline as pipeline
 import reference_scoring as ref
-from cqarank.corpus import load_corpus, load_queries
+from cqarank.corpus import CollectionStats, load_corpus, load_queries
 from cqarank.index import build_index
 from cqarank.ltr import LambdaMARTModel
 from cqarank.pipeline import (ALL_SYSTEMS, PipelineConfig, ScoringAssets,
-                              feature_rows, prepare_query, run_pipeline,
-                              system_ranking)
+                              feature_rows, prepare_query, rank_queries,
+                              run_pipeline, system_ranking)
+from cqarank.relevance import ComponentTable, document_terms
 from cqarank.synth import SynthSpec, write_synth
 from cqarank.topics import TopicModel
 from cqarank.translation import TranslationTable
@@ -94,3 +98,109 @@ def test_unknown_system_rejected(archive):
     query = load_queries(data["queries"], assets.corpus.vocabulary)[0]
     with pytest.raises(ValueError, match="unknown system"):
         system_ranking("bm26", assets, prepare_query(assets, query))
+
+
+def _all_queries(data, extra, assets):
+    return (load_queries(data["queries"], assets.corpus.vocabulary)
+            + load_queries(extra, assets.corpus.vocabulary))
+
+
+def test_prepared_query_does_not_depend_on_query_order(archive):
+    """Fold-in reseeds the assets' one generator per query, so theta and the
+    term weights are those of a query prepared first, also right after an
+    OOV-only query's fallback."""
+    cfg, data, extra = archive
+    assets = _assets(cfg, False)
+    queries = _all_queries(data, extra, assets)
+    only_oov = next(q for q in queries if q.id == "only-oov")
+    alone = {}
+    for query in queries:
+        prepared = prepare_query(_assets(cfg, False), query)
+        alone[query.id] = (prepared.theta.theta.tolist(), prepared.weights)
+    assert prepare_query(assets, only_oov).theta.oov_fallback
+    for order in (queries, queries[::-1]):
+        for query in order:
+            prepared = prepare_query(assets, query)
+            assert (prepared.theta.theta.tolist(), prepared.weights) == alone[query.id]
+            prepare_query(assets, only_oov)
+
+
+def _left_to_right_topic(u_w, phi_q):
+    total = 0.0
+    for a, b in zip(u_w.tolist(), phi_q.tolist()):
+        total += a * b
+    return total
+
+
+@pytest.mark.parametrize("num_topics", [1, 6, 20, 50])
+@pytest.mark.parametrize("num_candidates", [1, 40])
+def test_topic_entries_add_topics_left_to_right(num_topics, num_candidates):
+    """Each topic entry is sum_i tau_i phi_i(w) phi_q_i added in topic index
+    order, whatever the number of topics and candidates."""
+    rng = np.random.RandomState(num_topics * 100 + num_candidates)
+    vocab = 30
+    phi = rng.gamma(0.3, size=(num_topics, vocab))
+    phi /= phi.sum(axis=1, keepdims=True)
+    model = TopicModel(phi=phi, topic_totals=np.full(num_topics, 50), alpha=0.5,
+                       beta=0.01, vocab_size=vocab, iterations=1, seed=0)
+    docs = [document_terms(rng.randint(0, vocab, size=rng.randint(1, 9)).tolist(),
+                           (), model) for _ in range(num_candidates)]
+    query = [3, 7, 3, 29, 31]  # a repeated word and one outside the model
+    theta = rng.dirichlet(np.ones(num_topics))
+    stats = CollectionStats({w: 1 for w in range(32)})
+    table = ComponentTable(query, docs, stats, model=model, theta=theta)
+    for got, tau in ((table.topic, theta), (table.topic_flat, np.ones(num_topics))):
+        want = [[_left_to_right_topic(tau * model.phi_column(w), d.phi_q)
+                 for d in docs] for w in table.words]
+        assert got.tolist() == want
+
+
+def _count_components(monkeypatch):
+    """Counts, per ComponentTable component, how often it is computed."""
+    calls = {}
+    for name in ("_question", "exact", "answer", "trans", "topic", "topic_flat",
+                 "weight"):
+        def counted(self, _name=name, _compute=ComponentTable.__dict__[name].func):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _compute(self)
+        memo = cached_property(counted)
+        memo.__set_name__(ComponentTable, name)
+        monkeypatch.setattr(ComponentTable, name, memo)
+    return calls
+
+
+def test_rank_queries_builds_one_table_per_query(archive, monkeypatch):
+    cfg, data, extra = archive
+    assets = _assets(cfg, False)
+    queries = _all_queries(data, extra, assets)
+    built = []
+
+    class CountedTable(ComponentTable):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ComponentTable", CountedTable)
+    calls = _count_components(monkeypatch)
+    runs = rank_queries(assets, queries, ALL_SYSTEMS)
+    answered = len(runs["bm25"].queries())
+    assert answered == len(queries) - 1  # only "only-oov" finds nothing
+    assert len(built) == answered
+    # every system but vsm and bm25 reads the table; together they need
+    # every component, each computed once per table
+    assert calls == dict.fromkeys(calls, answered) and len(calls) == 7
+
+
+def test_scorers_share_each_component(archive, monkeypatch):
+    cfg, data, _ = archive
+    assets = _assets(cfg, True)
+    query = load_queries(data["queries"], assets.corpus.vocabulary)[0]
+    calls = _count_components(monkeypatch)
+    prepared = prepare_query(assets, query)
+    for system in ALL_SYSTEMS + ALL_SYSTEMS:
+        system_ranking(system, assets, prepared)
+    feature_rows(assets, prepared, None)
+    assert calls == dict.fromkeys(calls, 1) and len(calls) == 7
+    # another prepared query, even of the same query, gets its own table
+    system_ranking("t2lm", assets, prepare_query(assets, query))
+    assert calls["trans"] == 2

@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracle
+import reference_scoring as ref
 from cqarank.index import bm25_score, build_index, retrieve_candidates, vsm_score
 from conftest import build_corpus
 
@@ -41,15 +44,15 @@ class TestBuild:
         corpus = build_corpus([("d1", "a b", "x y z", "u1", "u2")])
         q_only = build_index(corpus, "question")
         both = build_index(corpus, "question_and_answer")
-        assert q_only.doc_len["d1"] == 2
-        assert both.doc_len["d1"] == 5
+        assert q_only.doc_len("d1") == 2
+        assert both.doc_len("d1") == 5
 
     def test_doc_len_equals_posting_sum(self, two_doc_corpus):
         index = build_index(two_doc_corpus)
         for pair in two_doc_corpus.pairs:
             total = sum(index.tf(t, pair.id)
                         for t in set(pair.question_tokens + pair.answer_tokens))
-            assert total == index.doc_len[pair.id]
+            assert total == index.doc_len(pair.id)
 
     def test_empty_corpus_rejected(self, two_doc_corpus):
         two_doc_corpus.pairs = []
@@ -192,5 +195,71 @@ class TestInvariance:
         grown = build_index(grown_corpus)
         for term in range(3):
             assert small.tf(term, "d1") == grown.tf(term, "d1")
-        assert small.doc_len["d1"] == grown.doc_len["d1"]
+        assert small.doc_len("d1") == grown.doc_len("d1")
 
+
+
+@st.composite
+def _archives(draw):
+    """A corpus over a small vocabulary, so postings are long and BM25 ties
+    occur, and queries drawn from it plus ids no pair holds. Pairs hold up
+    to 20 words, so a tf-idf norm added in another order shows."""
+    ids = draw(st.lists(st.text("abcxyz09", min_size=1, max_size=3),
+                        min_size=1, max_size=12, unique=True))
+    words = st.lists(st.sampled_from("a b c d e f g h i j k l".split()),
+                     max_size=10)
+    specs = [(qa_id, " ".join(draw(words) or ["a"]), " ".join(draw(words)),
+              "u1", "u2") for qa_id in ids]
+    corpus = build_corpus(specs)
+    term = st.integers(-1, len(corpus.vocabulary) + 2)
+    queries = draw(st.lists(st.lists(term, min_size=1, max_size=6),
+                            min_size=1, max_size=5))
+    return corpus, queries
+
+
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestAgainstDictPostings:
+    """The posting arrays against the {term: {qa_id: tf}} loops of
+    reference_scoring.py, with ==."""
+
+    @_PROPERTY
+    @given(archive=_archives(), field=st.sampled_from(["question",
+                                                       "question_and_answer"]))
+    def test_postings_and_norms_equal(self, archive, field):
+        corpus, queries = archive
+        index = build_index(corpus, field)
+        want = ref.build_index(corpus, field)
+        assert index.avgdl == want.avgdl
+        terms = range(-1, len(corpus.vocabulary) + 2)
+        assert [index.df(t) for t in terms] == [want.df(t) for t in terms]
+        for pair in corpus.pairs:
+            assert index.doc_len(pair.id) == want.doc_len[pair.id]
+            assert index.doc_norm(pair.id) == want.doc_norm[pair.id]
+            assert [index.tf(t, pair.id) for t in terms] == [
+                want.tf(t, pair.id) for t in terms]
+
+    @_PROPERTY
+    @given(archive=_archives(), field=st.sampled_from(["question",
+                                                       "question_and_answer"]),
+           k=st.integers(1, 14))
+    def test_candidates_equal(self, archive, field, k):
+        corpus, queries = archive
+        index = build_index(corpus, field)
+        want = ref.build_index(corpus, field)
+        for query in queries:
+            got = retrieve_candidates(query, index, k)
+            assert got == ref.retrieve_candidates(query, want, k)
+            if not any(want.df(t) for t in query):
+                assert got == []
+
+    def test_ties_cut_at_k_by_qa_id(self):
+        corpus = build_corpus([(qa_id, "a b", "", "u1", "u2")
+                               for qa_id in ("m", "b", "z", "a", "k")])
+        index = build_index(corpus)
+        a = corpus.vocabulary.tokens().index("a")
+        got = retrieve_candidates([a], index, k=3)
+        assert [c.qa_id for c in got] == ["a", "b", "k"]
+        assert got == ref.retrieve_candidates([a], ref.build_index(corpus), 3)

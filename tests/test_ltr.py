@@ -305,6 +305,21 @@ class TestPredict:
         with pytest.raises(ValueError):
             model.predict_matrix(np.zeros((2, 2)))
 
+    def test_zero_trees_predict_zeros(self):
+        model = LambdaMARTModel(trees=[], shrinkage=0.2, feature_count=3,
+                                config=CONFIG, seed=0)
+        assert model.predict_matrix(np.ones((4, 3))).tolist() == [0.0] * 4
+        assert model.predict_matrix(np.zeros((0, 3))).shape == (0,)
+
+    def test_sum_starts_from_positive_zero(self):
+        """Shrunk outputs add to 0.0, so leaves of -0.0 score +0.0."""
+        stump = RegressionTree()
+        stump._add_leaf(-0.0)
+        model = LambdaMARTModel(trees=[stump, stump], shrinkage=0.2,
+                                feature_count=1, config=CONFIG, seed=0)
+        score = model.predict_matrix([[1.0]])[0]
+        assert score == 0.0 and math.copysign(1.0, score) == 1.0
+
     def test_matrix_equals_per_row_predict(self):
         dataset = make_separable_dataset(n_queries=12)
         model = train(dataset, replace(CONFIG, trees=12, leaves=6,

@@ -136,14 +136,17 @@ class TestReferenceSampler:
         model = train_lda(_random_docs(num_topics), num_topics, alpha, 0.01,
                           iterations=3, seed=1, vocab_size=16)
         # one token, a repeated token, in-vocabulary mixed with OOV ids,
-        # OOV only, and a longer query
+        # OOV only, and a longer query; one generator, reseeded, serves all
+        kept = np.random.RandomState(5)
         for tokens in ([4], [2, 2, 2], [0, 99, 5, -1, 5], [15, 40],
                        list(range(12))):
             for seed in (0, 8):
-                got = infer_query_topics(model, tokens, burn_in, samples=3, seed=seed)
                 want = reference_scoring.fold_in(model, tokens, burn_in, 3, seed)
-                assert np.array_equal(got.theta, want.theta)
-                assert got.oov_fallback == want.oov_fallback
+                for rng in (None, kept):
+                    got = infer_query_topics(model, tokens, burn_in, samples=3,
+                                             seed=seed, rng=rng)
+                    assert np.array_equal(got.theta, want.theta)
+                    assert got.oov_fallback == want.oov_fallback
 
 
 class TestInference:
