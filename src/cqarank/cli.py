@@ -22,10 +22,10 @@ from .evaluation import (comparison_table, read_qrels, read_run, write_report,
 from .index import build_index
 from .ltr import LambdaMARTModel
 from .pipeline import (ALL_SYSTEMS, LDA_FIELDS, RANKER_FIELDS, SCORING_FIELDS,
-                       TM_FIELDS, PipelineConfig, PipelineError, ScoringAssets,
-                       evaluate_runs, ingest, rank_queries, run_pipeline,
-                       train_ranker, train_topics, train_translation,
-                       write_features)
+                       SYSTEMS, TM_FIELDS, PipelineConfig, PipelineError,
+                       ScoringAssets, evaluate_runs, ingest, rank_queries,
+                       run_pipeline, train_ranker, train_topics,
+                       train_translation, write_features)
 from .synth import SynthSpec, write_synth
 from .topics import TopicModel
 from .translation import TranslationTable
@@ -252,12 +252,13 @@ def _cmd_train_ranker(args) -> int:
 def _cmd_rank(args) -> int:
     cfg = config_from_args(args)
     method = args.method
-    if method in ("tlm", "t2lm", "t2lm+", "t2lm+5") and args.translation is None:
-        raise ValueError(f"method {method} needs --translation")
-    if method in ("t2lm", "t2lm+", "t2lm+5") and args.topics_model is None:
-        raise ValueError(f"method {method} needs --topics-model")
-    if method == "t2lm+5" and cfg.ranker_path is None:
-        raise ValueError(f"method {method} needs --ranker")
+    given = {"translation": ("--translation", args.translation),
+             "topics": ("--topics-model", args.topics_model),
+             "ranker": ("--ranker", cfg.ranker_path)}
+    for model in SYSTEMS[method].needs:
+        flag, path = given[model]
+        if path is None:
+            raise ValueError(f"method {method} needs {flag}")
     assets = _scoring_assets(args, cfg)
     queries = load_queries(cfg.queries_path, assets.corpus.vocabulary, cfg.mode)
     run = rank_queries(assets, queries, (method,))[method]

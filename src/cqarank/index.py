@@ -115,11 +115,15 @@ def build_index(corpus: Corpus, field: str = "question_and_answer") -> InvertedI
                          idfs, lens, norms, total_len / n)
 
 
+def _check_bm25_params(k1: float, b: float) -> None:
+    if not (k1 > 0 and 0.0 <= b <= 1.0):
+        raise ValueError("require k1 > 0 and 0 <= b <= 1")
+
+
 def bm25_score(query_tokens, qa_id: str, index: InvertedIndex,
                k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> float:
     """Okapi BM25 with idf = ln((N - df + 0.5)/(df + 0.5) + 1)."""
-    if k1 <= 0 or not 0.0 <= b <= 1.0:
-        raise ValueError("require k1 > 0 and 0 <= b <= 1")
+    _check_bm25_params(k1, b)
     dl = index.doc_len(qa_id)
     score = 0.0
     for term in query_tokens:
@@ -162,6 +166,7 @@ def retrieve_candidates(query_tokens, index: InvertedIndex, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_bm25_params(k1, b)
     terms = [t for t in dict.fromkeys(query_tokens) if index.df(t)]
     if not terms:
         return []

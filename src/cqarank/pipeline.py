@@ -11,6 +11,7 @@ import json
 import os
 import random
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,70 +32,11 @@ from .relevance import (ComponentTable, DocumentTerms, MixtureWeights,
 from .topics import TopicModel, infer_query_topics, train_lda
 from .translation import TranslationTable, make_parallel_pairs, train_ibm1
 
-ALL_SYSTEMS = ("vsm", "bm25", "lm", "tlm", "t2lm", "t2lm+", "t2lm+5")
 PAD_TO = 20  # --pad-candidates fills shorter candidate lists to this length
 
 
 class PipelineError(RuntimeError):
     pass
-
-
-@dataclass
-class PipelineConfig:
-    qa_path: str
-    queries_path: str
-    qrels_path: str | None = None
-    users_path: str | None = None
-    outdir: str = "out"
-    ranker_path: str | None = None  # apply an existing model instead of training
-
-    mode: str = "whitespace"
-    stopwords_path: str | None = None
-    field: str = "question_and_answer"
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
-    top_k: int = 500
-
-    em_iters: int = 10
-    direction: str = "pooled_both"
-    prune: float = 0.0
-
-    topics: int = 50
-    alpha: float | None = None
-    beta: float = 0.01
-    gibbs_iters: int = 500
-    burn_in: int = 50
-    samples: int = 20
-
-    mu1: float = 0.3
-    mu2: float = 0.3
-    mu3: float = 0.2
-    mu4: float = 0.2
-    rescale_weights: bool = False
-    combine_quality: bool = False
-
-    trees: int = 50
-    leaves: int = 4
-    learning_rate: float = 0.2
-    min_leaf: int = 30
-    ndcg_cutoff: int = 10
-
-    depth: int = 10
-    rel_threshold: int = 1
-
-    seed: int = 0
-    split_seed: int = 0
-    pad_candidates: bool = False
-    systems: tuple[str, ...] = ALL_SYSTEMS
-
-    def mixture(self) -> MixtureWeights:
-        return MixtureWeights(self.mu1, self.mu2, self.mu3, self.mu4)
-
-    def ltr_config(self) -> TrainConfig:
-        return TrainConfig(trees=self.trees, leaves=self.leaves,
-                           learning_rate=self.learning_rate,
-                           min_leaf_instances=self.min_leaf,
-                           ndcg_truncation=self.ndcg_cutoff)
 
 
 def _sha256(path: Path) -> str:
@@ -203,9 +145,9 @@ class ScoringAssets:
 
     corpus: Corpus
     index: InvertedIndex
-    table: TranslationTable
-    model: TopicModel
-    cfg: PipelineConfig
+    table: TranslationTable | None
+    model: TopicModel | None
+    cfg: "PipelineConfig"
     ranker: LambdaMARTModel | None = None
     # per-pair entries, filled the first time a pair is a candidate
     entries: dict[str, CandidateEntry] = field(default_factory=dict, repr=False)
@@ -275,7 +217,7 @@ def prepare_query(assets: ScoringAssets, query: QueryRecord) -> PreparedQuery:
                          weights=weights)
 
 
-def _pad(candidates, corpus: Corpus, cfg: PipelineConfig, query_id: str):
+def _pad(candidates, corpus: Corpus, cfg: "PipelineConfig", query_id: str):
     """Top candidate lists shorter than PAD_TO get random extra pairs, the
     protocol's labeling-workload padding."""
     have = {c.qa_id for c in candidates}
@@ -315,31 +257,101 @@ def _fused_scores(assets: ScoringAssets, prepared: PreparedQuery) -> list[float]
     return assets.ranker.predict_matrix(X).tolist()
 
 
-# system -> scores of the prepared query's candidates, in candidate order
-_SCORERS = {
-    "vsm": lambda assets, prepared: [
+@dataclass(frozen=True)
+class System:
+    """One scoring system: the scores of a prepared query's candidates, in
+    candidate order, and the models they read, a subset of ("translation",
+    "topics", "ranker") in that order."""
+
+    score: Callable[[ScoringAssets, PreparedQuery], list[float]]
+    needs: tuple[str, ...] = ()
+
+
+SYSTEMS = {
+    "vsm": System(lambda assets, prepared: [
         vsm_score(prepared.record.tokens, c.qa_id, assets.index)
-        for c in prepared.candidates],
-    "bm25": lambda assets, prepared: [c.score for c in prepared.candidates],
-    "lm": lambda assets, prepared: _component_table(assets, prepared).lm().tolist(),
-    "tlm": lambda assets, prepared: _component_table(assets, prepared).tlm().tolist(),
-    "t2lm": lambda assets, prepared: _component_table(assets, prepared).mixture(
-        assets.cfg.mixture(), weighted=False).tolist(),
-    "t2lm+": lambda assets, prepared: _component_table(assets, prepared).mixture(
-        assets.cfg.mixture(), weighted=True).tolist(),
-    "t2lm+5": _fused_scores,
+        for c in prepared.candidates]),
+    "bm25": System(lambda assets, prepared: [c.score for c in prepared.candidates]),
+    "lm": System(lambda assets, prepared:
+                 _component_table(assets, prepared).lm().tolist()),
+    "tlm": System(lambda assets, prepared:
+                  _component_table(assets, prepared).tlm().tolist(),
+                  ("translation",)),
+    "t2lm": System(lambda assets, prepared: _component_table(assets, prepared).mixture(
+        assets.cfg.mixture(), weighted=False).tolist(), ("translation", "topics")),
+    "t2lm+": System(lambda assets, prepared: _component_table(assets, prepared).mixture(
+        assets.cfg.mixture(), weighted=True).tolist(), ("translation", "topics")),
+    "t2lm+5": System(_fused_scores, ("translation", "topics", "ranker")),
 }
+ALL_SYSTEMS = tuple(SYSTEMS)
+
+
+@dataclass
+class PipelineConfig:
+    qa_path: str
+    queries_path: str
+    qrels_path: str | None = None
+    users_path: str | None = None
+    outdir: str = "out"
+    ranker_path: str | None = None  # apply an existing model instead of training
+
+    mode: str = "whitespace"
+    stopwords_path: str | None = None
+    field: str = "question_and_answer"
+    k1: float = DEFAULT_K1
+    b: float = DEFAULT_B
+    top_k: int = 500
+
+    em_iters: int = 10
+    direction: str = "pooled_both"
+    prune: float = 0.0
+
+    topics: int = 50
+    alpha: float | None = None
+    beta: float = 0.01
+    gibbs_iters: int = 500
+    burn_in: int = 50
+    samples: int = 20
+
+    mu1: float = 0.3
+    mu2: float = 0.3
+    mu3: float = 0.2
+    mu4: float = 0.2
+    rescale_weights: bool = False
+    combine_quality: bool = False
+
+    trees: int = 50
+    leaves: int = 4
+    learning_rate: float = 0.2
+    min_leaf: int = 30
+    ndcg_cutoff: int = 10
+
+    depth: int = 10
+    rel_threshold: int = 1
+
+    seed: int = 0
+    split_seed: int = 0
+    pad_candidates: bool = False
+    systems: tuple[str, ...] = ALL_SYSTEMS
+
+    def mixture(self) -> MixtureWeights:
+        return MixtureWeights(self.mu1, self.mu2, self.mu3, self.mu4)
+
+    def ltr_config(self) -> TrainConfig:
+        return TrainConfig(trees=self.trees, leaves=self.leaves,
+                           learning_rate=self.learning_rate,
+                           min_leaf_instances=self.min_leaf,
+                           ndcg_truncation=self.ndcg_cutoff)
 
 
 def system_ranking(system: str, assets: ScoringAssets,
                    prepared: PreparedQuery) -> list[tuple[str, float]]:
     """Rank the prepared query's candidates under one scoring system."""
-    scorer = _SCORERS.get(system)
-    if scorer is None:
+    if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
     if not prepared.candidates:
         return []
-    scores = scorer(assets, prepared)
+    scores = SYSTEMS[system].score(assets, prepared)
     scored = sorted(zip(scores, (c.qa_id for c in prepared.candidates)),
                     key=lambda item: (-item[0], item[1]))
     return [(qa_id, score) for score, qa_id in scored]
@@ -443,8 +455,9 @@ def evaluate_runs(runs, qrels: Qrels, depth: int, rel_threshold: int,
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
-    """Execute every stage; returns the report path. Raises PipelineError
-    naming the failing stage."""
+    """Execute every stage the requested systems need; returns the report
+    path. A model no requested system reads is neither trained nor loaded.
+    Raises PipelineError naming the failing stage."""
     for label, path in (("qa", cfg.qa_path), ("queries", cfg.queries_path)):
         if path is None or not Path(path).exists():
             raise PipelineError(f"stage validate failed: missing {label} input {path}")
@@ -458,11 +471,12 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     if not cfg.systems:
         raise PipelineError("stage validate failed: no systems to rank")
     for i, system in enumerate(cfg.systems):
-        if system not in _SCORERS or system in cfg.systems[:i]:
-            problem = "unknown" if system not in _SCORERS else "repeated"
+        if system not in SYSTEMS or system in cfg.systems[:i]:
+            problem = "unknown" if system not in SYSTEMS else "repeated"
             raise PipelineError(f"stage validate failed: {problem} system {system!r}")
     cfg.mixture()  # validates the mu sum early
     cfg.ltr_config()  # and the ranker settings
+    needed = {model for system in cfg.systems for model in SYSTEMS[system].needs}
 
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -478,18 +492,25 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         lambda: save_corpus(ingest(cfg), corpus_path),
     )
     corpus = load_corpus(corpus_path)
+    model_paths = []  # the model files the requested systems read
 
-    table_path = outdir / "translation.tsv"
-    runner.run("train-tm", [corpus_path], [table_path],
-               _stage_params(cfg, TM_FIELDS),
-               lambda: train_translation(cfg, corpus).save(table_path))
-    table = TranslationTable.load(table_path)
+    table = None
+    if "translation" in needed:
+        table_path = outdir / "translation.tsv"
+        runner.run("train-tm", [corpus_path], [table_path],
+                   _stage_params(cfg, TM_FIELDS),
+                   lambda: train_translation(cfg, corpus).save(table_path))
+        table = TranslationTable.load(table_path)
+        model_paths.append(table_path)
 
-    lda_path = outdir / "topics.txt"
-    runner.run("train-lda", [corpus_path], [lda_path],
-               _stage_params(cfg, LDA_FIELDS),
-               lambda: train_topics(cfg, corpus).save(lda_path))
-    model = TopicModel.load(lda_path)
+    model = None
+    if "topics" in needed:
+        lda_path = outdir / "topics.txt"
+        runner.run("train-lda", [corpus_path], [lda_path],
+                   _stage_params(cfg, LDA_FIELDS),
+                   lambda: train_topics(cfg, corpus).save(lda_path))
+        model = TopicModel.load(lda_path)
+        model_paths.append(lda_path)
 
     queries = load_queries(cfg.queries_path, corpus.vocabulary, cfg.mode)
     if not queries:
@@ -503,6 +524,9 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     split_path = outdir / "split.json"
     train_letor = outdir / "train.letor"
     test_letor = outdir / "test.letor"
+    # the LETOR rows are the ranker's training data, so only a run that
+    # uses the ranker writes them
+    letor_paths = [train_letor, test_letor] if "ranker" in needed else []
 
     def _features() -> None:
         with open(split_path, "w", encoding="utf-8") as f:
@@ -510,28 +534,30 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
                        "test": [q.id for q in test_split]},
                       f, sort_keys=True)
             f.write("\n")
-        write_features(assets, train_split, qrels, train_letor)
-        write_features(assets, test_split, qrels, test_letor)
+        if letor_paths:
+            write_features(assets, train_split, qrels, train_letor)
+            write_features(assets, test_split, qrels, test_letor)
 
     runner.run(
         "features",
-        [corpus_path, table_path, lda_path, Path(cfg.queries_path),
-         Path(cfg.qrels_path)],
-        [split_path, train_letor, test_letor],
+        [corpus_path, *model_paths, Path(cfg.queries_path), Path(cfg.qrels_path)],
+        [split_path, *letor_paths],
         {**_scoring_params(cfg), "split_seed": cfg.split_seed, "mode": cfg.mode},
         _features,
     )
 
-    if cfg.ranker_path is not None:
-        ranker_path = Path(cfg.ranker_path)
-        if not ranker_path.exists():
-            raise PipelineError(f"stage train-ranker failed: missing model {ranker_path}")
-    else:
-        ranker_path = outdir / "ranker.txt"
-        runner.run("train-ranker", [train_letor], [ranker_path],
-                   _stage_params(cfg, RANKER_FIELDS),
-                   lambda: train_ranker(cfg, train_letor).save(ranker_path))
-    assets.ranker = LambdaMARTModel.load(ranker_path)
+    if "ranker" in needed:
+        if cfg.ranker_path is not None:
+            ranker_path = Path(cfg.ranker_path)
+            if not ranker_path.exists():
+                raise PipelineError(f"stage train-ranker failed: missing model {ranker_path}")
+        else:
+            ranker_path = outdir / "ranker.txt"
+            runner.run("train-ranker", [train_letor], [ranker_path],
+                       _stage_params(cfg, RANKER_FIELDS),
+                       lambda: train_ranker(cfg, train_letor).save(ranker_path))
+        assets.ranker = LambdaMARTModel.load(ranker_path)
+        model_paths.append(ranker_path)
 
     run_paths = {system: outdir / f"run_{system.replace('+', 'p')}.txt"
                  for system in cfg.systems}
@@ -542,8 +568,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
 
     runner.run(
         "rank",
-        [corpus_path, table_path, lda_path, ranker_path, split_path,
-         Path(cfg.queries_path)],
+        [corpus_path, *model_paths, split_path, Path(cfg.queries_path)],
         list(run_paths.values()),
         {**_scoring_params(cfg), "systems": list(cfg.systems),
          "mu": [cfg.mu1, cfg.mu2, cfg.mu3, cfg.mu4], "mode": cfg.mode},

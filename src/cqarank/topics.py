@@ -182,8 +182,9 @@ def train_lda(docs, num_topics: int, alpha: float | None = None, beta: float = 0
               iterations: int = 500, seed: int = 0, vocab_size: int | None = None) -> TopicModel:
     """Collapsed Gibbs training over token-id documents; deterministic per seed.
 
-    alpha defaults to 50/K (Griffiths-Steyvers). vocab_size defaults to
-    1 + max token id seen in docs.
+    alpha defaults to 50/K (Griffiths-Steyvers); alpha and beta must be
+    positive and finite. vocab_size defaults to 1 + max token id seen in
+    docs.
     """
     docs = [tuple(d) for d in docs if len(d) > 0]
     if not docs:
@@ -195,6 +196,8 @@ def train_lda(docs, num_topics: int, alpha: float | None = None, beta: float = 0
         raise ValueError("degenerate topic count")
     if alpha is None:
         alpha = 50.0 / num_topics
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError("alpha and beta must be positive and finite")
     if vocab_size is None:
         vocab_size = 1 + max(max(d) for d in docs)
 
@@ -230,6 +233,8 @@ def infer_query_topics(model: TopicModel, query_tokens, burn_in: int = 50,
         raise ValueError("empty query")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     K = model.num_topics
     tokens = [w for w in query_tokens if 0 <= w < model.vocab_size]
     if not tokens:

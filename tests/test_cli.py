@@ -42,6 +42,20 @@ def synth_data(tmp_path):
                        tmp_path / "data")
 
 
+@pytest.fixture
+def stage_runners(monkeypatch):
+    """The StageRunner of each run_pipeline call the test makes, in order."""
+    runners = []
+
+    class RecordingRunner(pipeline.StageRunner):
+        def __init__(self) -> None:
+            super().__init__()
+            runners.append(self)
+
+    monkeypatch.setattr(pipeline, "StageRunner", RecordingRunner)
+    return runners
+
+
 class TestSynth:
     def test_same_seed_identical(self):
         spec = SynthSpec(size=50, topics=2, seed=9)
@@ -189,15 +203,33 @@ class TestSubcommands:
                      "--translation", str(table), "--out", str(tmp_path / "r.txt")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {table}: source ")
 
-    def test_rank_method_validation(self, synth_data, tmp_path):
-        out = tmp_path / "w"
-        out.mkdir()
-        corpus = out / "corpus.json"
-        main(["ingest", "--qa", str(synth_data["qa"]), "--out", str(corpus)])
-        # tlm needs a translation table
-        assert main(["rank", "--corpus", str(corpus),
-                     "--queries", str(synth_data["queries"]),
-                     "--method", "tlm", "--out", str(out / "r.txt")]) == 1
+    def test_rank_method_validation(self, synth_data, tmp_path, capsys):
+        """Every method, run without one model it needs, exits 1 naming that
+        model's flag, and runs given only the models it needs."""
+        exp = tmp_path / "exp"
+        run_pipeline(small_pipeline_cfg(synth_data, exp))
+        models = {"--translation": exp / "translation.tsv",
+                  "--topics-model": exp / "topics.txt",
+                  "--ranker": exp / "ranker.txt"}
+        needs = {"vsm": (), "bm25": (), "lm": (), "tlm": ("--translation",),
+                 "t2lm": ("--translation", "--topics-model"),
+                 "t2lm+": ("--translation", "--topics-model"),
+                 "t2lm+5": ("--translation", "--topics-model", "--ranker")}
+        assert set(needs) == set(ALL_SYSTEMS)
+        run = tmp_path / "run.txt"
+        for method, flags in needs.items():
+            args = ["rank", "--corpus", str(exp / "corpus.json"),
+                    "--queries", str(synth_data["queries"]), "--method", method,
+                    "--top-k", "20", "--burn-in", "5", "--samples", "3",
+                    "--out", str(run)]
+            for missing in flags:
+                given = [x for f in flags if f != missing for x in (f, str(models[f]))]
+                assert main(args + given) == 1, (method, missing)
+                assert capsys.readouterr().err == (
+                    f"error: method {method} needs {missing}\n")
+            run.unlink(missing_ok=True)
+            assert main(args + [x for f in flags for x in (f, str(models[f]))]) == 0
+            assert run.read_text().splitlines(), method
 
     @pytest.mark.parametrize("method", ["vsm", "bm25", "lm", "tlm", "t2lm",
                                         "t2lm+", "t2lm+5"])
@@ -402,20 +434,12 @@ class TestPipeline:
         for p, stamp in stamps.items():
             assert p.stat().st_mtime_ns == stamp, f"{p.name} was rewritten"
 
-    def test_copied_outdir_is_up_to_date(self, synth_data, tmp_path, monkeypatch):
+    def test_copied_outdir_is_up_to_date(self, synth_data, tmp_path, stage_runners):
         run_pipeline(small_pipeline_cfg(synth_data, tmp_path / "out"))
         shutil.copytree(tmp_path / "out", tmp_path / "copy")
-        runners = []
-
-        class RecordingRunner(pipeline.StageRunner):
-            def __init__(self) -> None:
-                super().__init__()
-                runners.append(self)
-
-        monkeypatch.setattr(pipeline, "StageRunner", RecordingRunner)
         run_pipeline(small_pipeline_cfg(synth_data, tmp_path / "copy"))
-        assert runners[0].executed == []
-        assert len(runners[0].skipped) == 7
+        assert stage_runners[-1].executed == []
+        assert len(stage_runners[-1].skipped) == 7
 
     def test_query_without_candidates_scores_zero(self, tmp_path):
         """A judged test query that retrieval cannot answer stays in the
@@ -486,6 +510,16 @@ class TestPipeline:
             run_pipeline(cfg)
         assert not (tmp_path / "out" / "ranker.txt").exists()
         assert (tmp_path / "out" / "train.letor").exists()
+
+    def test_bad_lda_prior_fails_train_lda_and_leaves_no_model(self, synth_data,
+                                                              tmp_path):
+        out = tmp_path / "out"
+        cfg = small_pipeline_cfg(synth_data, out, beta=0.0)
+        with pytest.raises(PipelineError, match="stage train-lda failed: alpha "
+                                                "and beta must be positive"):
+            run_pipeline(cfg)
+        assert not (out / "topics.txt").exists()
+        assert not (out / "topics.txt.manifest.json").exists()
 
     def test_missing_input_fails_at_start(self, tmp_path):
         cfg = PipelineConfig(qa_path=str(tmp_path / "absent.jsonl"),
@@ -560,6 +594,75 @@ class TestPipeline:
         assert main(["pipeline", "--qa", "nope.jsonl",
                      "--queries", "also-nope.jsonl",
                      "--outdir", str(tmp_path / "out2")]) == 1
+
+
+BASELINE_STAGES = ("ingest", "features", "rank", "evaluate")
+TLM_STAGES = ("ingest", "train-tm", "features", "rank", "evaluate")
+TOPIC_STAGES = ("ingest", "train-tm", "train-lda", "features", "rank", "evaluate")
+ALL_STAGES = ("ingest", "train-tm", "train-lda", "features", "train-ranker",
+              "rank", "evaluate")
+# the files a run writes only when it runs the stage; the LETOR rows are
+# the ranker's training data
+STAGE_FILES = {"train-tm": ("translation.tsv",), "train-lda": ("topics.txt",),
+               "train-ranker": ("train.letor", "test.letor", "ranker.txt")}
+
+
+@pytest.fixture(scope="class")
+def default_run(tmp_path_factory):
+    """A run of every system; returns its data files and outdir."""
+    root = tmp_path_factory.mktemp("default")
+    data = write_synth(SynthSpec(size=30, topics=3, seed=4, queries=8),
+                       root / "data")
+    run_pipeline(small_pipeline_cfg(data, root / "out"))
+    return data, root / "out"
+
+
+class TestSystemSubsets:
+    @pytest.mark.parametrize("systems, stages", [
+        (("vsm",), BASELINE_STAGES), (("bm25",), BASELINE_STAGES),
+        (("lm",), BASELINE_STAGES), (("tlm",), TLM_STAGES),
+        (("t2lm",), TOPIC_STAGES), (("t2lm+",), TOPIC_STAGES),
+        (("t2lm+5",), ALL_STAGES), (("bm25", "lm"), BASELINE_STAGES),
+    ])
+    def test_runs_only_the_stages_its_systems_need(self, default_run, tmp_path,
+                                                   stage_runners, systems, stages):
+        data, full = default_run
+        out = tmp_path / "out"
+        run_pipeline(small_pipeline_cfg(data, out, systems=systems))
+        assert tuple(stage_runners[0].executed) == stages
+        runs = [f"run_{s.replace('+', 'p')}.txt" for s in systems]
+        files = ["corpus.json", "split.json", "report.txt", "report.jsonl", *runs]
+        for stage in stages:
+            files += STAGE_FILES.get(stage, ())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            files + [name + ".manifest.json" for name in files])
+        for name in runs:
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
+    def test_baseline_run_loads_no_model(self, default_run, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a baseline run read a model")
+
+        for owner, name in ((TranslationTable, "load"), (TopicModel, "load"),
+                            (LambdaMARTModel, "load"),
+                            (pipeline, "infer_query_topics")):
+            monkeypatch.setattr(owner, name, forbidden)
+        data, _ = default_run
+        run_pipeline(small_pipeline_cfg(data, tmp_path / "out",
+                                        systems=("vsm", "bm25", "lm")))
+
+    def test_subset_rank_stage_lists_only_the_models_it_reads(self, default_run,
+                                                              tmp_path):
+        data, _ = default_run
+        out = tmp_path / "out"
+        run_pipeline(small_pipeline_cfg(data, out, systems=("lm", "tlm")))
+        manifests = {name: json.loads((out / f"{name}.manifest.json").read_text())
+                     for name in ("split.json", "run_tlm.txt")}
+        assert sorted(manifests["split.json"]["inputs"]) == sorted(
+            ["corpus.json", "translation.tsv", str(data["queries"]),
+             str(data["qrels"])])
+        assert sorted(manifests["run_tlm.txt"]["inputs"]) == sorted(
+            ["corpus.json", "translation.tsv", "split.json", str(data["queries"])])
 
 
 class TestConfigFile:

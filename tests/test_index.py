@@ -94,6 +94,23 @@ class TestBM25:
         with pytest.raises(ValueError):
             bm25_score([0], "d1", index, b=1.5)
 
+    @pytest.mark.parametrize("k1, b", [(0.0, 0.75), (-1.0, 0.75), (math.nan, 0.75),
+                                       (1.2, -0.1), (1.2, 1.5), (1.2, math.nan)])
+    def test_retrieval_checks_the_same_parameters(self, two_doc_corpus, k1, b):
+        """A negative k1 would rank by negated BM25."""
+        index = build_index(two_doc_corpus)
+        for call in (lambda: bm25_score([0], "d1", index, k1=k1, b=b),
+                     lambda: retrieve_candidates([0], index, 5, k1=k1, b=b)):
+            with pytest.raises(ValueError, match=r"require k1 > 0 and 0 <= b <= 1"):
+                call()
+
+    @pytest.mark.parametrize("k1, b", [(1e-9, 0.0), (1.2, 1.0)])
+    def test_parameter_bounds_are_accepted(self, two_doc_corpus, k1, b):
+        index = build_index(two_doc_corpus)
+        got = retrieve_candidates([0], index, 5, k1=k1, b=b)
+        assert got and all(c.score == bm25_score([0], c.qa_id, index, k1, b)
+                           for c in got)
+
 
 class TestVSM:
     def test_identical_doc_scores_one(self):

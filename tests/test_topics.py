@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -72,6 +73,15 @@ class TestTraining:
             train_lda([], num_topics=1, iterations=1, seed=0)
         with pytest.raises(ValueError):
             train_lda([[0]], num_topics=1, iterations=0, seed=0)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.0, 0.01), (-1.0, 0.01), (math.nan, 0.01), (math.inf, 0.01),
+        (None, 0.0), (None, -0.5), (None, math.nan), (None, math.inf)])
+    def test_prior_must_be_positive_and_finite(self, alpha, beta):
+        """TopicModel.load rejects such a prior, so training must not save it."""
+        with pytest.raises(ValueError, match="alpha and beta must be positive and finite"):
+            train_lda([[0, 1, 2]], num_topics=2, alpha=alpha, beta=beta,
+                      iterations=1, seed=0)
 
 
 class TestSamplerCounts:
@@ -186,6 +196,17 @@ class TestInference:
         model, _, _ = separated_model
         with pytest.raises(ValueError):
             infer_query_topics(model, [], seed=0)
+
+    def test_sweep_counts_validated(self, separated_model):
+        model, _, _ = separated_model
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            infer_query_topics(model, [0, 1], samples=0, seed=0)
+        # a negative burn-in would average burn_in + samples sweeps but
+        # divide by samples, so theta would not sum to 1
+        with pytest.raises(ValueError, match="burn_in must be >= 0"):
+            infer_query_topics(model, [0, 1], burn_in=-1, samples=20, seed=0)
+        post = infer_query_topics(model, [0, 1], burn_in=0, samples=20, seed=0)
+        assert abs(float(post.theta.sum()) - 1.0) < 1e-9
 
 
 class TestWordProb:
