@@ -21,10 +21,9 @@ from .evaluation import (comparison_table, read_qrels, read_run, write_report,
                          write_run)
 from .index import build_index
 from .ltr import LambdaMARTModel
-from .pipeline import (ALL_SYSTEMS, LDA_FIELDS, RANKER_FIELDS, SCORING_FIELDS,
-                       SYSTEMS, TM_FIELDS, PipelineConfig, PipelineError,
-                       ScoringAssets, evaluate_runs, ingest, rank_queries,
-                       run_pipeline, train_ranker, train_topics,
+from .pipeline import (ALL_SYSTEMS, STAGES, SYSTEMS, PipelineConfig,
+                       PipelineError, ScoringAssets, evaluate_runs, ingest,
+                       rank_queries, run_pipeline, train_ranker, train_topics,
                        train_translation, write_features)
 from .synth import SynthSpec, write_synth
 from .topics import TopicModel
@@ -34,7 +33,6 @@ FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 # qa_path and queries_path have no default; a command without them leaves None
 DEFAULTS = {name: None if f.default is dataclasses.MISSING else f.default
             for name, f in FIELDS.items()}
-MIXTURE_FIELDS = ("mu1", "mu2", "mu3", "mu4")
 
 CHOICES = {
     "mode": ("whitespace", "pretokenized"),
@@ -139,31 +137,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="read Q&A + users JSONL into a corpus artifact")
     p.add_argument("--out", required=True)
-    _add_field_flags(p, ("qa_path", "users_path", "mode", "stopwords_path"),
-                     required={"qa_path"})
+    _add_field_flags(p, STAGES["ingest"], required={"qa_path"})
 
     p = sub.add_parser("train-tm", help="train IBM Model 1 translation table")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    _add_field_flags(p, TM_FIELDS)
+    _add_field_flags(p, STAGES["train-tm"])
 
     p = sub.add_parser("train-lda", help="train the LDA topic model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    _add_field_flags(p, LDA_FIELDS)
+    _add_field_flags(p, STAGES["train-lda"])
 
     p = sub.add_parser("features", help="compute LETOR feature rows for queries")
     p.add_argument("--corpus", required=True)
     p.add_argument("--translation", required=True)
     p.add_argument("--topics-model", required=True)
     p.add_argument("--out", required=True)
-    _add_field_flags(p, ("queries_path", "qrels_path", "mode") + SCORING_FIELDS,
-                     required={"queries_path"})
+    _add_field_flags(p, STAGES["features"], required={"queries_path"})
 
     p = sub.add_parser("train-ranker", help="train LambdaMART from a LETOR file")
     p.add_argument("--letor", required=True)
     p.add_argument("--out", required=True)
-    _add_field_flags(p, RANKER_FIELDS)
+    _add_field_flags(p, STAGES["train-ranker"])
 
     p = sub.add_parser("rank", help="rank candidates for queries with one method")
     p.add_argument("--corpus", required=True)
@@ -171,16 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--translation", default=None)
     p.add_argument("--topics-model", default=None)
-    _add_field_flags(p, ("queries_path", "ranker_path", "mode") + SCORING_FIELDS
-                     + MIXTURE_FIELDS, required={"queries_path"})
+    _add_field_flags(p, STAGES["rank"], required={"queries_path"})
 
     p = sub.add_parser("evaluate", help="score a run file against qrels")
     p.add_argument("--run", action="append", required=True,
                    help="run file; repeat for a multi-system comparison")
     p.add_argument("--report", default=None)
     p.add_argument("--report-jsonl", default=None)
-    _add_field_flags(p, ("qrels_path", "depth", "rel_threshold"),
-                     required={"qrels_path"})
+    _add_field_flags(p, STAGES["evaluate"], required={"qrels_path"})
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--config", default=None, help="key=value config file")
@@ -220,19 +214,19 @@ def _cmd_train_lda(args) -> int:
     return 0
 
 
-def _scoring_assets(args, cfg: PipelineConfig) -> ScoringAssets:
-    """The corpus and index, and each model whose file is given."""
+def _scoring_assets(args, cfg: PipelineConfig, needs) -> ScoringAssets:
+    """The corpus and index, and only the models in `needs`."""
     corpus = load_corpus(args.corpus)
-    table = TranslationTable.load(args.translation) if args.translation else None
-    model = TopicModel.load(args.topics_model) if args.topics_model else None
-    ranker = LambdaMARTModel.load(cfg.ranker_path) if cfg.ranker_path else None
+    table = TranslationTable.load(args.translation) if "translation" in needs else None
+    model = TopicModel.load(args.topics_model) if "topics" in needs else None
+    ranker = LambdaMARTModel.load(cfg.ranker_path) if "ranker" in needs else None
     return ScoringAssets(corpus=corpus, index=build_index(corpus, cfg.field),
                          table=table, model=model, cfg=cfg, ranker=ranker)
 
 
 def _cmd_features(args) -> int:
     cfg = config_from_args(args)
-    assets = _scoring_assets(args, cfg)
+    assets = _scoring_assets(args, cfg, ("translation", "topics"))
     queries = load_queries(cfg.queries_path, assets.corpus.vocabulary, cfg.mode)
     qrels = read_qrels(cfg.qrels_path) if cfg.qrels_path else None
     rows = write_features(assets, queries, qrels, args.out)
@@ -259,7 +253,7 @@ def _cmd_rank(args) -> int:
         flag, path = given[model]
         if path is None:
             raise ValueError(f"method {method} needs {flag}")
-    assets = _scoring_assets(args, cfg)
+    assets = _scoring_assets(args, cfg, SYSTEMS[method].needs)
     queries = load_queries(cfg.queries_path, assets.corpus.vocabulary, cfg.mode)
     run = rank_queries(assets, queries, (method,))[method]
     write_run(run, args.out)

@@ -1,5 +1,5 @@
 """End-to-end experiment pipeline: ingest -> translation/topic models ->
-features -> ranker -> runs -> report.
+split -> features -> ranker -> runs -> report.
 
 Every artifact gets a sidecar manifest (input hashes, parameters, output
 hash); re-running a stage whose manifest still matches is a no-op, and a
@@ -116,6 +116,8 @@ class StageRunner:
                 with open(mpath, encoding="utf-8") as f:
                     manifest = json.load(f)
             except (OSError, json.JSONDecodeError):
+                return False
+            if not isinstance(manifest, dict):
                 return False
             recorded_output = manifest.pop("output", None)
             if manifest != body:
@@ -365,22 +367,28 @@ def split_queries(queries: list[QueryRecord], split_seed: int):
     return shuffled[:cut], shuffled[cut:]
 
 
-# The PipelineConfig fields a stage reads. Each tuple names both the
-# stage's command-line flags and its manifest params.
-TM_FIELDS = ("em_iters", "direction", "prune")
-LDA_FIELDS = ("topics", "alpha", "beta", "gibbs_iters", "seed")
-RANKER_FIELDS = ("trees", "leaves", "learning_rate", "min_leaf", "ndcg_cutoff",
-                 "seed")
-SCORING_FIELDS = ("field", "k1", "b", "top_k", "burn_in", "samples", "seed",
-                  "rescale_weights", "combine_quality", "pad_candidates")
+# The PipelineConfig fields each stage reads: its command's flags (split has
+# no command) and, apart from the `_path` fields, whose files are hashed as
+# inputs, its manifest params.
+_SCORING = ("mode", "field", "k1", "b", "top_k", "burn_in", "samples", "seed",
+            "rescale_weights", "combine_quality", "pad_candidates")
+STAGES = {
+    "ingest": ("qa_path", "users_path", "mode", "stopwords_path"),
+    "train-tm": ("em_iters", "direction", "prune"),
+    "train-lda": ("topics", "alpha", "beta", "gibbs_iters", "seed"),
+    "split": ("queries_path", "split_seed"),
+    "features": ("queries_path", "qrels_path", *_SCORING),
+    "train-ranker": ("trees", "leaves", "learning_rate", "min_leaf",
+                     "ndcg_cutoff", "seed"),
+    "rank": ("queries_path", "ranker_path", *_SCORING,
+             "mu1", "mu2", "mu3", "mu4"),
+    "evaluate": ("qrels_path", "depth", "rel_threshold"),
+}
 
 
-def _stage_params(cfg: PipelineConfig, names) -> dict:
-    return {name: getattr(cfg, name) for name in names}
-
-
-def _scoring_params(cfg: PipelineConfig) -> dict:
-    return {**_stage_params(cfg, SCORING_FIELDS), "pad_to": PAD_TO}
+def _params(cfg: PipelineConfig, stage: str) -> dict:
+    return {name: getattr(cfg, name) for name in STAGES[stage]
+            if not name.endswith("_path")}
 
 
 # One recipe per stage, shared by run_pipeline and the stage commands.
@@ -488,7 +496,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         [Path(path) for path in (cfg.qa_path, cfg.users_path, cfg.stopwords_path)
          if path is not None],
         [corpus_path],
-        {"mode": cfg.mode, "stopwords": cfg.stopwords_path},
+        _params(cfg, "ingest"),
         lambda: save_corpus(ingest(cfg), corpus_path),
     )
     corpus = load_corpus(corpus_path)
@@ -498,7 +506,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     if "translation" in needed:
         table_path = outdir / "translation.tsv"
         runner.run("train-tm", [corpus_path], [table_path],
-                   _stage_params(cfg, TM_FIELDS),
+                   _params(cfg, "train-tm"),
                    lambda: train_translation(cfg, corpus).save(table_path))
         table = TranslationTable.load(table_path)
         model_paths.append(table_path)
@@ -507,46 +515,45 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     if "topics" in needed:
         lda_path = outdir / "topics.txt"
         runner.run("train-lda", [corpus_path], [lda_path],
-                   _stage_params(cfg, LDA_FIELDS),
+                   _params(cfg, "train-lda"),
                    lambda: train_topics(cfg, corpus).save(lda_path))
         model = TopicModel.load(lda_path)
         model_paths.append(lda_path)
 
+    # loaded after training: interning query words grows the vocabulary
     queries = load_queries(cfg.queries_path, corpus.vocabulary, cfg.mode)
     if not queries:
-        raise PipelineError("stage features failed: no queries")
-    qrels = read_qrels(cfg.qrels_path)
-    index = build_index(corpus, cfg.field)
-    assets = ScoringAssets(corpus=corpus, index=index, table=table,
-                           model=model, cfg=cfg)
-
+        raise PipelineError("stage split failed: no queries")
     train_split, test_split = split_queries(queries, cfg.split_seed)
     split_path = outdir / "split.json"
-    train_letor = outdir / "train.letor"
-    test_letor = outdir / "test.letor"
-    # the LETOR rows are the ranker's training data, so only a run that
-    # uses the ranker writes them
-    letor_paths = [train_letor, test_letor] if "ranker" in needed else []
 
-    def _features() -> None:
+    def _split() -> None:
         with open(split_path, "w", encoding="utf-8") as f:
             json.dump({"train": [q.id for q in train_split],
                        "test": [q.id for q in test_split]},
                       f, sort_keys=True)
             f.write("\n")
-        if letor_paths:
+
+    runner.run("split", [Path(cfg.queries_path)], [split_path],
+               _params(cfg, "split"), _split)
+
+    qrels = read_qrels(cfg.qrels_path)
+    index = build_index(corpus, cfg.field)
+    assets = ScoringAssets(corpus=corpus, index=index, table=table,
+                           model=model, cfg=cfg)
+
+    if "ranker" in needed:
+        # the LETOR rows are the ranker's training data
+        train_letor = outdir / "train.letor"
+        test_letor = outdir / "test.letor"
+
+        def _features() -> None:
             write_features(assets, train_split, qrels, train_letor)
             write_features(assets, test_split, qrels, test_letor)
 
-    runner.run(
-        "features",
-        [corpus_path, *model_paths, Path(cfg.queries_path), Path(cfg.qrels_path)],
-        [split_path, *letor_paths],
-        {**_scoring_params(cfg), "split_seed": cfg.split_seed, "mode": cfg.mode},
-        _features,
-    )
-
-    if "ranker" in needed:
+        runner.run("features", [corpus_path, *model_paths, split_path,
+                                Path(cfg.queries_path), Path(cfg.qrels_path)],
+                   [train_letor, test_letor], _params(cfg, "features"), _features)
         if cfg.ranker_path is not None:
             ranker_path = Path(cfg.ranker_path)
             if not ranker_path.exists():
@@ -554,7 +561,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         else:
             ranker_path = outdir / "ranker.txt"
             runner.run("train-ranker", [train_letor], [ranker_path],
-                       _stage_params(cfg, RANKER_FIELDS),
+                       _params(cfg, "train-ranker"),
                        lambda: train_ranker(cfg, train_letor).save(ranker_path))
         assets.ranker = LambdaMARTModel.load(ranker_path)
         model_paths.append(ranker_path)
@@ -570,8 +577,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         "rank",
         [corpus_path, *model_paths, split_path, Path(cfg.queries_path)],
         list(run_paths.values()),
-        {**_scoring_params(cfg), "systems": list(cfg.systems),
-         "mu": [cfg.mu1, cfg.mu2, cfg.mu3, cfg.mu4], "mode": cfg.mode},
+        _params(cfg, "rank"),
         _rank,
     )
 
@@ -590,8 +596,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         "evaluate",
         list(run_paths.values()) + [split_path, Path(cfg.qrels_path)],
         [report_txt, report_jsonl],
-        {"depth": cfg.depth, "rel_threshold": cfg.rel_threshold,
-         "systems": list(cfg.systems)},
+        # the report lists the systems in this order
+        {**_params(cfg, "evaluate"), "systems": list(cfg.systems)},
         _evaluate,
     )
     return report_txt

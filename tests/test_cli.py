@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import cqarank.cli as cli
 import cqarank.pipeline as pipeline
-from cqarank.cli import (MIXTURE_FIELDS, build_parser, config_from_args,
-                         flag_name, main)
+from cqarank.cli import build_parser, config_from_args, flag_name, main
 from cqarank.corpus import load_corpus, load_queries
 from cqarank.evaluation import read_qrels, read_run
 from cqarank.index import build_index, retrieve_candidates
 from cqarank.ltr import LambdaMARTModel
-from cqarank.pipeline import (ALL_SYSTEMS, SCORING_FIELDS, PipelineConfig,
+from cqarank.pipeline import (ALL_SYSTEMS, STAGES, PipelineConfig,
                               PipelineError, ScoringAssets, prepare_query,
                               run_pipeline, system_ranking)
 from cqarank.relevance import score_lm, score_tlm
@@ -153,6 +153,25 @@ class TestSubcommands:
                      "--out", str(out / "ranker.txt")]) == 0
         for name in ("corpus.json", "translation.tsv", "topics.txt", "ranker.txt"):
             assert (out / name).read_bytes() == (exp / name).read_bytes(), name
+
+    def test_rank_loads_only_the_models_its_method_reads(self, synth_data,
+                                                         tmp_path, monkeypatch):
+        """A model file the method does not read is not loaded, so it adds no
+        fold-in and leaves the run file as it is."""
+        corpus = tmp_path / "corpus.json"
+        main(["ingest", "--qa", str(synth_data["qa"]), "--out", str(corpus)])
+        args = ["rank", "--corpus", str(corpus), "--method", "bm25",
+                "--queries", str(synth_data["queries"])]
+        assert main(args + ["--out", str(tmp_path / "plain.txt")]) == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bm25 loaded a topic model")
+
+        monkeypatch.setattr(TopicModel, "load", forbidden)
+        assert main(args + ["--topics-model", "x",
+                            "--out", str(tmp_path / "given.txt")]) == 0
+        assert ((tmp_path / "given.txt").read_bytes()
+                == (tmp_path / "plain.txt").read_bytes())
 
     def test_rank_with_truncated_ranker_fails_cleanly(self, synth_data, tmp_path,
                                                       capsys):
@@ -336,8 +355,8 @@ class TestSubcommands:
         cfg = small_pipeline_cfg(data, exp, gibbs_iters=20, top_k=30, seed=3,
                                  split_seed=4)
         run_pipeline(cfg)
-        flags = ["--mode", cfg.mode]
-        for name in SCORING_FIELDS + MIXTURE_FIELDS:
+        flags = []
+        for name in (n for n in STAGES["rank"] if not n.endswith("_path")):
             value = getattr(cfg, name)
             if isinstance(value, bool):
                 flags += [flag_name(name)] if value else []
@@ -439,7 +458,16 @@ class TestPipeline:
         shutil.copytree(tmp_path / "out", tmp_path / "copy")
         run_pipeline(small_pipeline_cfg(synth_data, tmp_path / "copy"))
         assert stage_runners[-1].executed == []
-        assert len(stage_runners[-1].skipped) == 7
+        assert len(stage_runners[-1].skipped) == 8
+
+    @pytest.mark.parametrize("body", ["[]", '"x"', "1"])
+    def test_manifest_not_an_object_reruns_the_stage(self, synth_data, tmp_path,
+                                                    stage_runners, body):
+        cfg = small_pipeline_cfg(synth_data, tmp_path / "out", systems=("bm25",))
+        run_pipeline(cfg)
+        (tmp_path / "out" / "corpus.json.manifest.json").write_text(body + "\n")
+        run_pipeline(cfg)
+        assert stage_runners[-1].executed == ["ingest"]
 
     def test_query_without_candidates_scores_zero(self, tmp_path):
         """A judged test query that retrieval cannot answer stays in the
@@ -596,15 +624,16 @@ class TestPipeline:
                      "--outdir", str(tmp_path / "out2")]) == 1
 
 
-BASELINE_STAGES = ("ingest", "features", "rank", "evaluate")
-TLM_STAGES = ("ingest", "train-tm", "features", "rank", "evaluate")
-TOPIC_STAGES = ("ingest", "train-tm", "train-lda", "features", "rank", "evaluate")
-ALL_STAGES = ("ingest", "train-tm", "train-lda", "features", "train-ranker",
-              "rank", "evaluate")
+BASELINE_STAGES = ("ingest", "split", "rank", "evaluate")
+TLM_STAGES = ("ingest", "train-tm", "split", "rank", "evaluate")
+TOPIC_STAGES = ("ingest", "train-tm", "train-lda", "split", "rank", "evaluate")
+ALL_STAGES = ("ingest", "train-tm", "train-lda", "split", "features",
+              "train-ranker", "rank", "evaluate")
 # the files a run writes only when it runs the stage; the LETOR rows are
 # the ranker's training data
 STAGE_FILES = {"train-tm": ("translation.tsv",), "train-lda": ("topics.txt",),
-               "train-ranker": ("train.letor", "test.letor", "ranker.txt")}
+               "features": ("train.letor", "test.letor"),
+               "train-ranker": ("ranker.txt",)}
 
 
 @pytest.fixture(scope="class")
@@ -658,11 +687,112 @@ class TestSystemSubsets:
         run_pipeline(small_pipeline_cfg(data, out, systems=("lm", "tlm")))
         manifests = {name: json.loads((out / f"{name}.manifest.json").read_text())
                      for name in ("split.json", "run_tlm.txt")}
-        assert sorted(manifests["split.json"]["inputs"]) == sorted(
-            ["corpus.json", "translation.tsv", str(data["queries"]),
-             str(data["qrels"])])
+        assert sorted(manifests["split.json"]["inputs"]) == [str(data["queries"])]
         assert sorted(manifests["run_tlm.txt"]["inputs"]) == sorted(
             ["corpus.json", "translation.tsv", "split.json", str(data["queries"])])
+
+
+# another valid value of every setting; the mixture weights change in
+# pairs, to keep their sum 1
+CHANGED = {
+    "mode": {"mode": "pretokenized"}, "field": {"field": "question"},
+    "k1": {"k1": 1.5}, "b": {"b": 0.5}, "top_k": {"top_k": 40},
+    "em_iters": {"em_iters": 4}, "direction": {"direction": "q_to_a"},
+    "prune": {"prune": 0.001}, "topics": {"topics": 2}, "alpha": {"alpha": 0.5},
+    "beta": {"beta": 0.02}, "gibbs_iters": {"gibbs_iters": 30},
+    "burn_in": {"burn_in": 8}, "samples": {"samples": 4},
+    "mu1": {"mu1": 0.2, "mu3": 0.3}, "mu2": {"mu2": 0.2, "mu4": 0.3},
+    "mu3": {"mu3": 0.1, "mu4": 0.3}, "mu4": {"mu4": 0.1, "mu3": 0.3},
+    "rescale_weights": {"rescale_weights": True},
+    "combine_quality": {"combine_quality": True},
+    "trees": {"trees": 7}, "leaves": {"leaves": 3},
+    "learning_rate": {"learning_rate": 0.1}, "min_leaf": {"min_leaf": 4},
+    "ndcg_cutoff": {"ndcg_cutoff": 5}, "depth": {"depth": 5},
+    "rel_threshold": {"rel_threshold": 2}, "seed": {"seed": 2},
+    "split_seed": {"split_seed": 3}, "pad_candidates": {"pad_candidates": True},
+    "systems": {"systems": tuple(reversed(ALL_SYSTEMS))},
+}
+
+
+class TestStageFields:
+    """STAGES names the config fields each stage reads, and a stage's
+    manifest records them. A field read but not recorded would leave a
+    stale artifact marked up to date."""
+
+    def test_each_command_reads_its_stage_fields(self, synth_data, tmp_path,
+                                                 monkeypatch):
+        log: list[str] = []
+
+        class RecordingConfig(PipelineConfig):
+            def __getattribute__(self, name):
+                if name in PipelineConfig.__dataclass_fields__:
+                    log.append(name)
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(cli, "PipelineConfig", RecordingConfig)
+        reads: dict[str, set[str]] = {}
+
+        def run(command, *argv):
+            log.clear()
+            assert main([command, *map(str, argv)]) == 0, (command, argv)
+            assert set(log) <= set(STAGES[command]), (command, argv)
+            reads.setdefault(command, set()).update(log)
+
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("common0\n")
+        corpus, letor = tmp_path / "corpus.json", tmp_path / "rows.letor"
+        models = {"--translation": tmp_path / "tm.tsv",
+                  "--topics-model": tmp_path / "lda.txt",
+                  "--ranker": tmp_path / "rk.txt"}
+        queries = ("--queries", synth_data["queries"])
+        run("ingest", "--qa", synth_data["qa"], "--users", synth_data["users"],
+            "--stopwords", stopwords, "--out", corpus)
+        run("train-tm", "--corpus", corpus, "--em-iters", 3,
+            "--out", models["--translation"])
+        run("train-lda", "--corpus", corpus, "--topics", 2, "--gibbs-iters", 10,
+            "--out", models["--topics-model"])
+        run("features", "--corpus", corpus, *queries,
+            "--qrels", synth_data["qrels"], "--burn-in", 5, "--samples", 3,
+            "--translation", models["--translation"],
+            "--topics-model", models["--topics-model"], "--out", letor)
+        run("train-ranker", "--letor", letor, "--trees", 3, "--min-leaf", 5,
+            "--out", models["--ranker"])
+        for method in ALL_SYSTEMS:
+            given = [x for flag, path in models.items() for x in (flag, path)]
+            run("rank", "--corpus", corpus, *queries, "--method", method,
+                "--burn-in", 5, "--samples", 3, *given,
+                "--out", tmp_path / "run.txt")
+        run("evaluate", "--run", tmp_path / "run.txt",
+            "--qrels", synth_data["qrels"])
+        assert {command: set(STAGES[command]) for command in reads} == reads
+        assert set(STAGES) - set(reads) == {"split"}  # a pipeline-only stage
+
+    def test_every_setting_has_a_changed_value(self):
+        settings = {name for name in PipelineConfig.__dataclass_fields__
+                    if not name.endswith("_path") and name != "outdir"}
+        assert set(CHANGED) == settings
+
+    @pytest.mark.parametrize("setting", sorted(CHANGED))
+    def test_changed_setting_reruns_the_stages_that_read_it(
+            self, default_run, tmp_path, stage_runners, setting):
+        """Rerunning a finished outdir with one setting changed executes
+        every stage that reads it, and ends with the files a fresh run
+        writes."""
+        data, full = default_run
+        out = tmp_path / "out"
+        shutil.copytree(full, out)
+        run_pipeline(small_pipeline_cfg(data, out, **CHANGED[setting]))
+        executed = stage_runners[0].executed
+        for stage, names in STAGES.items():
+            if setting in names:
+                assert stage in executed, stage
+        if setting not in STAGES["ingest"]:
+            assert "ingest" not in executed
+        run_pipeline(small_pipeline_cfg(data, tmp_path / "fresh",
+                                        **CHANGED[setting]))
+        for path in (tmp_path / "fresh").iterdir():
+            if not path.name.endswith(".manifest.json"):
+                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestConfigFile:
@@ -773,7 +903,8 @@ class TestFlagsMirrorConfig:
         for command, wanted in (("features", False), ("rank", True),
                                 ("pipeline", True)):
             dests = {a.dest for a in parsers[command]._actions}
-            assert all((name in dests) == wanted for name in MIXTURE_FIELDS), command
+            assert all((name in dests) == wanted
+                       for name in ("mu1", "mu2", "mu3", "mu4")), command
         with pytest.raises(SystemExit):
             build_parser().parse_args(["features"] + STAGE_ARGV["features"]
                                       + ["--mu1", "0.5"])
