@@ -78,19 +78,14 @@ class RegressionTree:
         self.right[node] = right
         self.value[node] = 0.0
 
-    def _node_arrays(self, size: int) -> tuple[np.ndarray, ...]:
-        """(feature, threshold, left, right, value) padded with leaves to
-        `size` nodes."""
-        pad = size - len(self.feature)
-        return (np.array(self.feature + [-1] * pad, dtype=np.intp),
-                np.array(self.threshold + [0.0] * pad, dtype=np.float64),
-                np.array(self.left + [-1] * pad, dtype=np.intp),
-                np.array(self.right + [-1] * pad, dtype=np.intp),
-                np.array(self.value + [0.0] * pad, dtype=np.float64))
+    @cached_property
+    def _router(self) -> "_Router":
+        return _Router([self])
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        arrays = [a[None, :] for a in self._node_arrays(len(self.feature))]
-        return _route(arrays, np.asarray(X, dtype=np.float64))[0]
+        """The leaf value every row of X reaches. The routing tables are
+        built on the first call and kept, so call it on a finished tree."""
+        return self._router.leaf_values(np.asarray(X, dtype=np.float64))[0]
 
     def to_lines(self) -> list[str]:
         """Preorder serialization: "S <feat> <thr>" / "L <value>"."""
@@ -137,31 +132,87 @@ class RegressionTree:
         return tree
 
 
-def _route(arrays, X: np.ndarray) -> np.ndarray:
-    """Leaf value reached by every row of X in every tree, as a
-    (trees, rows) array.
+_WORD_BITS = 64
+_ALL_SET = np.uint64(2**_WORD_BITS - 1)
 
-    `arrays` are the (trees, nodes) feature, threshold, left, right and
-    value arrays, with feature -1 at a leaf. Every (tree, row) pair starts
-    at its tree's root, node 0. Each step moves every pair still at a split
-    one level down: to the left child when the row's value of the split
-    feature is <= the split threshold, else to the right child.
+
+def _leaf_layout(tree: RegressionTree):
+    """The tree's leaf values left to right, and for each split its
+    feature, threshold and the range [lo, hi) of the leaves of its left
+    subtree in that numbering."""
+    first = {}  # each node's first leaf: the leaves numbered before it
+    values = []
+    stack = [0]
+    while stack:  # preorder, left child first
+        node = stack.pop()
+        first[node] = len(values)
+        if tree.feature[node] == -1:
+            values.append(tree.value[node])
+        else:
+            stack += (tree.right[node], tree.left[node])
+    # the right subtree's leaves follow the left subtree's
+    splits = [(tree.feature[node], tree.threshold[node], lo, first[tree.right[node]])
+              for node, lo in first.items() if tree.feature[node] != -1]
+    return values, splits
+
+
+class _Router:
+    """The exit leaf of every row in every tree, by the QuickScorer rule
+    (Lucchese et al., SIGIR 2015).
+
+    A tree's leaves, numbered left to right, are the bits of a bitvector of
+    ceil(leaves / 64) words. A row that fails a split's test
+    x[feature] <= threshold goes right, so it cannot exit in that split's
+    left subtree, and the split's mask clears those leaves. ANDing the
+    masks of every split of the tree the row fails, wherever they lie,
+    leaves the exit leaf as the lowest set bit: each leaf left of it lies
+    in the left subtree of a split on the row's path that the row failed,
+    and the exit leaf lies in no failed split's left subtree. So each split
+    is tested once per row, with no walk from node to node. The tables hold
+    one mask per split and one value per leaf, so they grow linearly with
+    the trees, whatever their shape.
+
+    Every tree gets the same number of split slots; a slot it does not use
+    holds a mask that clears nothing.
     """
-    feature, threshold, left, right, value = (a.ravel() for a in arrays)
-    n_trees, size = arrays[0].shape
-    n_rows, n_features = X.shape
-    # node ids index the flattened arrays: tree t's node i is t*size + i
-    offset = np.repeat(np.arange(n_trees) * size, n_rows)
-    row_start = np.tile(np.arange(n_rows) * n_features, n_trees)
-    x = X.ravel()
-    node = offset.copy()
-    active = np.flatnonzero(feature[node] >= 0)
-    while active.size:
-        at = node[active]
-        go_left = x[row_start[active] + feature[at]] <= threshold[at]
-        node[active] = offset[active] + np.where(go_left, left[at], right[at])
-        active = active[feature[node[active]] >= 0]
-    return value[node].reshape(n_trees, n_rows)
+
+    def __init__(self, trees) -> None:
+        layouts = [_leaf_layout(tree) for tree in trees]
+        n_trees = len(layouts)
+        n_slots = max(len(splits) for _, splits in layouts) or 1
+        n_leaves = max(len(values) for values, _ in layouts)
+        n_words = -(-n_leaves // _WORD_BITS)
+        # rows go on the last axis, so the tables broadcast over them
+        self.feature = np.zeros((n_trees, n_slots), dtype=np.intp)
+        self.threshold = np.zeros((n_trees, n_slots, 1), dtype=np.float64)
+        self.mask = np.full((n_trees, n_slots, n_words, 1), _ALL_SET)
+        value = np.zeros((n_trees, n_leaves), dtype=np.float64)
+        all_set = (1 << n_words * _WORD_BITS) - 1
+        for t, (values, splits) in enumerate(layouts):
+            value[t, :len(values)] = values
+            for s, (feat, thr, lo, hi) in enumerate(splits):
+                mask = all_set ^ ((1 << hi) - (1 << lo))
+                self.feature[t, s] = feat
+                self.threshold[t, s] = thr
+                self.mask[t, s, :, 0] = [(mask >> (_WORD_BITS * w)) & int(_ALL_SET)
+                                         for w in range(n_words)]
+        self.value = value.ravel()
+        self.first_leaf = np.arange(n_trees)[:, None] * n_leaves
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """The value of the leaf each row of X exits in each tree, as a
+        (trees, rows) array."""
+        go_left = X.T[self.feature] <= self.threshold  # (trees, slots, rows)
+        words = np.bitwise_and.reduce(
+            np.where(go_left[:, :, None, :], _ALL_SET, self.mask), axis=1)
+        # popcount(~v & (v - 1)) counts the zeros below v's lowest set bit,
+        # 64 in an empty word; a word's count adds while the words below it
+        # are empty
+        below = np.bitwise_count(~words & (words - np.uint64(1))).astype(np.intp)
+        leaf = below[:, 0]
+        for w in range(1, words.shape[1]):
+            leaf = leaf + below[:, w] * (words[:, :w] == 0).all(axis=1)
+        return self.value[leaf + self.first_leaf]
 
 
 @dataclass
@@ -178,23 +229,20 @@ class LambdaMARTModel:
         return float(self.predict_matrix(np.array([features]))[0])
 
     @cached_property
-    def _stacked(self) -> tuple[np.ndarray, ...]:
-        """Node arrays of every tree, one row per tree."""
-        size = max((len(tree.feature) for tree in self.trees), default=1)
-        per_tree = [tree._node_arrays(size) for tree in self.trees]
-        return tuple(np.array([arrays[i] for arrays in per_tree]).reshape(
-            len(self.trees), size) for i in range(5))
+    def _router(self) -> _Router:
+        return _Router(self.trees)
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        """The score of every row: all trees route together, and their
-        shrunk outputs are added in tree order, starting from 0."""
+        """The score of every row: every tree routes every row at once, and
+        their shrunk outputs are added in tree order, starting from 0. The
+        routing tables are built on the first call and kept."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_count:
             raise ValueError(
                 f"expected {self.feature_count} features, got shape {X.shape}")
         if not self.trees:
             return np.zeros(X.shape[0], dtype=np.float64)
-        steps = self.shrinkage * _route(self._stacked, X)
+        steps = self.shrinkage * self._router.leaf_values(X)
         # cumsum adds the trees in order; + 0.0 is the starting 0 (-0.0 -> 0.0)
         return np.cumsum(steps, axis=0, out=steps)[-1] + 0.0
 

@@ -133,14 +133,6 @@ def query_scoring_seed(base_seed: int, query_id: str) -> int:
     return (base_seed * 1000003 + zlib.crc32(query_id.encode("utf-8"))) % (2 ** 31)
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateEntry:
-    """What scoring needs of one archive pair, whatever the query."""
-
-    terms: DocumentTerms
-    quality: tuple[float, ...]  # the quality columns of its feature row
-
-
 @dataclass
 class ScoringAssets:
     """Everything needed to score queries against the archive."""
@@ -151,8 +143,10 @@ class ScoringAssets:
     model: TopicModel | None
     cfg: "PipelineConfig"
     ranker: LambdaMARTModel | None = None
-    # per-pair entries, filled the first time a pair is a candidate
-    entries: dict[str, CandidateEntry] = field(default_factory=dict, repr=False)
+    # per-pair document terms and quality columns, each computed the first
+    # time a scorer reads it; only the ranker's feature rows read quality
+    terms: dict[str, DocumentTerms] = field(default_factory=dict, repr=False)
+    qualities: dict[str, tuple[float, ...]] = field(default_factory=dict, repr=False)
     # the fold-in generator, reseeded for every query. Quoted and built by
     # a lambda: numpy loads numpy.random on first access, and an import of
     # this module should not load it
@@ -160,21 +154,24 @@ class ScoringAssets:
         default_factory=lambda: np.random.RandomState(), repr=False, compare=False)
     # the last prepared query scored and its component table, which every
     # system ranking that query shares; one table is kept, however many
-    # prepared queries a caller holds. Like `entries` and `rng`, it belongs
-    # to one thread.
+    # prepared queries a caller holds. Like the per-pair caches and `rng`,
+    # it belongs to one thread.
     last_table: "tuple[PreparedQuery, ComponentTable] | None" = field(
         default=None, repr=False, compare=False)
 
-    def entry(self, qa_id: str) -> CandidateEntry:
-        found = self.entries.get(qa_id)
+    def pair_terms(self, qa_id: str) -> DocumentTerms:
+        found = self.terms.get(qa_id)
         if found is None:
             qa = self.corpus.pair(qa_id)
-            found = CandidateEntry(
-                terms=document_terms(qa.question_tokens, qa.answer_tokens,
-                                     self.model),
-                quality=quality_feature(qa, self.corpus).as_columns(
-                    self.cfg.combine_quality))
-            self.entries[qa_id] = found
+            found = self.terms[qa_id] = document_terms(
+                qa.question_tokens, qa.answer_tokens, self.model)
+        return found
+
+    def quality(self, qa_id: str) -> tuple[float, ...]:
+        found = self.qualities.get(qa_id)
+        if found is None:
+            found = self.qualities[qa_id] = quality_feature(
+                self.corpus.pair(qa_id), self.corpus).as_columns(self.cfg.combine_quality)
         return found
 
 
@@ -193,7 +190,7 @@ def _component_table(assets: ScoringAssets,
     if assets.last_table is None or assets.last_table[0] is not prepared:
         assets.last_table = (prepared, ComponentTable(
             prepared.record.tokens,
-            [assets.entry(c.qa_id).terms for c in prepared.candidates],
+            [assets.pair_terms(c.qa_id) for c in prepared.candidates],
             assets.corpus.stats, assets.table, assets.model, prepared.theta,
             prepared.weights))
     return assets.last_table[1]
@@ -232,12 +229,12 @@ def _pad(candidates, corpus: Corpus, cfg: "PipelineConfig", query_id: str):
     return candidates + [ScoredCandidate(qa_id=qa_id, score=0.0) for qa_id in extras]
 
 
-def _feature_vectors(assets: ScoringAssets,
-                     prepared: PreparedQuery) -> list[tuple[float, ...]]:
-    """F1..F4 plus the quality columns of every candidate."""
-    features = _component_table(assets, prepared).features()
-    return [rel + assets.entry(cand.qa_id).quality
-            for cand, rel in zip(prepared.candidates, features)]
+def _feature_matrix(assets: ScoringAssets, prepared: PreparedQuery) -> np.ndarray:
+    """F1..F4 plus the quality columns, one row per candidate."""
+    return np.column_stack([
+        _component_table(assets, prepared).features(),
+        np.array([assets.quality(c.qa_id) for c in prepared.candidates],
+                 dtype=np.float64)])
 
 
 def feature_rows(assets: ScoringAssets, prepared: PreparedQuery,
@@ -246,17 +243,16 @@ def feature_rows(assets: ScoringAssets, prepared: PreparedQuery,
     qrels (unjudged pairs default to 0)."""
     query_id = prepared.record.id
     return [RankingInstance(
-                query_id=query_id, doc_id=cand.qa_id, features=x,
+                query_id=query_id, doc_id=cand.qa_id, features=tuple(x),
                 label=qrels.grade(query_id, cand.qa_id) if qrels is not None else 0)
             for cand, x in zip(prepared.candidates,
-                               _feature_vectors(assets, prepared))]
+                               _feature_matrix(assets, prepared).tolist())]
 
 
 def _fused_scores(assets: ScoringAssets, prepared: PreparedQuery) -> list[float]:
     if assets.ranker is None:
         raise ValueError("fused system needs a trained ranker")
-    X = np.array(_feature_vectors(assets, prepared), dtype=np.float64)
-    return assets.ranker.predict_matrix(X).tolist()
+    return assets.ranker.predict_matrix(_feature_matrix(assets, prepared)).tolist()
 
 
 @dataclass(frozen=True)

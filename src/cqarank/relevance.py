@@ -214,7 +214,7 @@ class ComponentTable:
             raise ValueError("translation scoring needs a translation table")
         terms, probs, owner = self._question
         sources, inverse = np.unique(terms, return_inverse=True)
-        p_tr = self._table.columns(self.words, sources.tolist())
+        p_tr = self._table.columns(self.words, sources)
         out = np.empty(self.shape, dtype=np.float64)
         for j in range(len(self.words)):
             # bincount adds each candidate's terms in their stored order
@@ -258,7 +258,7 @@ class ComponentTable:
     def _answer_side(self, x: np.ndarray) -> np.ndarray:
         return (1.0 - self.lam_a) * x + self.lam_a * self.background
 
-    def _log_sums(self, *columns: np.ndarray) -> list[np.ndarray]:
+    def _log_sums(self, *columns: np.ndarray) -> np.ndarray:
         """Per column and candidate: the sum of ln p over the query's token
         occurrences, added in query order."""
         stacked = np.array(columns, dtype=np.float64)
@@ -268,7 +268,7 @@ class ComponentTable:
         total = np.zeros((len(columns), len(self.docs)), dtype=np.float64)
         for j in self.slots:
             total += logs[:, j]
-        return list(total)
+        return total
 
     def _components(self, weighted: bool):
         """(exact, translation, topic, answer) under the scorer's weighting."""
@@ -292,14 +292,13 @@ class ComponentTable:
              + mu.mu4 * self._answer_side(answer))
         return self._log_sums(p)[0]
 
-    def features(self) -> list[tuple[float, float, float, float]]:
-        """F1..F4 of every candidate."""
+    def features(self) -> np.ndarray:
+        """F1..F4 of every candidate, one row each."""
         exact, trans, topic, answer = self._components(weighted=True)
-        columns = self._log_sums(self._question_side(exact),
-                                 self._question_side(trans),
-                                 self._question_side(topic),
-                                 self._answer_side(answer))
-        return list(zip(*(c.tolist() for c in columns)))
+        return self._log_sums(self._question_side(exact),
+                              self._question_side(trans),
+                              self._question_side(topic),
+                              self._answer_side(answer)).T
 
 
 def score_lm(query_tokens, q_tokens, stats: CollectionStats) -> float:
@@ -355,4 +354,4 @@ def features_f1_f4(query_tokens, qa: QAPair, table: TranslationTable,
     doc = document_terms(qa.question_tokens, qa.answer_tokens, model)
     components = ComponentTable(query_tokens, [doc], stats, table, model,
                                 theta, weights)
-    return RelevanceFeatures(*components.features()[0])
+    return RelevanceFeatures(*components.features()[0].tolist())

@@ -228,6 +228,14 @@ def infer_query_topics(model: TopicModel, query_tokens, burn_in: int = 50,
     RandomState(seed); a caller that folds in many queries passes one
     generator and so does not build one per query. Without `rng` the call
     makes its own.
+
+    A draw's cumulative weights accumulate(phi(w) * (n_k + alpha)) depend
+    only on the token's word w and on the topic counts n_k of the query's
+    other tokens, and a short query revisits the same few states sweep after
+    sweep. So each list is computed once per call, kept in a memo keyed by
+    (w, n_k), and reused: a reused list holds the very floats a recomputed
+    one would, the draws are taken as before, and theta is bit-identical.
+    The memo lives for one call, at most one entry per draw.
     """
     if len(query_tokens) == 0:
         raise ValueError("empty query")
@@ -247,11 +255,17 @@ def infer_query_topics(model: TopicModel, query_tokens, burn_in: int = 50,
     alpha = model.alpha
     n_k = np.bincount(z, minlength=K).tolist()
     k_alpha = [c + alpha for c in n_k]
-    cols = model.phi[:, tokens].T.tolist()
-
     n = len(tokens)
-    norm = n + K * alpha
-    acc = [0.0] * K
+    # state = the sum of power[z_j] over the tokens; every count is below
+    # the base n + 1, so state encodes n_k, and with token i's topic taken
+    # out it encodes the counts of the others
+    power = [(n + 1) ** k for k in range(K)]
+    state = sum(power[k] for k in z)
+    cols = model.phi[:, tokens].T.tolist()
+    memo_of = {w: {} for w in tokens}  # cumulative weights by state, per word
+    memos = [memo_of[w] for w in tokens]
+
+    kept = []  # n_k + alpha after each post-burn-in sweep
     # the same list-walk as CollapsedGibbsSampler.sweep, one draw per token
     # per sweep, all drawn at once; range before draws, so each sweep takes
     # exactly n of them
@@ -261,13 +275,20 @@ def infer_query_topics(model: TopicModel, query_tokens, burn_in: int = 50,
             k = z[i]
             n_k[k] -= 1
             k_alpha[k] = n_k[k] + alpha
-            cum = list(accumulate(map(mul, cols[i], k_alpha)))
+            state -= power[k]
+            cum = memos[i].get(state)
+            if cum is None:
+                cum = memos[i][state] = list(accumulate(map(mul, cols[i], k_alpha)))
             k = bisect_right(cum, u * cum[-1])
             if k >= K:
                 k = K - 1
             z[i] = k
             n_k[k] += 1
             k_alpha[k] = n_k[k] + alpha
+            state += power[k]
         if sweep >= burn_in:
-            acc = [a + c / norm for a, c in zip(acc, k_alpha)]
-    return QueryTopicPosterior(theta=np.array(acc) / samples, oov_fallback=False)
+            kept.append(k_alpha.copy())
+    # cumsum adds the sweeps' (n_k + alpha)/(n + K*alpha) in sweep order
+    terms = np.array(kept) / (n + K * alpha)
+    return QueryTopicPosterior(theta=np.cumsum(terms, axis=0, out=terms)[-1] / samples,
+                               oov_fallback=False)

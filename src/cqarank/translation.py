@@ -8,6 +8,7 @@ order so training is bit-reproducible.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,8 @@ class ParallelPair:
 
 class TranslationTable:
     """Sparse P_tr(w|t) as (source t, target w, probability) arrays sorted by
-    (t, w), with the offset of each source's row.
+    (t, w), with the offset of each source's row. `columns` reads a second
+    view of the entries sorted by (w, t), which its first call builds.
 
     Entries may be given in any order; a repeated (t, w) is rejected.
     """
@@ -48,26 +50,44 @@ class TranslationTable:
             keys, source, target, prob = keys[order], source[order], target[order], prob[order]
             if (keys[1:] == keys[:-1]).any():
                 raise ValueError("repeated (source, target) entry")
-        self._keys, self._target, self._prob = keys, target, prob
+        self._target, self._prob = target, prob
         starts = np.flatnonzero(np.diff(source, prepend=-1))
         self._rows = source[starts]
         self._offsets = np.r_[starts, len(source)]
 
-    def _lookup(self, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """P_tr(w|t) for every broadcast (w, t), 0.0 off the table."""
-        out = np.zeros(np.broadcast_shapes(w.shape, t.shape), dtype=np.float64)
-        if not len(self._keys):
-            return out
-        keys = t * self._width + w
-        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        hit = (self._keys[at] == keys) & (w >= 0) & (w < self._width)
-        out[hit] = self._prob[at[hit]]
-        return out
+    @cached_property
+    def _by_target(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries in (target, source) order: the offset of each target
+        id's first entry, with the end last, and each entry's source id as
+        int32 and its probability."""
+        source = np.repeat(self._rows, np.diff(self._offsets))
+        key = self._target * (int(source.max(initial=0)) + 1) + source
+        order = np.argsort(key)  # the keys are distinct, so any sort agrees
+        starts = np.r_[0, np.cumsum(np.bincount(self._target, minlength=self._width))]
+        return starts, source[order].astype(np.int32), self._prob[order]
 
     def columns(self, targets, sources) -> np.ndarray:
-        """P_tr(w|t) for every target w (rows) and source t (columns)."""
-        return self._lookup(np.asarray(targets, dtype=np.int64).reshape(-1, 1),
-                            np.asarray(sources, dtype=np.int64).reshape(1, -1))
+        """P_tr(w|t) for every target w (rows) and source t (columns), 0.0
+        off the table. Each target's row is read from its own run of
+        entries, built on the first call and kept."""
+        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        out = np.zeros((len(targets), len(sources)), dtype=np.float64)
+        starts, by_source, probs = self._by_target
+        # an id outside [0, _MAX_TERM_ID] is in no entry; -1 matches none
+        wanted = np.where((sources >= 0) & (sources <= _MAX_TERM_ID),
+                          sources, -1).astype(np.int32)
+        for j, w in enumerate(targets.tolist()):
+            if not 0 <= w < self._width:
+                continue
+            lo, hi = starts[w], starts[w + 1]
+            if lo == hi:
+                continue
+            have = by_source[lo:hi]
+            at = np.minimum(np.searchsorted(have, wanted), hi - lo - 1)
+            hit = have[at] == wanted
+            out[j, hit] = probs[lo + at[hit]]
+        return out
 
     def row(self, t: int) -> dict[int, float]:
         i = int(np.searchsorted(self._rows, t))
@@ -250,8 +270,11 @@ def corpus_log_likelihood(table: TranslationTable, pairs) -> float:
     pairs = list(pairs)
     if not pairs:
         return 0.0
-    source, target, slot, n_slots = _events(pairs)
-    inner = np.bincount(slot, weights=table._lookup(target, source), minlength=n_slots)
+    _, _, slot, n_slots = _events(pairs)
+    # in event order: pair, then target token, then source token
+    p = np.concatenate([table.columns(pair.target, pair.source).ravel()
+                        for pair in pairs])
+    inner = np.bincount(slot, weights=p, minlength=n_slots)
     if (inner <= 0.0).any():
         return float("-inf")
     total = 0.0

@@ -680,6 +680,21 @@ class TestSystemSubsets:
         run_pipeline(small_pipeline_cfg(data, tmp_path / "out",
                                         systems=("vsm", "bm25", "lm")))
 
+    def test_runs_without_the_ranker_compute_no_quality_column(
+            self, default_run, tmp_path, monkeypatch):
+        """Only the ranker's feature rows read the quality columns."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quality_feature was called")
+
+        monkeypatch.setattr(pipeline, "quality_feature", forbidden)
+        data, full = default_run
+        out = tmp_path / "out"
+        systems = ("bm25", "vsm", "lm", "tlm", "t2lm", "t2lm+")
+        run_pipeline(small_pipeline_cfg(data, out, systems=systems))
+        for system in systems:
+            name = f"run_{system.replace('+', 'p')}.txt"
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
+
     def test_subset_rank_stage_lists_only_the_models_it_reads(self, default_run,
                                                               tmp_path):
         data, _ = default_run
@@ -690,6 +705,28 @@ class TestSystemSubsets:
         assert sorted(manifests["split.json"]["inputs"]) == [str(data["queries"])]
         assert sorted(manifests["run_tlm.txt"]["inputs"]) == sorted(
             ["corpus.json", "translation.tsv", "split.json", str(data["queries"])])
+
+
+class TestServingCaches:
+    """Loading builds no serving cache: the translation table's by-target
+    view and the ranker's routing tables are built by the first query that
+    reads them, so loading the artifacts costs no more than reading them."""
+
+    def test_first_query_builds_what_loading_does_not(self, default_run):
+        data, out = default_run
+        cfg = small_pipeline_cfg(data, out)
+        corpus = load_corpus(out / "corpus.json")
+        table = TranslationTable.load(out / "translation.tsv")
+        ranker = LambdaMARTModel.load(out / "ranker.txt")
+        assets = ScoringAssets(corpus=corpus, index=build_index(corpus, cfg.field),
+                               table=table, model=TopicModel.load(out / "topics.txt"),
+                               cfg=cfg, ranker=ranker)
+        owners = [table, ranker, *ranker.trees]
+        assert not any({"_by_target", "_router"} & vars(o).keys() for o in owners)
+        assert not assets.terms and not assets.qualities
+        query = load_queries(cfg.queries_path, corpus.vocabulary, cfg.mode)[0]
+        assert system_ranking("t2lm+5", assets, prepare_query(assets, query))
+        assert "_by_target" in vars(table) and "_router" in vars(ranker)
 
 
 # another valid value of every setting; the mixture weights change in

@@ -349,6 +349,101 @@ class TestPredict:
         assert model.predict_matrix(np.zeros((0, 3))).shape == (0,)
 
 
+def _random_tree(rng: random.Random, leaves: int, n_features: int) -> RegressionTree:
+    """A tree grown by splitting a random leaf until it has `leaves`;
+    thresholds come from a few values so rows fall on them."""
+    tree = RegressionTree()
+    open_leaves = [tree._add_leaf(rng.uniform(-2, 2))]
+    while len(open_leaves) < leaves:
+        node = open_leaves.pop(rng.randrange(len(open_leaves)))
+        left = tree._add_leaf(rng.uniform(-2, 2))
+        right = tree._add_leaf(rng.uniform(-2, 2))
+        tree._make_split(node, rng.randrange(n_features),
+                         rng.choice([0.25, 0.5, 0.75]), left, right)
+        open_leaves += [left, right]
+    return tree
+
+
+def _chain_tree(leaves: int, go_left: bool) -> RegressionTree:
+    """Every split's other child is a leaf: a path of leaves - 1 splits
+    down the left or the right, feature 0 at thresholds 0, 1, 2, ..."""
+    tree = RegressionTree()
+    node = tree._add_leaf(0.0)
+    for depth in range(leaves - 1):
+        follow = tree._add_leaf(0.0)
+        stop = tree._add_leaf(float(depth))
+        left, right = (follow, stop) if go_left else (stop, follow)
+        thr = float(leaves - 2 - depth) if go_left else float(depth)
+        tree._make_split(node, 0, thr, left, right)
+        node = follow
+    tree.value[node] = -1.0
+    return tree
+
+
+def _rows(rng: random.Random, n: int, n_features: int) -> np.ndarray:
+    values = [0.0, 0.25, 0.5, 0.75, 1.0, math.nextafter(0.5, 1.0),
+              math.nextafter(0.25, 0.0), -0.0]
+    return np.array([[rng.choice(values) if rng.random() < 0.7 else rng.random()
+                      for _ in range(n_features)] for _ in range(n)])
+
+
+class TestRouting:
+    """Both predict_matrix methods route through one bitvector router; each
+    must equal walking every tree from its root, row by row."""
+
+    @pytest.mark.parametrize("leaves", [1, 2, 4, 16, 70, 200])
+    def test_random_trees(self, leaves):
+        rng = random.Random(leaves)
+        trees = [_random_tree(rng, leaves, 3) for _ in range(6)]
+        if leaves > 1:
+            trees.append(_random_tree(rng, 1, 3))  # trees of other sizes share the tables
+        X = _rows(rng, 300, 3)
+        rows = X.tolist()
+        for tree in trees:
+            assert tree.predict_matrix(X).tolist() == [tree_value(tree, x) for x in rows]
+        model = LambdaMARTModel(trees=trees, shrinkage=0.3, feature_count=3,
+                                config=CONFIG, seed=0)
+        assert model.predict_matrix(X).tolist() == [model_score(model, x) for x in rows]
+
+    @pytest.mark.parametrize("leaves", [2, 64, 65, 70, 130])
+    @pytest.mark.parametrize("go_left", [False, True])
+    def test_chain_trees(self, leaves, go_left):
+        tree = _chain_tree(leaves, go_left)
+        # every exit leaf, and the thresholds themselves
+        X = np.arange(-1.0, leaves + 0.5, 0.5).reshape(-1, 1)
+        rows = X.tolist()
+        assert tree.predict_matrix(X).tolist() == [tree_value(tree, x) for x in rows]
+        assert len(set(tree.predict_matrix(X).tolist())) == leaves
+        model = LambdaMARTModel(trees=[tree, _chain_tree(3, not go_left)],
+                                shrinkage=0.5, feature_count=1, config=CONFIG, seed=0)
+        assert model.predict_matrix(X).tolist() == [model_score(model, x) for x in rows]
+
+    def test_zero_trees_and_zero_rows(self):
+        empty = LambdaMARTModel(trees=[], shrinkage=0.2, feature_count=2,
+                                config=CONFIG, seed=0)
+        assert empty.predict_matrix(np.ones((3, 2))).tolist() == [0.0] * 3
+        assert empty.predict_matrix(np.zeros((0, 2))).shape == (0,)
+        rng = random.Random(3)
+        trees = [_random_tree(rng, 70, 2), _random_tree(rng, 1, 2)]
+        model = LambdaMARTModel(trees=trees, shrinkage=0.2, feature_count=2,
+                                config=CONFIG, seed=0)
+        assert model.predict_matrix(np.zeros((0, 2))).shape == (0,)
+        for tree in trees:
+            assert tree.predict_matrix(np.zeros((0, 2))).shape == (0,)
+
+    def test_nan_goes_right(self):
+        tree = _chain_tree(3, go_left=True)
+        X = np.array([[math.nan], [math.inf], [-math.inf]])
+        assert tree.predict_matrix(X).tolist() == [tree_value(tree, x) for x in X.tolist()]
+
+    def test_tables_grow_with_the_splits(self):
+        """A 130-leaf chain takes three 64-bit words per split, not a table
+        indexed by split outcomes."""
+        tree = _chain_tree(130, go_left=False)
+        tree.predict_matrix(np.zeros((1, 1)))
+        assert tree._router.mask.size == 129 * 3
+
+
 class TestLetorIO:
     def test_grammar_example(self, tmp_path):
         path = tmp_path / "x.letor"

@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -157,6 +158,49 @@ class TestReferenceSampler:
                                              seed=seed, rng=rng)
                     assert np.array_equal(got.theta, want.theta)
                     assert got.oov_fallback == want.oov_fallback
+
+
+class TestFoldInMemo:
+    """Fold-in keeps the cumulative weights of each (word, other tokens'
+    counts) state for the rest of the call; theta must not move."""
+
+    @pytest.mark.parametrize("num_topics", [1, 2, 6, 20])
+    @pytest.mark.parametrize("burn_in", [0, 50])
+    def test_equal_to_the_reference_on_queries_of_one_to_six_tokens(
+            self, num_topics, burn_in):
+        model = train_lda(_random_docs(num_topics), num_topics, 0.1, 0.01,
+                          iterations=3, seed=2, vocab_size=16)
+        rng = np.random.RandomState(num_topics)
+        queries = [[4], [7, 7], [0, 99, 5], [3, 3, 3, 3], [1, -1, 2, 40, 1],
+                   [6, 2, 6, 2, 6, 2]]
+        for length in range(1, 7):
+            # repeated words, and ids outside [0, 16) that fold-in skips
+            queries.append([int(w) for w in rng.randint(-2, 20, size=length)])
+        kept = np.random.RandomState(0)
+        for tokens in queries:
+            for seed in (0, 11):
+                want = reference_scoring.fold_in(model, tokens, burn_in, 20, seed)
+                got = infer_query_topics(model, tokens, burn_in, samples=20,
+                                         seed=seed, rng=kept)
+                assert np.array_equal(got.theta, want.theta), tokens
+                assert got.oov_fallback == want.oov_fallback
+
+    def test_reuses_cumulative_weights(self, monkeypatch):
+        """A 3-token query over 70 sweeps takes 210 draws; without the memo
+        every draw would accumulate its own weights."""
+        import cqarank.topics as topics
+
+        model = train_lda(_random_docs(6), 6, 0.1, 0.01, iterations=3, seed=2,
+                          vocab_size=16)
+        calls = []
+
+        def counting(values):
+            calls.append(1)
+            return accumulate(values)
+
+        monkeypatch.setattr(topics, "accumulate", counting)
+        topics.infer_query_topics(model, [2, 5, 9], burn_in=50, samples=20, seed=3)
+        assert 0 < len(calls) < 3 * 70
 
 
 class TestInference:

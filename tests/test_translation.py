@@ -237,6 +237,21 @@ class TestColumns:
             for j, t in enumerate(sources):
                 assert grid[i, j] == table.row(t).get(w, 0.0)
 
+    @pytest.mark.parametrize("table", [
+        identity_table([1, 4]),
+        TranslationTable([0, 0, 3, 3, 3], [2, 9, 0, 2, 5], [0.5, 0.5, 0.2, 0.3, 0.5]),
+        TranslationTable([], [], []),
+    ], ids=["identity", "gaps", "empty"])
+    def test_edges_equal_row_lookups(self, table):
+        """Targets past the table's width, negative ids, ids past int32, and
+        targets inside the width with no entry (1 and 3 in "gaps") read 0."""
+        ids = [-2**40, -1, 0, 1, 2, 3, 4, 5, 9, 10, 2**31 - 1, 2**31, 2**40]
+        grid = table.columns(ids, ids)
+        for i, w in enumerate(ids):
+            for j, t in enumerate(ids):
+                assert grid[i, j] == table.row(t).get(w, 0.0), (w, t)
+        assert table.columns([], ids).shape == (0, len(ids))
+
     def test_empty_sources(self):
         table = identity_table([1, 2])
         assert table.columns([1, 2], []).shape == (2, 0)
