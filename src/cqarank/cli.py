@@ -20,11 +20,11 @@ from .corpus import load_corpus, load_queries, save_corpus
 from .evaluation import (comparison_table, read_qrels, read_run, write_report,
                          write_run)
 from .index import build_index
-from .ltr import LambdaMARTModel
+from .ltr import LambdaMARTModel, read_letor
 from .pipeline import (ALL_SYSTEMS, STAGES, SYSTEMS, PipelineConfig,
                        PipelineError, ScoringAssets, evaluate_runs, ingest,
-                       rank_queries, run_pipeline, train_ranker, train_topics,
-                       train_translation, write_features)
+                       prepare_query, rank_queries, run_pipeline, train_ranker,
+                       train_topics, train_translation, write_features)
 from .synth import SynthSpec, write_synth
 from .topics import TopicModel
 from .translation import TranslationTable
@@ -229,14 +229,15 @@ def _cmd_features(args) -> int:
     assets = _scoring_assets(args, cfg, ("translation", "topics"))
     queries = load_queries(cfg.queries_path, assets.corpus.vocabulary, cfg.mode)
     qrels = read_qrels(cfg.qrels_path) if cfg.qrels_path else None
-    rows = write_features(assets, queries, qrels, args.out)
-    print(f"wrote {rows} feature rows for {len(queries)} queries -> {args.out}")
+    rows = write_features(assets, (prepare_query(assets, query) for query in queries),
+                          qrels, args.out)
+    print(f"wrote {len(rows)} feature rows for {len(queries)} queries -> {args.out}")
     return 0
 
 
 def _cmd_train_ranker(args) -> int:
     cfg = config_from_args(args)
-    model = train_ranker(cfg, args.letor)
+    model = train_ranker(cfg, read_letor(args.letor))
     model.save(args.out)
     print(f"trained {len(model.trees)} trees; final training NDCG@"
           f"{cfg.ndcg_cutoff} = {model.training_ndcg[-1]:.4f} -> {args.out}")
@@ -255,7 +256,8 @@ def _cmd_rank(args) -> int:
             raise ValueError(f"method {method} needs {flag}")
     assets = _scoring_assets(args, cfg, SYSTEMS[method].needs)
     queries = load_queries(cfg.queries_path, assets.corpus.vocabulary, cfg.mode)
-    run = rank_queries(assets, queries, (method,))[method]
+    prepared = (prepare_query(assets, query) for query in queries)
+    run = rank_queries(assets, prepared, (method,))[method]
     write_run(run, args.out)
     print(f"ranked {len(run.queries())} queries with {method} -> {args.out}")
     return 0

@@ -185,6 +185,18 @@ def _record_tokens(rec: dict, tokens_key: str, text_key: str, mode: str) -> list
     return tokenize(text, mode)
 
 
+def _record_id(rec: dict, what: str, forbidden: str = "") -> str:
+    """The record's id as a string. Run files and qrels separate fields by
+    whitespace, and a LETOR row ends at its first '#', so an id that is empty
+    or holds whitespace or a character of `forbidden` could not be read back
+    from the files it is written to."""
+    rid = str(rec["id"])
+    if not rid or any(c.isspace() or c in forbidden for c in rid):
+        raise ValueError(f"{what} id {rid!r} is empty or holds whitespace"
+                         + (f" or one of {forbidden!r}" if forbidden else ""))
+    return rid
+
+
 def _pair_from_record(rec: dict, vocab: Vocabulary, mode: str,
                       stopwords: frozenset[str] | None) -> QAPair:
     for key in ("id", "question", "answer", "asker", "answerer"):
@@ -202,7 +214,7 @@ def _pair_from_record(rec: dict, vocab: Vocabulary, mode: str,
         raise ValueError(f"pair {rec['id']!r} has an empty question")
 
     return QAPair(
-        id=str(rec["id"]),
+        id=_record_id(rec, "pair"),
         question_tokens=vocab.intern_all(q_tokens),
         answer_tokens=vocab.intern_all(a_tokens),
         asker_id=str(rec["asker"]),
@@ -281,7 +293,7 @@ def load_queries(path, vocabulary: Vocabulary, mode: str = "whitespace") -> list
             tokens = _record_tokens(rec, "tokens", "text", mode)
             if not tokens:
                 raise ValueError(f"query {rec['id']!r} is empty")
-            qid = str(rec["id"])
+            qid = _record_id(rec, "query", "#")
             if qid in seen:
                 raise ValueError(f"duplicate query id {qid!r}")
             seen.add(qid)

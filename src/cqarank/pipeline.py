@@ -3,7 +3,9 @@ split -> features -> ranker -> runs -> report.
 
 Every artifact gets a sidecar manifest (input hashes, parameters, output
 hash); re-running a stage whose manifest still matches is a no-op, and a
-failing stage removes its partial outputs.
+failing stage removes its partial outputs. Each stage hands its result to
+the stages after it in memory; an artifact is read back only when the stage
+that wrote it was up to date and skipped.
 """
 
 import hashlib
@@ -72,7 +74,12 @@ class StageRunner:
         self.skipped: list[str] = []
 
     def run(self, name: str, inputs: list[Path], outputs: list[Path],
-            params: dict, fn) -> None:
+            params: dict, fn, load=None):
+        """Run the stage unless its outputs are up to date, and return its
+        value: what `fn` returned when the stage executes; when it is
+        skipped, what `load` reads back from its outputs, or None without a
+        `load`. Every float in an artifact is written by repr, so the value
+        a stage hands on equals the one its files would load as."""
         inputs = [Path(p) for p in inputs]
         outputs = [Path(p) for p in outputs]
         for path in inputs:
@@ -87,9 +94,9 @@ class StageRunner:
         }
         if self._up_to_date(outputs, body, base):
             self.skipped.append(name)
-            return
+            return None if load is None else load()
         try:
-            fn()
+            value = fn()
             for out in outputs:
                 if not out.exists():
                     raise RuntimeError(f"stage did not produce {out}")
@@ -105,6 +112,7 @@ class StageRunner:
                 json.dump(manifest, f, sort_keys=True, indent=1)
                 f.write("\n")
         self.executed.append(name)
+        return value
 
     @staticmethod
     def _up_to_date(outputs: list[Path], body: dict, base: Path) -> bool:
@@ -412,34 +420,30 @@ def train_topics(cfg: PipelineConfig, corpus: Corpus) -> TopicModel:
                      cfg.seed, vocab_size=len(corpus.vocabulary))
 
 
-def write_features(assets: ScoringAssets, queries: list[QueryRecord],
-                   qrels: Qrels | None, path) -> int:
-    """The features stage: writes the queries' LETOR rows to `path` and
-    returns how many there are."""
-    rows: list[RankingInstance] = []
-    for query in queries:
-        rows.extend(feature_rows(assets, prepare_query(assets, query), qrels))
+def write_features(assets: ScoringAssets, prepared, qrels: Qrels | None,
+                   path) -> list[RankingInstance]:
+    """The features stage: writes the LETOR rows of the prepared queries to
+    `path` and returns them."""
+    rows = [row for query in prepared for row in feature_rows(assets, query, qrels)]
     write_letor(rows, path)
-    return len(rows)
+    return rows
 
 
-def train_ranker(cfg: PipelineConfig, letor_path) -> LambdaMARTModel:
-    """The train-ranker stage."""
-    return train(read_letor(letor_path), cfg.ltr_config(), seed=cfg.seed)
+def train_ranker(cfg: PipelineConfig, rows: list[RankingInstance]) -> LambdaMARTModel:
+    """The train-ranker stage, over the train split's LETOR rows."""
+    return train(rows, cfg.ltr_config(), seed=cfg.seed)
 
 
-def rank_queries(assets: ScoringAssets, queries: list[QueryRecord],
-                 systems) -> dict[str, RankedRun]:
-    """The rank stage: each system's run over the queries. A query without
-    candidates is left out of every run."""
+def rank_queries(assets: ScoringAssets, prepared, systems) -> dict[str, RankedRun]:
+    """The rank stage: each system's run over the prepared queries. A query
+    without candidates is left out of every run."""
     runs = {system: RankedRun(tag=system) for system in systems}
-    for query in queries:
-        prepared = prepare_query(assets, query)
-        if not prepared.candidates:
+    for query in prepared:
+        if not query.candidates:
             continue
         for system in systems:
-            runs[system].add_query(query.id,
-                                   system_ranking(system, assets, prepared))
+            runs[system].add_query(query.record.id,
+                                   system_ranking(system, assets, query))
     return runs
 
 
@@ -458,10 +462,20 @@ def evaluate_runs(runs, qrels: Qrels, depth: int, rel_threshold: int,
     return report
 
 
+def _saved(model, path):
+    """`model` after writing it to `path`: a training stage's value."""
+    model.save(path)
+    return model
+
+
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute every stage the requested systems need; returns the report
     path. A model no requested system reads is neither trained nor loaded.
-    Raises PipelineError naming the failing stage."""
+    Each stage's result goes to the stages that read it in memory: the
+    models, the train split's LETOR rows, the test split's prepared queries
+    and the runs. A stage that reads one parses its file only when the stage
+    that wrote the file was up to date and skipped. Raises PipelineError
+    naming the failing stage."""
     for label, path in (("qa", cfg.qa_path), ("queries", cfg.queries_path)):
         if path is None or not Path(path).exists():
             raise PipelineError(f"stage validate failed: missing {label} input {path}")
@@ -501,19 +515,19 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     table = None
     if "translation" in needed:
         table_path = outdir / "translation.tsv"
-        runner.run("train-tm", [corpus_path], [table_path],
-                   _params(cfg, "train-tm"),
-                   lambda: train_translation(cfg, corpus).save(table_path))
-        table = TranslationTable.load(table_path)
+        table = runner.run("train-tm", [corpus_path], [table_path],
+                           _params(cfg, "train-tm"),
+                           lambda: _saved(train_translation(cfg, corpus), table_path),
+                           lambda: TranslationTable.load(table_path))
         model_paths.append(table_path)
 
     model = None
     if "topics" in needed:
         lda_path = outdir / "topics.txt"
-        runner.run("train-lda", [corpus_path], [lda_path],
-                   _params(cfg, "train-lda"),
-                   lambda: train_topics(cfg, corpus).save(lda_path))
-        model = TopicModel.load(lda_path)
+        model = runner.run("train-lda", [corpus_path], [lda_path],
+                           _params(cfg, "train-lda"),
+                           lambda: _saved(train_topics(cfg, corpus), lda_path),
+                           lambda: TopicModel.load(lda_path))
         model_paths.append(lda_path)
 
     # loaded after training: interning query words grows the vocabulary
@@ -538,54 +552,81 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     assets = ScoringAssets(corpus=corpus, index=index, table=table,
                            model=model, cfg=cfg)
 
+    # handed on by features when it executes: the train rows, and the test
+    # split's candidates, theta and weights, so rank folds in no query again.
+    # features and rank give no `load`: only a later stage's recipe reads
+    # their values, and it reads their files itself when it executes, so an
+    # up-to-date rerun parses none of them
+    train_rows = test_prepared = None
     if "ranker" in needed:
-        # the LETOR rows are the ranker's training data
-        train_letor = outdir / "train.letor"
+        # the train rows are the ranker's training data: an existing ranker
+        # needs none
+        train_letor = outdir / "train.letor" if cfg.ranker_path is None else None
         test_letor = outdir / "test.letor"
 
-        def _features() -> None:
-            write_features(assets, train_split, qrels, train_letor)
-            write_features(assets, test_split, qrels, test_letor)
+        def _features():
+            # the test rows first, so they are gone before the train rows
+            # that are handed on are built
+            prepared = [prepare_query(assets, query) for query in test_split]
+            write_features(assets, prepared, qrels, test_letor)
+            if train_letor is None:
+                return None, prepared
+            rows = write_features(assets, (prepare_query(assets, query)
+                                           for query in train_split),
+                                  qrels, train_letor)
+            return rows, prepared
 
-        runner.run("features", [corpus_path, *model_paths, split_path,
-                                Path(cfg.queries_path), Path(cfg.qrels_path)],
-                   [train_letor, test_letor], _params(cfg, "features"), _features)
+        train_rows, test_prepared = runner.run(
+            "features", [corpus_path, *model_paths, split_path,
+                         Path(cfg.queries_path), Path(cfg.qrels_path)],
+            [path for path in (train_letor, test_letor) if path is not None],
+            _params(cfg, "features"), _features) or (None, None)
         if cfg.ranker_path is not None:
             ranker_path = Path(cfg.ranker_path)
             if not ranker_path.exists():
                 raise PipelineError(f"stage train-ranker failed: missing model {ranker_path}")
         else:
             ranker_path = outdir / "ranker.txt"
+
+            def _train_ranker() -> None:
+                rows = read_letor(train_letor) if train_rows is None else train_rows
+                train_ranker(cfg, rows).save(ranker_path)
+
             runner.run("train-ranker", [train_letor], [ranker_path],
-                       _params(cfg, "train-ranker"),
-                       lambda: train_ranker(cfg, train_letor).save(ranker_path))
+                       _params(cfg, "train-ranker"), _train_ranker)
+            train_rows = None
         assets.ranker = LambdaMARTModel.load(ranker_path)
         model_paths.append(ranker_path)
 
     run_paths = {system: outdir / f"run_{system.replace('+', 'p')}.txt"
                  for system in cfg.systems}
 
-    def _rank() -> None:
-        for system, run in rank_queries(assets, test_split, cfg.systems).items():
+    def _rank() -> dict[str, RankedRun]:
+        prepared = test_prepared if test_prepared is not None else (
+            prepare_query(assets, query) for query in test_split)
+        runs = rank_queries(assets, prepared, cfg.systems)
+        for system, run in runs.items():
             write_run(run, run_paths[system])
+        return runs
 
-    runner.run(
+    runs = runner.run(
         "rank",
         [corpus_path, *model_paths, split_path, Path(cfg.queries_path)],
         list(run_paths.values()),
         _params(cfg, "rank"),
         _rank,
     )
+    test_prepared = None
 
     report_txt = outdir / "report.txt"
     report_jsonl = outdir / "report.jsonl"
 
     def _evaluate() -> None:
         # every judged test query counts; one missing from a run scores 0
-        with open(split_path, encoding="utf-8") as f:
-            judged = [q for q in json.load(f)["test"] if qrels.has_query(q)]
-        runs = ((system, read_run(run_paths[system])) for system in cfg.systems)
-        write_report(evaluate_runs(runs, qrels, cfg.depth, cfg.rel_threshold,
+        judged = [q.id for q in test_split if qrels.has_query(q.id)]
+        pairs = ((system, read_run(run_paths[system]) if runs is None else runs[system])
+                 for system in cfg.systems)
+        write_report(evaluate_runs(pairs, qrels, cfg.depth, cfg.rel_threshold,
                                    judged), report_txt, report_jsonl)
 
     runner.run(

@@ -42,12 +42,20 @@ class TopicModel:
         return self.oov_floor()
 
     def save(self, path) -> None:
+        """A header line, the topic totals, then one line of phi entries per
+        topic, each written by repr. phi_z(w) = (n_zw + beta)/(n_z + V*beta)
+        takes one value per distinct count in a topic, so the entries hold
+        few distinct floats: each distinct bit pattern is formatted once."""
+        bits, inverse = np.unique(
+            np.ascontiguousarray(self.phi, dtype=np.float64).view(np.uint64),
+            return_inverse=True)
+        text = [repr(p) for p in bits.view(np.float64).tolist()]
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"{self.num_topics} {self.vocab_size} {self.alpha!r} "
                     f"{self.beta!r} {self.seed} {self.iterations}\n")
             f.write(" ".join(str(int(n)) for n in self.topic_totals) + "\n")
-            for z in range(self.num_topics):
-                f.write(" ".join(repr(float(p)) for p in self.phi[z]) + "\n")
+            for row in inverse.reshape(self.phi.shape).tolist():
+                f.write(" ".join([text[i] for i in row]) + "\n")
 
     @classmethod
     def load(cls, path) -> "TopicModel":
@@ -72,8 +80,14 @@ class TopicModel:
             if not all(0 <= n < 2**63 for n in totals):
                 raise ValueError("topic totals must be non-negative 64-bit integers")
             rows = []
+            value = {}  # each distinct token is converted once
             for z in range(k):
-                row = np.array([float(x) for x in next(lines, "").split()])
+                tokens = next(lines, "").split()
+                # in line order, so a bad token is the first one in its line
+                value.update((x, float(x)) for x in dict.fromkeys(tokens)
+                             if x not in value)
+                row = np.fromiter(map(value.__getitem__, tokens), dtype=np.float64,
+                                  count=len(tokens))
                 if row.shape[0] != v:
                     raise ValueError(f"phi row {z} has wrong length")
                 if not (np.all((row > 0) & (row < math.inf))

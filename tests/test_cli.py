@@ -588,10 +588,14 @@ class TestPipeline:
             ranker_path=str(tmp_path / "train_run" / "ranker.txt"))
         report = run_pipeline(second)
         assert report.exists()
+        # nothing is trained, so no training rows are written
         assert not (tmp_path / "apply_run" / "ranker.txt").exists()
-        # same data and scoring config: the fused run must be identical
-        assert ((tmp_path / "apply_run" / "run_t2lmp5.txt").read_bytes()
-                == (tmp_path / "train_run" / "run_t2lmp5.txt").read_bytes())
+        assert not (tmp_path / "apply_run" / "train.letor").exists()
+        # same data and scoring config: the test rows and the fused run must
+        # be identical
+        for name in ("test.letor", "run_t2lmp5.txt"):
+            assert ((tmp_path / "apply_run" / name).read_bytes()
+                    == (tmp_path / "train_run" / name).read_bytes()), name
 
     def test_question_field_variant(self, synth_data, tmp_path):
         cfg = small_pipeline_cfg(synth_data, tmp_path / "out",
@@ -727,6 +731,58 @@ class TestServingCaches:
         query = load_queries(cfg.queries_path, corpus.vocabulary, cfg.mode)[0]
         assert system_ranking("t2lm+5", assets, prepare_query(assets, query))
         assert "_by_target" in vars(table) and "_router" in vars(ranker)
+
+
+# the outputs of each stage that reads a value another stage hands over
+HANDED_TO = {"features": ("train.letor", "test.letor"),
+             "train-ranker": ("ranker.txt",),
+             "rank": tuple(f"run_{s.replace('+', 'p')}.txt" for s in ALL_SYSTEMS),
+             "evaluate": ("report.txt", "report.jsonl")}
+
+
+class TestHandover:
+    """Each stage hands its result to the stages that read it in memory. A
+    fresh run parses none of its own outputs and prepares each query once;
+    a stage whose producer was up to date reads the producer's files."""
+
+    def test_a_fresh_run_reads_back_nothing_it_wrote(self, default_run, tmp_path,
+                                                     monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fresh run parsed its own output")
+
+        for owner, name in ((TranslationTable, "load"), (TopicModel, "load"),
+                            (pipeline, "read_letor"), (pipeline, "read_run")):
+            monkeypatch.setattr(owner, name, forbidden)
+        prepared = []
+        prepare = pipeline.prepare_query
+
+        def counted(assets, query):
+            prepared.append(query.id)
+            return prepare(assets, query)
+
+        monkeypatch.setattr(pipeline, "prepare_query", counted)
+        data, full = default_run
+        out = tmp_path / "out"
+        run_pipeline(small_pipeline_cfg(data, out))
+        split = json.loads((out / "split.json").read_text())
+        assert sorted(prepared) == sorted(split["train"] + split["test"])
+        for path in full.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("stage", HANDED_TO)
+    def test_a_stage_rerun_alone_reads_its_inputs_from_files(
+            self, default_run, tmp_path, stage_runners, stage):
+        data, full = default_run
+        out = tmp_path / "out"
+        shutil.copytree(full, out)
+        for name in HANDED_TO[stage]:
+            (out / name).unlink()
+            (out / f"{name}.manifest.json").unlink()
+        run_pipeline(small_pipeline_cfg(data, out))
+        assert stage_runners[-1].executed == [stage]
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in full.iterdir())
+        for path in full.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 # another valid value of every setting; the mixture weights change in

@@ -182,7 +182,8 @@ def test_rank_queries_builds_one_table_per_query(archive, monkeypatch):
 
     monkeypatch.setattr(pipeline, "ComponentTable", CountedTable)
     calls = _count_components(monkeypatch)
-    runs = rank_queries(assets, queries, ALL_SYSTEMS)
+    runs = rank_queries(assets, [prepare_query(assets, q) for q in queries],
+                        ALL_SYSTEMS)
     answered = len(runs["bm25"].queries())
     assert answered == len(queries) - 1  # only "only-oov" finds nothing
     assert len(built) == answered

@@ -67,7 +67,10 @@ class TestIngest:
     @pytest.mark.parametrize("bad", ["not json", "[1, 2]",
                                      json.dumps({"id": "p2", "question": "a"}),
                                      json.dumps(_rec("p2", "", "b")),
-                                     json.dumps(_rec("p1", "c", "d"))])
+                                     json.dumps(_rec("p1", "c", "d")),
+                                     # unreadable from a run file
+                                     json.dumps(_rec("p 2", "c", "d")),
+                                     json.dumps(_rec("", "c", "d"))])
     def test_bad_qa_line_names_path_and_line(self, tmp_path, bad):
         path = tmp_path / "qa.jsonl"
         path.write_text(json.dumps(_rec("p1", "a", "b")) + f"\n\n{bad}\n")
@@ -256,7 +259,11 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("bad", ["oops", "7", '{"text": "a"}', '{"id": "q2"}',
                                      '{"id": "q2", "text": ""}',
-                                     '{"id": "q1", "text": "a"}'])
+                                     '{"id": "q1", "text": "a"}',
+                                     # unreadable from a run or LETOR file
+                                     '{"id": "q\\t2", "text": "a"}',
+                                     '{"id": "q#2", "text": "a"}',
+                                     '{"id": "", "text": "a"}'])
     def test_bad_query_line_names_path_and_line(self, tmp_path, qa_file, bad):
         corpus = ingest_corpus(qa_file([_rec("p1", "a", "b")]))
         qpath = tmp_path / "queries.jsonl"

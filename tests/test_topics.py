@@ -320,6 +320,75 @@ class TestSerialization:
             TopicModel.load(path)
 
 
+def _saved_per_value(model) -> str:
+    """The oracle for TopicModel.save: every phi entry formatted by its own
+    repr call."""
+    lines = [f"{model.num_topics} {model.vocab_size} {model.alpha!r} "
+             f"{model.beta!r} {model.seed} {model.iterations}",
+             " ".join(str(int(n)) for n in model.topic_totals)]
+    lines += [" ".join(repr(float(p)) for p in row) for row in model.phi]
+    return "".join(line + "\n" for line in lines)
+
+
+def _model(rows, totals=None) -> TopicModel:
+    phi = np.array(rows, dtype=np.float64)
+    if totals is None:
+        totals = [3] * phi.shape[0]
+    return TopicModel(phi=phi, topic_totals=np.array(totals, dtype=np.int64),
+                      alpha=0.5, beta=0.01, vocab_size=phi.shape[1],
+                      iterations=9, seed=4)
+
+
+def _counts_model() -> TopicModel:
+    """phi read out from small counts, as training does: 300 entries per
+    topic and few distinct values among them."""
+    counts = np.random.RandomState(3).randint(0, 4, size=(3, 300))
+    beta, v = 0.01, counts.shape[1]
+    phi = (counts + beta) / (counts.sum(axis=1) + v * beta)[:, None]
+    return _model(phi, counts.sum(axis=1))
+
+
+_THIRD_UP = float(np.nextafter(1 / 3, 1))  # repr needs 17 significant digits
+PHI_CASES = {
+    "many repeated values": _counts_model(),
+    "17 significant digits": _model([[_THIRD_UP, 0.1 + 0.2, 1 - _THIRD_UP - (0.1 + 0.2)],
+                                     [0.25, 0.25, 0.5]]),
+    "smallest subnormal": _model([[5e-324, 1.0], [0.5, 0.5]]),
+    "1x1": _model([[1.0]]),
+}
+
+
+class TestPhiText:
+    """save formats each distinct phi value once and load converts each
+    distinct token once; the bytes and values are those of one repr and one
+    float() per entry."""
+
+    def test_the_cases_are_what_they_say(self):
+        phi = PHI_CASES["many repeated values"].phi
+        assert len(np.unique(phi)) < phi.size / 50
+        assert len(repr(_THIRD_UP).lstrip("0.")) == 17
+        assert repr(float(PHI_CASES["smallest subnormal"].phi[0, 0])) == "5e-324"
+
+    @pytest.mark.parametrize("case", PHI_CASES)
+    def test_save_writes_the_per_value_bytes_and_load_reads_them_back(
+            self, tmp_path, case):
+        model = PHI_CASES[case]
+        path = tmp_path / "topics.txt"
+        model.save(path)
+        assert path.read_text(encoding="utf-8") == _saved_per_value(model)
+        loaded = TopicModel.load(path)
+        assert np.array_equal(loaded.phi, model.phi)
+        assert np.array_equal(loaded.topic_totals, model.topic_totals)
+
+    def test_zero_and_negative_zero_keep_their_signs(self, tmp_path):
+        """Distinct bit patterns are formatted apart, so -0.0 is not written
+        as 0.0 (such a model does not load: its entries are not positive)."""
+        model = _model([[0.0, -0.0, 1.0], [-0.0, 0.5, 0.5]])
+        path = tmp_path / "topics.txt"
+        model.save(path)
+        assert path.read_text(encoding="utf-8") == _saved_per_value(model)
+
+
 @st.composite
 def _topic_models(draw):
     """A TopicModel whose phi rows sum to 1 and whose every entry is at
