@@ -5,12 +5,14 @@ token counts form the single background model used by every smoothing
 formula downstream.
 """
 
+import hashlib
 import json
 import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +48,52 @@ def ends_with_newline(path) -> bool:
     with open(path, "rb") as f:
         f.seek(max(f.seek(0, os.SEEK_END) - 1, 0))
         return f.read(1) in (b"", b"\n")
+
+
+def image_path(path) -> Path:
+    """Where the binary image of the model text file at `path` lives."""
+    return Path(f"{path}.npy")
+
+
+def _text_digest(path) -> bytes:
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").digest()
+
+
+def save_image(path, arrays) -> None:
+    """Write the binary image of the text file at `path` beside it: the
+    sha256 of the text's bytes as uint8[32], then each array, one np.save
+    each. Sequential np.save calls give the same bytes on every run, which
+    np.savez, stamping its zip entries with the time, does not."""
+    digest = np.frombuffer(_text_digest(path), dtype=np.uint8)
+    with open(image_path(path), "wb") as f:
+        for array in (digest, *arrays):
+            np.save(f, array, allow_pickle=False)
+
+
+def load_image(path, kinds) -> list[np.ndarray] | None:
+    """The arrays of the image beside the text file at `path`, one per
+    (dtype, ndim) in `kinds` and of that dtype and ndim, or None when the
+    image is missing or cannot be read cleanly: cut short, holding pickled
+    data or anything after its last array, an array of another dtype or
+    ndim or not in C order, or a digest that is not the sha256 of the
+    text's bytes now, as after the text was edited. The text is
+    authoritative; the digest only tells a stale image from a current one."""
+    try:
+        with open(image_path(path), "rb") as f:
+            arrays = [np.lib.format.read_array(f, allow_pickle=False)
+                      for _ in range(len(kinds) + 1)]
+            trailing = f.read(1)
+    except (OSError, ValueError):
+        return None
+    digest, *arrays = arrays
+    if trailing or not all(a.dtype == dtype and a.ndim == ndim and a.flags.c_contiguous
+                           for a, (dtype, ndim) in zip(arrays, kinds)):
+        return None
+    if not (digest.dtype == np.uint8 and digest.shape == (32,)
+            and digest.tobytes() == _text_digest(path)):
+        return None
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -321,7 +369,8 @@ def save_corpus(corpus: Corpus, path) -> None:
         "users": [[u.user_id, u.best_answer_count] for u in corpus.users.values()],
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, separators=(",", ":"), sort_keys=True)
+        # json.dumps encodes in C; json.dump streams from the Python encoder
+        f.write(json.dumps(payload, separators=(",", ":"), sort_keys=True))
         f.write("\n")
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (Corpus, QueryRecord, ingest_corpus, load_corpus,
+from .corpus import (Corpus, QueryRecord, image_path, ingest_corpus, load_corpus,
                      load_queries, save_corpus)
 from .evaluation import (MetricReport, Qrels, RankedRun, evaluate_run,
                          read_qrels, read_run, write_report, write_run)
@@ -42,11 +42,8 @@ class PipelineError(RuntimeError):
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def _manifest_path(artifact: Path) -> Path:
@@ -66,12 +63,24 @@ class StageRunner:
     """Runs pipeline stages with manifest-based idempotence.
 
     Manifests key each output, and each input inside the outputs'
-    directory, by its path relative to that directory.
+    directory, by its path relative to that directory. Each file is hashed
+    once per runner while its size and modification time stay the same; a
+    stage that executes hashes its outputs afresh.
     """
 
     def __init__(self) -> None:
         self.executed: list[str] = []
         self.skipped: list[str] = []
+        # resolved path -> (st_size, st_mtime_ns, sha256)
+        self._digests: dict[Path, tuple[int, int, str]] = {}
+
+    def _digest(self, path: Path) -> str:
+        """The sha256 of the file at `path`, remembered for this runner."""
+        key, stat = path.resolve(), path.stat()
+        found = self._digests.get(key)
+        if found is None or found[:2] != (stat.st_size, stat.st_mtime_ns):
+            found = self._digests[key] = (stat.st_size, stat.st_mtime_ns, _sha256(path))
+        return found[2]
 
     def run(self, name: str, inputs: list[Path], outputs: list[Path],
             params: dict, fn, load=None):
@@ -89,12 +98,14 @@ class StageRunner:
                                         for out in outputs]))
         body = {
             "stage": name,
-            "inputs": {_manifest_key(p, base): _sha256(p) for p in inputs},
+            "inputs": {_manifest_key(p, base): self._digest(p) for p in inputs},
             "params": params,
         }
         if self._up_to_date(outputs, body, base):
             self.skipped.append(name)
             return None if load is None else load()
+        for out in outputs:
+            self._digests.pop(out.resolve(), None)
         try:
             value = fn()
             for out in outputs:
@@ -107,15 +118,14 @@ class StageRunner:
             raise PipelineError(f"stage {name} failed: {exc}") from exc
         for out in outputs:
             manifest = dict(body)
-            manifest["output"] = {_manifest_key(out, base): _sha256(out)}
+            manifest["output"] = {_manifest_key(out, base): self._digest(out)}
             with open(_manifest_path(out), "w", encoding="utf-8") as f:
                 json.dump(manifest, f, sort_keys=True, indent=1)
                 f.write("\n")
         self.executed.append(name)
         return value
 
-    @staticmethod
-    def _up_to_date(outputs: list[Path], body: dict, base: Path) -> bool:
+    def _up_to_date(self, outputs: list[Path], body: dict, base: Path) -> bool:
         for out in outputs:
             mpath = _manifest_path(out)
             if not out.exists() or not mpath.exists():
@@ -130,7 +140,7 @@ class StageRunner:
             recorded_output = manifest.pop("output", None)
             if manifest != body:
                 return False
-            if recorded_output != {_manifest_key(out, base): _sha256(out)}:
+            if recorded_output != {_manifest_key(out, base): self._digest(out)}:
                 return False
         return True
 
@@ -515,7 +525,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     table = None
     if "translation" in needed:
         table_path = outdir / "translation.tsv"
-        table = runner.run("train-tm", [corpus_path], [table_path],
+        table = runner.run("train-tm", [corpus_path], [table_path, image_path(table_path)],
                            _params(cfg, "train-tm"),
                            lambda: _saved(train_translation(cfg, corpus), table_path),
                            lambda: TranslationTable.load(table_path))
@@ -524,7 +534,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     model = None
     if "topics" in needed:
         lda_path = outdir / "topics.txt"
-        model = runner.run("train-lda", [corpus_path], [lda_path],
+        model = runner.run("train-lda", [corpus_path], [lda_path, image_path(lda_path)],
                            _params(cfg, "train-lda"),
                            lambda: _saved(train_topics(cfg, corpus), lda_path),
                            lambda: TopicModel.load(lda_path))

@@ -13,7 +13,8 @@ from operator import mul, truediv
 
 import numpy as np
 
-from .corpus import ROW_SUM_TOLERANCE, ends_with_newline, text_lines
+from .corpus import (ROW_SUM_TOLERANCE, ends_with_newline, load_image, save_image,
+                     text_lines)
 
 
 @dataclass
@@ -45,7 +46,10 @@ class TopicModel:
         """A header line, the topic totals, then one line of phi entries per
         topic, each written by repr. phi_z(w) = (n_zw + beta)/(n_z + V*beta)
         takes one value per distinct count in a topic, so the entries hold
-        few distinct floats: each distinct bit pattern is formatted once."""
+        few distinct floats: each distinct bit pattern is formatted once.
+        Then the binary image `<path>.npy`: the text's sha256, [alpha, beta]
+        as float64, [seed, iterations, vocab_size] as int64, the topic
+        totals as int64 and phi as float64."""
         bits, inverse = np.unique(
             np.ascontiguousarray(self.phi, dtype=np.float64).view(np.uint64),
             return_inverse=True)
@@ -56,14 +60,27 @@ class TopicModel:
             f.write(" ".join(str(int(n)) for n in self.topic_totals) + "\n")
             for row in inverse.reshape(self.phi.shape).tolist():
                 f.write(" ".join([text[i] for i in row]) + "\n")
+        save_image(path, (np.array([self.alpha, self.beta], dtype=np.float64),
+                          np.array([self.seed, self.iterations, self.vocab_size],
+                                   dtype=np.int64),
+                          np.asarray(self.topic_totals, dtype=np.int64),
+                          np.ascontiguousarray(self.phi, dtype=np.float64)))
 
     @classmethod
     def load(cls, path) -> "TopicModel":
-        """Read a model written by save. A malformed line, a last line
-        without its newline, a size, alpha or beta that is not positive, a
-        negative topic total, or a phi row that is not a distribution (an
-        entry not positive and finite, or a sum off 1 by more than 1e-9)
-        raises ValueError naming the path and line."""
+        """Read a model written by save, from its image when that is current
+        and passes the checks below, else from the text. A malformed line,
+        a last line without its newline, a size, alpha or beta that is not
+        positive, a negative topic total, or a phi row that is not a
+        distribution (an entry not positive and finite, or a sum off 1 by
+        more than 1e-9) raises ValueError naming the path and line."""
+        image = load_image(path, ((np.float64, 1), (np.int64, 1), (np.int64, 1),
+                                  (np.float64, 2)))
+        if image is not None:
+            try:
+                return cls._from_image(*image)
+            except ValueError:
+                pass  # the text decides, and names the fault
         complete = ends_with_newline(path)
         with text_lines(path) as lines:
             header = next(lines, "").split()
@@ -72,13 +89,9 @@ class TopicModel:
             k, v = int(header[0]), int(header[1])
             alpha, beta = float(header[2]), float(header[3])
             seed, iterations = int(header[4]), int(header[5])
-            if not (k > 0 and v > 0 and 0 < alpha < math.inf and 0 < beta < math.inf):
-                raise ValueError("topics, vocabulary size, alpha and beta must be positive")
+            _check_sizes(k, v, alpha, beta)
             totals = [int(x) for x in next(lines, "").split()]
-            if len(totals) != k:
-                raise ValueError(f"expected {k} topic totals")
-            if not all(0 <= n < 2**63 for n in totals):
-                raise ValueError("topic totals must be non-negative 64-bit integers")
+            _check_totals(totals, k)
             rows = []
             value = {}  # each distinct token is converted once
             for z in range(k):
@@ -88,11 +101,7 @@ class TopicModel:
                              if x not in value)
                 row = np.fromiter(map(value.__getitem__, tokens), dtype=np.float64,
                                   count=len(tokens))
-                if row.shape[0] != v:
-                    raise ValueError(f"phi row {z} has wrong length")
-                if not (np.all((row > 0) & (row < math.inf))
-                        and abs(row.sum() - 1.0) <= ROW_SUM_TOLERANCE):
-                    raise ValueError(f"phi row {z} is not a distribution")
+                _check_row(z, row, v)
                 rows.append(row)
             if not complete:
                 raise ValueError("last line has no newline; the file is cut short")
@@ -101,6 +110,39 @@ class TopicModel:
         return cls(phi=np.array(rows), topic_totals=np.array(totals, dtype=np.int64),
                    alpha=alpha, beta=beta, vocab_size=v, iterations=iterations,
                    seed=seed)
+
+    @classmethod
+    def _from_image(cls, priors, ints, totals, phi) -> "TopicModel":
+        """The model of an image's arrays, under the text's checks."""
+        if priors.shape != (2,) or ints.shape != (3,):
+            raise ValueError("bad topic model header")
+        (alpha, beta), (seed, iterations, v) = priors.tolist(), ints.tolist()
+        _check_sizes(len(phi), v, alpha, beta)
+        _check_totals(totals.tolist(), len(phi))
+        for z, row in enumerate(phi):
+            _check_row(z, row, v)
+        return cls(phi=phi, topic_totals=totals, alpha=alpha, beta=beta,
+                   vocab_size=v, iterations=iterations, seed=seed)
+
+
+def _check_sizes(k: int, v: int, alpha: float, beta: float) -> None:
+    if not (k > 0 and v > 0 and 0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError("topics, vocabulary size, alpha and beta must be positive")
+
+
+def _check_totals(totals: list[int], k: int) -> None:
+    if len(totals) != k:
+        raise ValueError(f"expected {k} topic totals")
+    if not all(0 <= n < 2**63 for n in totals):
+        raise ValueError("topic totals must be non-negative 64-bit integers")
+
+
+def _check_row(z: int, row: np.ndarray, v: int) -> None:
+    if row.shape[0] != v:
+        raise ValueError(f"phi row {z} has wrong length")
+    if not (np.all((row > 0) & (row < math.inf))
+            and abs(row.sum() - 1.0) <= ROW_SUM_TOLERANCE):
+        raise ValueError(f"phi row {z} is not a distribution")
 
 
 @dataclass

@@ -12,7 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import ROW_SUM_TOLERANCE, Corpus, ends_with_newline, text_lines
+from .corpus import (ROW_SUM_TOLERANCE, Corpus, ends_with_newline, load_image,
+                     save_image, text_lines)
 
 # Term ids are dense and non-negative; below 2**31 every key
 # source * width + target fits in an int64.
@@ -103,19 +104,30 @@ class TranslationTable:
         return len(self._rows)
 
     def save(self, path) -> None:
-        """Text lines "t w p" sorted by (t, w)."""
+        """Text lines "t w p" sorted by (t, w), then the binary image
+        `<path>.npy`: the text's sha256, then source, target and prob in
+        that order."""
         with open(path, "w", encoding="utf-8") as f:
             for t, lo, hi in zip(self._rows.tolist(), self._offsets[:-1].tolist(),
                                  self._offsets[1:].tolist()):
                 f.writelines(f"{t} {w} {p!r}\n" for w, p in zip(
                     self._target[lo:hi].tolist(), self._prob[lo:hi].tolist()))
+        save_image(path, (np.repeat(self._rows, np.diff(self._offsets)),
+                          self._target, self._prob))
 
     @classmethod
     def load(cls, path) -> "TranslationTable":
-        """Read a table written by save. A malformed line, a last line
-        without its newline, or a source row that does not sum to 1 raises
-        ValueError naming the path, so a file cut inside a row is caught; a
-        cut between rows still loads as the smaller table."""
+        """Read a table written by save, from its image when that is current
+        and passes the checks below, else from the text. A malformed line,
+        a last line without its newline, or a source row that does not sum
+        to 1 raises ValueError naming the path, so a file cut inside a row
+        is caught; a cut between rows still loads as the smaller table."""
+        image = load_image(path, ((np.int64, 1), (np.int64, 1), (np.float64, 1)))
+        if image is not None:
+            try:
+                return cls._checked(*image)
+            except ValueError:
+                pass  # the text decides, and names the fault
         if not ends_with_newline(path):
             raise ValueError(f"{path}: last line has no newline; the file is cut short")
         try:
@@ -127,15 +139,21 @@ class TranslationTable:
             _parse_lines(path)
             raise ValueError(f"{path}: {exc}") from None
         try:
-            table = cls(entries["t"], entries["w"], entries["p"])
+            return cls._checked(entries["t"], entries["w"], entries["p"])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+    @classmethod
+    def _checked(cls, source, target, prob) -> "TranslationTable":
+        """The table of these entries; ValueError unless every source row
+        sums to 1."""
+        table = cls(source, target, prob)
         row_of_entry = np.repeat(np.arange(len(table)), np.diff(table._offsets))
         sums = np.bincount(row_of_entry, weights=table._prob, minlength=len(table))
         bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
         if len(bad):
-            raise ValueError(f"{path}: source {int(table._rows[bad[0]])}: probabilities "
-                             f"sum to {float(sums[bad[0]])!r}, not 1; the file may be cut short")
+            raise ValueError(f"source {int(table._rows[bad[0]])}: probabilities sum to "
+                             f"{float(sums[bad[0]])!r}, not 1; the file may be cut short")
         return table
 
 

@@ -290,7 +290,8 @@ def test_criterion_9_determinism(tmp_path):
 
     run_pipeline(cfg(tmp_path / "a"))
     run_pipeline(cfg(tmp_path / "b"))
-    model_files = ["translation.tsv", "topics.txt", "ranker.txt"]
+    model_files = ["translation.tsv", "translation.tsv.npy", "topics.txt",
+                   "topics.txt.npy", "ranker.txt"]
     run_files = sorted(p.name for p in (tmp_path / "a").glob("run_*.txt"))
     identical = True
     for name in model_files + run_files:
