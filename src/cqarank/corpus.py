@@ -55,9 +55,13 @@ def image_path(path) -> Path:
     return Path(f"{path}.npy")
 
 
-def _text_digest(path) -> bytes:
+def file_sha256(path) -> bytes:
+    """The sha256 of the bytes of the file at `path`, read in chunks."""
+    digest = hashlib.sha256()
     with open(path, "rb") as f:
-        return hashlib.file_digest(f, "sha256").digest()
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.digest()
 
 
 def save_image(path, arrays) -> None:
@@ -65,7 +69,7 @@ def save_image(path, arrays) -> None:
     sha256 of the text's bytes as uint8[32], then each array, one np.save
     each. Sequential np.save calls give the same bytes on every run, which
     np.savez, stamping its zip entries with the time, does not."""
-    digest = np.frombuffer(_text_digest(path), dtype=np.uint8)
+    digest = np.frombuffer(file_sha256(path), dtype=np.uint8)
     with open(image_path(path), "wb") as f:
         for array in (digest, *arrays):
             np.save(f, array, allow_pickle=False)
@@ -91,7 +95,7 @@ def load_image(path, kinds) -> list[np.ndarray] | None:
                            for a, (dtype, ndim) in zip(arrays, kinds)):
         return None
     if not (digest.dtype == np.uint8 and digest.shape == (32,)
-            and digest.tobytes() == _text_digest(path)):
+            and digest.tobytes() == file_sha256(path)):
         return None
     return arrays
 

@@ -8,7 +8,6 @@ the stages after it in memory; an artifact is read back only when the stage
 that wrote it was up to date and skipped.
 """
 
-import hashlib
 import json
 import os
 import random
@@ -19,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (Corpus, QueryRecord, image_path, ingest_corpus, load_corpus,
-                     load_queries, save_corpus)
+from .corpus import (Corpus, QueryRecord, file_sha256, image_path, ingest_corpus,
+                     load_corpus, load_queries, save_corpus)
 from .evaluation import (MetricReport, Qrels, RankedRun, evaluate_run,
                          read_qrels, read_run, write_report, write_run)
 from .index import (DEFAULT_B, DEFAULT_K1, InvertedIndex, ScoredCandidate,
@@ -41,11 +40,6 @@ class PipelineError(RuntimeError):
     pass
 
 
-def _sha256(path: Path) -> str:
-    with open(path, "rb") as f:
-        return hashlib.file_digest(f, "sha256").hexdigest()
-
-
 def _manifest_path(artifact: Path) -> Path:
     return artifact.with_name(artifact.name + ".manifest.json")
 
@@ -63,24 +57,12 @@ class StageRunner:
     """Runs pipeline stages with manifest-based idempotence.
 
     Manifests key each output, and each input inside the outputs'
-    directory, by its path relative to that directory. Each file is hashed
-    once per runner while its size and modification time stay the same; a
-    stage that executes hashes its outputs afresh.
+    directory, by its path relative to that directory.
     """
 
     def __init__(self) -> None:
         self.executed: list[str] = []
         self.skipped: list[str] = []
-        # resolved path -> (st_size, st_mtime_ns, sha256)
-        self._digests: dict[Path, tuple[int, int, str]] = {}
-
-    def _digest(self, path: Path) -> str:
-        """The sha256 of the file at `path`, remembered for this runner."""
-        key, stat = path.resolve(), path.stat()
-        found = self._digests.get(key)
-        if found is None or found[:2] != (stat.st_size, stat.st_mtime_ns):
-            found = self._digests[key] = (stat.st_size, stat.st_mtime_ns, _sha256(path))
-        return found[2]
 
     def run(self, name: str, inputs: list[Path], outputs: list[Path],
             params: dict, fn, load=None):
@@ -98,14 +80,12 @@ class StageRunner:
                                         for out in outputs]))
         body = {
             "stage": name,
-            "inputs": {_manifest_key(p, base): self._digest(p) for p in inputs},
+            "inputs": {_manifest_key(p, base): file_sha256(p).hex() for p in inputs},
             "params": params,
         }
         if self._up_to_date(outputs, body, base):
             self.skipped.append(name)
             return None if load is None else load()
-        for out in outputs:
-            self._digests.pop(out.resolve(), None)
         try:
             value = fn()
             for out in outputs:
@@ -118,14 +98,15 @@ class StageRunner:
             raise PipelineError(f"stage {name} failed: {exc}") from exc
         for out in outputs:
             manifest = dict(body)
-            manifest["output"] = {_manifest_key(out, base): self._digest(out)}
+            manifest["output"] = {_manifest_key(out, base): file_sha256(out).hex()}
             with open(_manifest_path(out), "w", encoding="utf-8") as f:
                 json.dump(manifest, f, sort_keys=True, indent=1)
                 f.write("\n")
         self.executed.append(name)
         return value
 
-    def _up_to_date(self, outputs: list[Path], body: dict, base: Path) -> bool:
+    @staticmethod
+    def _up_to_date(outputs: list[Path], body: dict, base: Path) -> bool:
         for out in outputs:
             mpath = _manifest_path(out)
             if not out.exists() or not mpath.exists():
@@ -140,7 +121,7 @@ class StageRunner:
             recorded_output = manifest.pop("output", None)
             if manifest != body:
                 return False
-            if recorded_output != {_manifest_key(out, base): self._digest(out)}:
+            if recorded_output != {_manifest_key(out, base): file_sha256(out).hex()}:
                 return False
         return True
 

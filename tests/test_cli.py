@@ -2,9 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import shutil
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -454,74 +452,6 @@ class TestPipeline:
         run_pipeline(cfg)
         for p, stamp in stamps.items():
             assert p.stat().st_mtime_ns == stamp, f"{p.name} was rewritten"
-
-    def test_a_run_hashes_each_file_once(self, synth_data, tmp_path, monkeypatch):
-        hashed = Counter()
-        sha256 = pipeline._sha256
-
-        def counting(path):
-            hashed[Path(path).resolve()] += 1
-            return sha256(path)
-
-        monkeypatch.setattr(pipeline, "_sha256", counting)
-        out = tmp_path / "out"
-        cfg = small_pipeline_cfg(synth_data, out)
-        run_pipeline(cfg)
-        artifacts = {p.resolve() for p in out.iterdir()
-                     if not p.name.endswith(".manifest.json")}
-        inputs = {Path(path).resolve() for path in synth_data.values()}
-        assert set(hashed) == artifacts | inputs
-        assert set(hashed.values()) == {1}
-        # an up-to-date rerun checks each file once too
-        hashed.clear()
-        run_pipeline(cfg)
-        assert set(hashed) == artifacts | inputs
-        assert set(hashed.values()) == {1}
-
-    def test_a_file_changed_between_runs_is_hashed_again(self, tmp_path, monkeypatch):
-        hashed = Counter()
-        sha256 = pipeline._sha256
-
-        def counting(path):
-            hashed[Path(path).name] += 1
-            return sha256(path)
-
-        monkeypatch.setattr(pipeline, "_sha256", counting)
-        source, copy = tmp_path / "source.txt", tmp_path / "copy.txt"
-        source.write_text("one\n")
-
-        def stage():
-            copy.write_text(source.read_text())
-
-        runner = pipeline.StageRunner()
-        runner.run("copy", [source], [copy], {}, stage)
-        stamp = source.stat().st_mtime_ns
-        source.write_text("two\n")  # the same size
-        # a filesystem with a coarse clock can give a rewrite within one
-        # tick the same mtime, which the memo, keyed like make, cannot see
-        os.utime(source, ns=(stamp, stamp + 10**9))
-        runner.run("copy", [source], [copy], {}, stage)
-        runner.run("copy", [source], [copy], {}, stage)
-        assert runner.executed == ["copy", "copy"]
-        assert runner.skipped == ["copy"]
-        assert copy.read_text() == "two\n"
-        assert hashed == {"source.txt": 2, "copy.txt": 2}
-
-    def test_a_stage_that_executes_hashes_its_outputs_afresh(self, tmp_path):
-        out = tmp_path / "out.txt"
-        stamps = []
-
-        def stage(text):
-            out.write_text(text)
-            # a coarse clock can give a rewrite the mtime of the last write
-            stamps.append(out.stat().st_mtime_ns)
-            os.utime(out, ns=(stamps[0], stamps[0]))
-
-        runner = pipeline.StageRunner()
-        runner.run("write", [], [out], {"text": "one"}, lambda: stage("one\n"))
-        runner.run("write", [], [out], {"text": "two"}, lambda: stage("two\n"))
-        manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
-        assert manifest["output"] == {"out.txt": pipeline._sha256(out)}
 
     def test_copied_outdir_is_up_to_date(self, synth_data, tmp_path, stage_runners):
         run_pipeline(small_pipeline_cfg(synth_data, tmp_path / "out"))

@@ -129,6 +129,18 @@ def test_two_saves_write_the_same_image_bytes(saved, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_images_need_no_hashing_newer_than_python_3_10(saved, tmp_path, monkeypatch,
+                                                       text_parses):
+    # hashlib.file_digest is new in Python 3.11; pyproject allows 3.10
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    cls, path, value = saved
+    again = tmp_path / ("again-" + path.name)
+    value.save(again)
+    assert image_path(again).read_bytes() == image_path(path).read_bytes()
+    assert_bit_equal(cls.load(again), value)
+    assert text_parses == []
+
+
 # a model of each kind unlike every saved one
 OTHER = {TranslationTable: TranslationTable([1, 1], [2, 3], [0.25, 0.75]),
          TopicModel: TopicModel(phi=np.array([[0.5, 0.5]]), topic_totals=np.array([2]),
