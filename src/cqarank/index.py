@@ -1,7 +1,11 @@
-"""Inverted index with BM25 and VSM scoring; top-K candidate generation."""
+"""Inverted index with BM25 and VSM scoring; top-K candidate generation.
+
+Each measure has one batch function that scores every pair from the query
+terms' postings; the one-pair scores and the top-k candidates read it."""
 
 import math
-from bisect import bisect_left
+from collections import Counter
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,66 +21,41 @@ class ScoredCandidate(NamedTuple):
     score: float
 
 
+@dataclass(frozen=True, eq=False)
 class InvertedIndex:
     """Term -> postings over Q&A pairs, for one field selection.
 
     Pairs are numbered in corpus order. A posting of term t in pair d is the
     key t * N + d, N the pair count; the keys are sorted, so term t's
     postings are the slice start[t]:start[t + 1], in corpus order, and tfs
-    holds each posting's term frequency. One-value lookups read the arrays
-    through memoryviews, which return Python numbers without numpy's
-    per-call overhead.
+    holds each posting's term frequency. idfs[t] is VSM's ln(N / df), 0 for
+    a term no pair holds, and doc_norms the pairs' tf-idf norms. pair_of
+    maps a qa_id to its pair number, and id_rank[d] is the rank of pair d's
+    id in ascending order, the tie-break of retrieval.
     """
 
-    def __init__(self, doc_ids: list[str], keys: np.ndarray, tfs: np.ndarray,
-                 start: np.ndarray, vsm_idfs: list[float], doc_lens: np.ndarray,
-                 doc_norms: np.ndarray, avgdl: float) -> None:
-        self.doc_ids = doc_ids
-        self.doc_count = len(doc_ids)
-        self.avgdl = avgdl
-        self._pos = {qa_id: d for d, qa_id in enumerate(doc_ids)}
-        self._keys, self._tfs, self._start = keys, tfs, start
-        self._doc_lens = doc_lens
-        self._vsm_idfs = vsm_idfs
-        self._key_at, self._tf_at, self._start_at, self._len_at, self._norm_at = (
-            memoryview(a) for a in (keys, tfs, start, doc_lens, doc_norms))
-        # rank of each pair's id in ascending order, the tie-break of retrieval
-        self._id_rank = np.empty(self.doc_count, dtype=np.int64)
-        self._id_rank[sorted(range(self.doc_count), key=doc_ids.__getitem__)] = (
-            np.arange(self.doc_count))
+    doc_ids: list[str]
+    keys: np.ndarray
+    tfs: np.ndarray
+    start: np.ndarray
+    idfs: list[float]
+    doc_lens: np.ndarray
+    doc_norms: np.ndarray
+    avgdl: float
+    pair_of: dict[str, int]
+    id_rank: np.ndarray
 
-    def _postings(self, term: int) -> tuple[int, int]:
-        """The slice of the term's postings; empty for a term no pair holds."""
-        if 0 <= term < len(self._vsm_idfs):
-            return self._start_at[term], self._start_at[term + 1]
-        return 0, 0
-
-    def df(self, term: int) -> int:
-        lo, hi = self._postings(term)
-        return hi - lo
-
-    def tf(self, term: int, qa_id: str) -> int:
-        d = self._pos.get(qa_id)
-        if d is None:
-            return 0
-        key = term * self.doc_count + d
-        lo, hi = self._postings(term)
-        i = bisect_left(self._key_at, key, lo, hi)
-        return self._tf_at[i] if i < hi and self._key_at[i] == key else 0
-
-    def doc_len(self, qa_id: str) -> int:
-        return self._len_at[self._pos[qa_id]]
-
-    def vsm_idf(self, term: int) -> float:
-        return self._vsm_idfs[term] if 0 <= term < len(self._vsm_idfs) else 0.0
-
-    def bm25_idf(self, term: int) -> float:
-        df = self.df(term)
-        return math.log((self.doc_count - df + 0.5) / (df + 0.5) + 1.0)
-
-    def doc_norm(self, qa_id: str) -> float:
-        d = self._pos.get(qa_id)
-        return 0.0 if d is None else self._norm_at[d]
+    def postings(self, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The postings of `terms`, each term's slice after the one before:
+        every posting's pair number and tf, and each term's posting count,
+        0 for a term no pair holds."""
+        terms = np.asarray(terms, dtype=np.int64)
+        held = (terms >= 0) & (terms < len(self.start) - 1)
+        lo = self.start[np.where(held, terms, 0)]
+        counts = self.start[np.where(held, terms + 1, 0)] - lo
+        at = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts),
+                                                      counts)
+        return self.keys[at] % len(self.doc_ids), self.tfs[at], counts
 
 
 def _field_tokens(pair, field: str):
@@ -111,8 +90,11 @@ def build_index(corpus: Corpus, field: str = "question_and_answer") -> InvertedI
     order = np.argsort(first)
     w = tfs[order] * np.array(idfs, dtype=np.float64)[term_of[order]]
     norms = np.sqrt(np.bincount(docs[order], weights=w * w, minlength=n))
-    return InvertedIndex([pair.id for pair in corpus.pairs], keys, tfs, start,
-                         idfs, lens, norms, total_len / n)
+    doc_ids = [pair.id for pair in corpus.pairs]
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
+    return InvertedIndex(doc_ids, keys, tfs, start, idfs, lens, norms, total_len / n,
+                         {qa_id: d for d, qa_id in enumerate(doc_ids)}, id_rank)
 
 
 def _check_bm25_params(k1: float, b: float) -> None:
@@ -120,71 +102,68 @@ def _check_bm25_params(k1: float, b: float) -> None:
         raise ValueError("require k1 > 0 and 0 <= b <= 1")
 
 
+def bm25_scores(query_tokens, index: InvertedIndex, k1: float = DEFAULT_K1,
+                b: float = DEFAULT_B) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair's Okapi BM25 score, idf = ln((N - df + 0.5)/(df + 0.5) + 1),
+    and the pairs sharing a term with the query, ascending.
+
+    A pair's score adds the query's distinct terms in the order they first
+    occur in it, starting from 0, each term's contribution times the
+    number of times the query holds it."""
+    _check_bm25_params(k1, b)
+    q_tf = Counter(query_tokens)
+    docs, tf, counts = index.postings(list(q_tf))
+    n = len(index.doc_ids)
+    idf = np.repeat([math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+                     for df in counts.tolist()], counts)
+    denom = tf + k1 * (1.0 - b + b * index.doc_lens[docs] / index.avgdl)
+    contrib = idf * tf * (k1 + 1.0) / denom
+    scores = np.bincount(docs, weights=np.repeat(list(q_tf.values()), counts) * contrib,
+                         minlength=n)
+    return scores, np.flatnonzero(np.bincount(docs, minlength=n))
+
+
 def bm25_score(query_tokens, qa_id: str, index: InvertedIndex,
                k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> float:
-    """Okapi BM25 with idf = ln((N - df + 0.5)/(df + 0.5) + 1)."""
-    _check_bm25_params(k1, b)
-    dl = index.doc_len(qa_id)
-    score = 0.0
-    for term in query_tokens:
-        tf = index.tf(term, qa_id)
-        if tf == 0:
-            continue
-        denom = tf + k1 * (1.0 - b + b * dl / index.avgdl)
-        score += index.bm25_idf(term) * tf * (k1 + 1.0) / denom
-    return score
+    """The pair's entry of bm25_scores."""
+    return float(bm25_scores(query_tokens, index, k1, b)[0][index.pair_of[qa_id]])
+
+
+def vsm_scores(query_tokens, index: InvertedIndex) -> np.ndarray:
+    """Every pair's cosine similarity to the query, over raw-tf x idf
+    vectors with idf = ln(N/df); 0 where either norm is 0.
+
+    A pair's dot product, and the query's squared norm, add the query's
+    distinct terms in the order they first occur in it, starting from 0."""
+    q_tf = Counter(query_tokens)
+    docs, tf, counts = index.postings(list(q_tf))
+    idf = [index.idfs[t] if df else 0.0 for t, df in zip(q_tf, counts.tolist())]
+    qw = [c * w for c, w in zip(q_tf.values(), idf)]
+    q_norm_sq = 0.0
+    for w in qw:
+        q_norm_sq += w * w
+    dot = np.bincount(docs, weights=np.repeat(qw, counts) * tf * np.repeat(idf, counts),
+                      minlength=len(index.doc_ids))
+    scores = np.zeros(len(index.doc_ids))
+    if q_norm_sq:
+        np.divide(dot, math.sqrt(q_norm_sq) * index.doc_norms, out=scores,
+                  where=index.doc_norms != 0.0)
+    return scores
 
 
 def vsm_score(query_tokens, qa_id: str, index: InvertedIndex) -> float:
-    """Cosine similarity of raw-tf x idf vectors, idf = ln(N/df)."""
-    q_weights: dict[int, float] = {}
-    for term in query_tokens:
-        q_weights[term] = q_weights.get(term, 0.0) + 1.0
-    dot = 0.0
-    q_norm_sq = 0.0
-    for term, q_tf in q_weights.items():
-        idf = index.vsm_idf(term)
-        qw = q_tf * idf
-        q_norm_sq += qw * qw
-        tf = index.tf(term, qa_id)
-        if tf:
-            dot += qw * tf * idf
-    d_norm = index.doc_norm(qa_id)
-    if q_norm_sq == 0.0 or d_norm == 0.0:
-        return 0.0
-    return dot / (math.sqrt(q_norm_sq) * d_norm)
+    """The pair's entry of vsm_scores; 0 for an id the index does not hold."""
+    d = index.pair_of.get(qa_id)
+    return 0.0 if d is None else float(vsm_scores(query_tokens, index)[d])
 
 
 def retrieve_candidates(query_tokens, index: InvertedIndex, k: int,
                         k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[ScoredCandidate]:
     """Top-k pairs by BM25; ties broken by ascending qa_id. Docs sharing no
-    term with the query are not returned.
-
-    The query terms' postings are laid end to end in query order, so the
-    one bincount that sums them adds each pair's terms in that order,
-    starting from 0.
-    """
+    term with the query are not returned."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_bm25_params(k1, b)
-    terms = [t for t in dict.fromkeys(query_tokens) if index.df(t)]
-    if not terms:
-        return []
-    lo = index._start[terms]
-    counts = index._start[np.add(terms, 1)] - lo
-    # posting positions: each term's slice, one after another
-    at = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts),
-                                                  counts)
-    docs = index._keys[at] % index.doc_count
-    tf = index._tfs[at]
-    idf = np.repeat([index.bm25_idf(t) for t in terms], counts)
-    # query-side tf multiplies the per-term contribution
-    q_tf = np.repeat([query_tokens.count(t) for t in terms], counts)
-    dl = index._doc_lens[docs]
-    denom = tf + k1 * (1.0 - b + b * dl / index.avgdl)
-    contrib = idf * tf * (k1 + 1.0) / denom
-    scores = np.bincount(docs, weights=q_tf * contrib, minlength=index.doc_count)
-    matched = np.flatnonzero(np.bincount(docs, minlength=index.doc_count))
-    top = matched[np.lexsort((index._id_rank[matched], -scores[matched]))][:k]
+    scores, matched = bm25_scores(query_tokens, index, k1, b)
+    top = matched[np.lexsort((index.id_rank[matched], -scores[matched]))][:k]
     return [ScoredCandidate(index.doc_ids[d], s)
             for d, s in zip(top.tolist(), scores[top].tolist())]

@@ -23,10 +23,12 @@ from .corpus import (Corpus, QueryRecord, file_sha256, image_path, ingest_corpus
 from .evaluation import (MetricReport, Qrels, RankedRun, evaluate_run,
                          read_qrels, read_run, write_report, write_run)
 from .index import (DEFAULT_B, DEFAULT_K1, InvertedIndex, ScoredCandidate,
-                    build_index, retrieve_candidates, vsm_score)
+                    build_index, retrieve_candidates, vsm_scores)
 from .ltr import LambdaMARTModel, RankingInstance, TrainConfig, read_letor, train, write_letor
 from .quality import quality_feature
-# features_f1_f4 and score_* stay imported: per-layer tracing looks them up here
+# vsm_score, features_f1_f4 and score_* stay imported: per-layer tracing
+# looks them up here
+from .index import vsm_score
 from .relevance import (ComponentTable, DocumentTerms, MixtureWeights,
                         document_terms, features_f1_f4, score_lm, score_t2lm,
                         score_t2lm_plus, score_tlm, term_weights)
@@ -265,9 +267,8 @@ class System:
 
 
 SYSTEMS = {
-    "vsm": System(lambda assets, prepared: [
-        vsm_score(prepared.record.tokens, c.qa_id, assets.index)
-        for c in prepared.candidates]),
+    "vsm": System(lambda assets, prepared: vsm_scores(prepared.record.tokens, assets.index)[
+        [assets.index.pair_of[c.qa_id] for c in prepared.candidates]].tolist()),
     "bm25": System(lambda assets, prepared: [c.score for c in prepared.candidates]),
     "lm": System(lambda assets, prepared:
                  _component_table(assets, prepared).lm().tolist()),

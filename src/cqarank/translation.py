@@ -37,8 +37,10 @@ class TranslationTable:
 
     def __init__(self, source, target, prob) -> None:
         source = np.asarray(source, dtype=np.int64).reshape(-1)
-        target = np.asarray(target, dtype=np.int64).reshape(-1)
-        prob = np.asarray(prob, dtype=np.float64).reshape(-1)
+        # kept columns are copied out of a strided view, such as a field of
+        # np.loadtxt's rows, so the rows are freed
+        target = np.ascontiguousarray(target, dtype=np.int64).reshape(-1)
+        prob = np.ascontiguousarray(prob, dtype=np.float64).reshape(-1)
         if not len(source) == len(target) == len(prob):
             raise ValueError("source, target and prob differ in length")
         if len(source) and (min(source.min(), target.min()) < 0

@@ -16,10 +16,11 @@ query fold-in as one numpy call chain per token; tests require
 CollapsedGibbsSampler's counts after every sweep, and infer_query_topics's
 posterior, to equal them with ==.
 
-`ReferenceIndex`, `build_index` and `retrieve_candidates` are the inverted
-index as a {term: {qa_id: tf}} dict in corpus order, scored one posting at
-a time; tests require the array index's postings, norms and candidates to
-equal them with ==.
+`ReferenceIndex`, `build_index`, `bm25_scores`, `vsm_score` and
+`retrieve_candidates` are the inverted index as a {term: {qa_id: tf}} dict
+in corpus order, scored one posting at a time; tests require the array
+index's postings, norms, BM25 and VSM scores and candidates to equal them
+with ==.
 
 `query_lambdas` and `fit_tree` are LambdaMART's gradients one query at a
 time, in blocks of label pairs, and its tree fit with every feature
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from cqarank.corpus import doc_distribution
-from cqarank.index import ScoredCandidate, vsm_score
+from cqarank.index import ScoredCandidate
 from cqarank.ltr import LEAF_RIDGE, MIN_SPLIT_GAIN, RegressionTree
 from cqarank.relevance import smoothing_lambda
 from cqarank.topics import QueryTopicPosterior
@@ -162,6 +163,8 @@ def system_ranking(system, assets, prepared):
     query_tokens = prepared.record.tokens
     mu = assets.cfg.mixture()
     scored = []
+    if system == "vsm":
+        index = build_index(corpus, assets.cfg.field)
     if system == "t2lm+5":
         for doc_id, features in feature_rows(assets, prepared):
             scored.append((model_score(assets.ranker, features), doc_id))
@@ -169,7 +172,7 @@ def system_ranking(system, assets, prepared):
         for cand in prepared.candidates:
             qa = corpus.pair(cand.qa_id)
             if system == "vsm":
-                s = vsm_score(query_tokens, qa.id, assets.index)
+                s = vsm_score(query_tokens, qa.id, index)
             elif system == "bm25":
                 s = cand.score
             elif system == "lm":
@@ -493,9 +496,10 @@ def build_index(corpus, field="question_and_answer"):
     return index
 
 
-def retrieve_candidates(query_tokens, index, k, k1=1.2, b=0.75):
-    """Top-k pairs by BM25, ties broken by ascending qa_id; pairs sharing no
-    term with the query are left out."""
+def bm25_scores(query_tokens, index, k1=1.2, b=0.75):
+    """{qa_id: BM25} of the pairs sharing a term with the query. A pair adds
+    the query's distinct terms in the order they first occur in it, each
+    term's contribution times its count in the query."""
     scores = {}
     for term in dict.fromkeys(query_tokens):
         entries = index.postings.get(term)
@@ -508,5 +512,31 @@ def retrieve_candidates(query_tokens, index, k, k1=1.2, b=0.75):
             denom = tf + k1 * (1.0 - b + b * dl / index.avgdl)
             contrib = idf * tf * (k1 + 1.0) / denom
             scores[qa_id] = scores.get(qa_id, 0.0) + q_tf * contrib
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+    return scores
+
+
+def vsm_score(query_tokens, qa_id, index):
+    """Cosine of raw-tf x idf vectors, idf = ln(N/df). The dot product and
+    the query's squared norm add the query's distinct terms in the order
+    they first occur in it; 0 when either norm is 0 or no pair has the id."""
+    dot = 0.0
+    q_norm_sq = 0.0
+    for term in dict.fromkeys(query_tokens):
+        idf = index.vsm_idf(term)
+        qw = query_tokens.count(term) * idf
+        q_norm_sq += qw * qw
+        tf = index.tf(term, qa_id)
+        if tf:
+            dot += qw * tf * idf
+    d_norm = index.doc_norm.get(qa_id, 0.0)
+    if q_norm_sq == 0.0 or d_norm == 0.0:
+        return 0.0
+    return dot / (math.sqrt(q_norm_sq) * d_norm)
+
+
+def retrieve_candidates(query_tokens, index, k, k1=1.2, b=0.75):
+    """Top-k pairs by BM25, ties broken by ascending qa_id; pairs sharing no
+    term with the query are left out."""
+    ranked = sorted(bm25_scores(query_tokens, index, k1, b).items(),
+                    key=lambda item: (-item[1], item[0]))[:k]
     return [ScoredCandidate(qa_id=d, score=s) for d, s in ranked]

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import oracle
 import reference_scoring as ref
-from cqarank.index import bm25_score, build_index, retrieve_candidates, vsm_score
+from cqarank.index import (bm25_score, bm25_scores, build_index, retrieve_candidates,
+                           vsm_score, vsm_scores)
 from conftest import build_corpus
 
 
@@ -28,13 +29,33 @@ def _token_docs(corpus, field="question_and_answer"):
     return docs
 
 
+def _dict_postings(index, terms):
+    """{term: [(qa_id, tf), ...]} in posting order, read from one postings
+    call over distinct `terms`; a term with no postings is left out."""
+    docs, tfs, counts = index.postings(terms)
+    rows, at = {}, 0
+    for term, count in zip(terms, counts.tolist()):
+        if count:
+            rows[term] = [(index.doc_ids[d], tf) for d, tf in zip(
+                docs[at:at + count].tolist(), tfs[at:at + count].tolist())]
+        at += count
+    return rows
+
+
+def _reference_postings(want):
+    return {term: list(row.items()) for term, row in want.postings.items()}
+
+
 class TestBuild:
     def test_postings(self, two_doc_corpus):
         index = build_index(two_doc_corpus)
         a = two_doc_corpus.vocabulary.tokens().index("a")
         b = two_doc_corpus.vocabulary.tokens().index("b")
-        assert (index.df(a), index.tf(a, "d1"), index.tf(a, "d2")) == (1, 1, 0)
-        assert (index.df(b), index.tf(b, "d1"), index.tf(b, "d2")) == (2, 1, 1)
+        docs, tfs, counts = index.postings([a, b])
+        assert (docs.tolist(), tfs.tolist(), counts.tolist()) == ([0, 0, 1], [1, 1, 1],
+                                                                  [1, 2])
+        assert _dict_postings(index, [a, b]) == _reference_postings(
+            ref.build_index(two_doc_corpus))
 
     def test_avgdl(self, two_doc_corpus):
         index = build_index(two_doc_corpus)
@@ -42,17 +63,22 @@ class TestBuild:
 
     def test_question_field_excludes_answers(self):
         corpus = build_corpus([("d1", "a b", "x y z", "u1", "u2")])
-        q_only = build_index(corpus, "question")
-        both = build_index(corpus, "question_and_answer")
-        assert q_only.doc_len("d1") == 2
-        assert both.doc_len("d1") == 5
+        terms = list(range(len(corpus.vocabulary)))
+        for field, length in (("question", 2), ("question_and_answer", 5)):
+            index = build_index(corpus, field)
+            want = ref.build_index(corpus, field)
+            assert index.doc_lens.tolist() == [want.doc_len["d1"]] == [length]
+            assert _dict_postings(index, terms) == _reference_postings(want)
 
     def test_doc_len_equals_posting_sum(self, two_doc_corpus):
         index = build_index(two_doc_corpus)
-        for pair in two_doc_corpus.pairs:
-            total = sum(index.tf(t, pair.id)
-                        for t in set(pair.question_tokens + pair.answer_tokens))
-            assert total == index.doc_len(pair.id)
+        want = ref.build_index(two_doc_corpus)
+        docs, tfs, _ = index.postings(range(len(two_doc_corpus.vocabulary)))
+        totals = [0] * len(index.doc_ids)
+        for d, tf in zip(docs.tolist(), tfs.tolist()):
+            totals[d] += tf
+        assert totals == index.doc_lens.tolist() == [
+            want.doc_len[pair.id] for pair in two_doc_corpus.pairs]
 
     def test_empty_corpus_rejected(self, two_doc_corpus):
         two_doc_corpus.pairs = []
@@ -141,6 +167,10 @@ class TestVSM:
             assert got == pytest.approx(oracle.vsm([a, b], docs, doc_id), abs=1e-12)
             assert 0.0 <= got <= 1.0
 
+    def test_unknown_id_scores_zero(self, two_doc_corpus):
+        index = build_index(two_doc_corpus)
+        assert vsm_score([0, 1], "nope", index) == 0.0
+
 
 class TestRetrieve:
     def test_truncates_to_corpus(self):
@@ -182,7 +212,7 @@ class TestRetrieve:
         b = two_doc_corpus.vocabulary.tokens().index("b")
         results = {r.qa_id: r.score for r in retrieve_candidates([a, b], index, k=10)}
         for doc_id, score in results.items():
-            assert score == pytest.approx(bm25_score([a, b], doc_id, index), abs=1e-12)
+            assert score == bm25_score([a, b], doc_id, index)
 
     def test_k_validation(self, two_doc_corpus):
         index = build_index(two_doc_corpus)
@@ -210,10 +240,12 @@ class TestInvariance:
         small = build_index(build_corpus(base))
         grown_corpus = build_corpus(base + [("d2", "x y", "z", "u1", "u2")])
         grown = build_index(grown_corpus)
-        for term in range(3):
-            assert small.tf(term, "d1") == grown.tf(term, "d1")
-        assert small.doc_len("d1") == grown.doc_len("d1")
-
+        want = ref.build_index(grown_corpus)
+        terms = list(range(3))
+        assert _dict_postings(small, terms) == _dict_postings(grown, terms) == {
+            t: row for t, row in _reference_postings(want).items() if t in terms}
+        assert small.doc_lens[0] == grown.doc_lens[0] == want.doc_len["d1"] == 4
+        assert small.doc_norms[0] == 0.0 < grown.doc_norms[0] == want.doc_norm["d1"]
 
 
 @st.composite
@@ -250,13 +282,30 @@ class TestAgainstDictPostings:
         index = build_index(corpus, field)
         want = ref.build_index(corpus, field)
         assert index.avgdl == want.avgdl
-        terms = range(-1, len(corpus.vocabulary) + 2)
-        assert [index.df(t) for t in terms] == [want.df(t) for t in terms]
-        for pair in corpus.pairs:
-            assert index.doc_len(pair.id) == want.doc_len[pair.id]
-            assert index.doc_norm(pair.id) == want.doc_norm[pair.id]
-            assert [index.tf(t, pair.id) for t in terms] == [
-                want.tf(t, pair.id) for t in terms]
+        terms = list(range(-1, len(corpus.vocabulary) + 2))
+        assert index.postings(terms)[2].tolist() == [want.df(t) for t in terms]
+        assert _dict_postings(index, terms) == _reference_postings(want)
+        assert index.doc_lens.tolist() == [want.doc_len[p.id] for p in corpus.pairs]
+        assert index.doc_norms.tolist() == [want.doc_norm[p.id] for p in corpus.pairs]
+
+    @_PROPERTY
+    @given(archive=_archives(), field=st.sampled_from(["question",
+                                                       "question_and_answer"]))
+    def test_scores_equal(self, archive, field):
+        """Every pair's BM25 and VSM score, also for queries that repeat a
+        term around another and hold ids no pair has."""
+        corpus, queries = archive
+        index = build_index(corpus, field)
+        want = ref.build_index(corpus, field)
+        unheld = [-1, len(corpus.vocabulary) + 1]
+        for query in queries + [q + unheld + q[:1] for q in queries]:
+            bm25, matched = bm25_scores(query, index)
+            want_bm25 = ref.bm25_scores(query, want)
+            assert [index.doc_ids[d] for d in matched] == [
+                p.id for p in corpus.pairs if p.id in want_bm25]
+            assert bm25.tolist() == [want_bm25.get(p.id, 0.0) for p in corpus.pairs]
+            assert vsm_scores(query, index).tolist() == [
+                ref.vsm_score(query, p.id, want) for p in corpus.pairs]
 
     @_PROPERTY
     @given(archive=_archives(), field=st.sampled_from(["question",

@@ -89,7 +89,8 @@ def test_work_counters_count_traced_calls():
 def test_a_traced_run_calls_every_live_name(tmp_path):
     """A pipeline run and one served query, as the benchmark runs them,
     call every traced name but those the serving path left: it scores a
-    candidate list from one ComponentTable and one predict_matrix call."""
+    candidate list from one ComponentTable and one predict_matrix call, and
+    the vsm system reads its candidates' entries from one vsm_scores call."""
     data = write_synth(SynthSpec(size=50, topics=3, seed=1), tmp_path / "data")
     cfg = pipeline.PipelineConfig(
         qa_path=str(data["qa"]), users_path=str(data["users"]),
@@ -109,6 +110,6 @@ def test_a_traced_run_calls_every_live_name(tmp_path):
         assert pipeline.system_ranking("t2lm+5", assets, prepared)
     called = {name for _, name in tracer.table}
     never = {name for _, _, name, _ in tracing.FUNCTIONS} - called
-    assert never == {"ltr.predict", "relevance.f1f4", "relevance.score_lm",
+    assert never == {"index.vsm", "ltr.predict", "relevance.f1f4", "relevance.score_lm",
                      "relevance.score_tlm", "relevance.score_t2lm",
                      "relevance.score_t2lm_plus"}

@@ -218,6 +218,19 @@ class TestSerialization:
         assert len(table) == 0 and table.row(1).get(1, 0.0) == 0.0
         assert table.columns([1, 2], [3]).tolist() == [[0.0], [0.0]]
 
+    def test_text_load_keeps_only_its_columns(self, tmp_path):
+        """Loaded from text with no image, the target and prob columns are
+        C-contiguous and own their data: the buffer under each is its own
+        size, so the parsed "t w p" rows are freed."""
+        path = tmp_path / "table.tsv"
+        path.write_text("0 3 0.25\n0 4 0.75\n2 1 1.0\n")
+        table = TranslationTable.load(path)
+        for column in (table._target, table._prob):
+            buffer = column
+            while buffer.base is not None:
+                buffer = buffer.base
+            assert column.flags.c_contiguous and buffer.nbytes == column.nbytes
+
     def test_unsorted_file_loads_sorted(self, tmp_path):
         path = tmp_path / "table.tsv"
         path.write_text("2 5 0.5\n0 3 1.0\n2 1 0.5\n")
