@@ -7,7 +7,6 @@ formula downstream.
 
 import hashlib
 import json
-import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -21,16 +20,20 @@ ROW_SUM_TOLERANCE = 1e-9
 
 
 @contextmanager
-def text_lines(path):
+def text_lines(path, whole=False):
     """The stripped non-blank lines of a text file. A ValueError raised
     inside the block is raised again as `<path>: line N: <message>`, N being
-    the last line read, or one past the last line once all are read."""
+    the last line read, or one past the last line once all are read. With
+    `whole`, for the files the program writes, a last line without its
+    newline raises before it is yielded: the file was cut short inside it."""
     line_no = 0
 
     def lines():
         nonlocal line_no
         with open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):
+                if whole and not line.endswith("\n"):
+                    raise ValueError("last line has no newline; the file is cut short")
                 line = line.strip()
                 if line:
                     yield line
@@ -40,14 +43,6 @@ def text_lines(path):
         yield lines()
     except ValueError as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from None
-
-
-def ends_with_newline(path) -> bool:
-    """Whether a file is empty or ends with a newline; a text file cut short
-    inside its last line does not."""
-    with open(path, "rb") as f:
-        f.seek(max(f.seek(0, os.SEEK_END) - 1, 0))
-        return f.read(1) in (b"", b"\n")
 
 
 def image_path(path) -> Path:

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .corpus import ends_with_newline, text_lines
+from .corpus import text_lines
 
 
 class Qrels:
@@ -245,13 +245,11 @@ def write_run(run: RankedRun, path) -> None:
 
 def read_run(path) -> RankedRun:
     """A run file as write_run writes it. A last line without its newline
-    raises ValueError naming the path: a file cut inside its last line can
-    still parse, with the tag or a doc id cut short."""
-    if not ends_with_newline(path):
-        raise ValueError(f"{path}: last line has no newline; the file is cut short")
+    raises ValueError naming the path and line: a file cut inside its last
+    line can still parse, with the tag or a doc id cut short."""
     rankings: dict[str, list[tuple[str, float]]] = {}
     tag = "run"
-    with text_lines(path) as lines:
+    with text_lines(path, whole=True) as lines:
         for line in lines:
             parts = line.split()
             if len(parts) != 6 or parts[1] != "Q0":

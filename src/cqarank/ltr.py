@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import ends_with_newline, text_lines
+from .corpus import text_lines
 from .evaluation import ndcg_at_k
 
 LEAF_RIDGE = 1e-9
@@ -270,7 +270,7 @@ class LambdaMARTModel:
         with open(path, encoding="utf-8") as f:
             lines = f.read().split("\n")
         if lines[0] != "cqarank-lambdamart-v1":
-            raise ValueError(f"{path}: not a cqarank LambdaMART model")
+            raise ValueError(f"{path}: line 1: not a cqarank LambdaMART model")
         pos = 1  # lines read, so the 1-based number of the last one
 
         def take(key: str, *kinds) -> list:
@@ -312,7 +312,7 @@ class LambdaMARTModel:
                 pos += 1
                 raise ValueError("unexpected line after the last tree")
         except (ValueError, RecursionError) as exc:  # a corrupt tree can nest deep
-            raise ValueError(f"{path}:{pos}: {exc}") from None
+            raise ValueError(f"{path}: line {pos}: {exc}") from None
         return cls(trees=trees, shrinkage=shrinkage, feature_count=feature_count,
                    config=config, seed=seed)
 
@@ -543,13 +543,11 @@ def write_letor(dataset, path) -> None:
 
 def read_letor(path) -> list[RankingInstance]:
     """Rows as write_letor writes them. A last line without its newline
-    raises ValueError naming the path: a file cut inside its last line can
-    still parse, with the doc id cut short."""
-    if not ends_with_newline(path):
-        raise ValueError(f"{path}: last line has no newline; the file is cut short")
+    raises ValueError naming the path and line: a file cut inside its last
+    line can still parse, with the doc id cut short."""
     dataset: list[RankingInstance] = []
     n_features = None
-    with text_lines(path) as lines:
+    with text_lines(path, whole=True) as lines:
         for line in lines:
             if "#" not in line:
                 raise ValueError("missing #<docid> comment")

@@ -454,20 +454,20 @@ def evaluate_runs(runs, qrels: Qrels, depth: int, rel_threshold: int,
     return report
 
 
-def _saved(model, path):
-    """`model` after writing it to `path`: a training stage's value."""
-    model.save(path)
-    return model
+def _saved(save, value, path):
+    """`value` after `save` writes it to `path`: a stage's value."""
+    save(value, path)
+    return value
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Execute every stage the requested systems need; returns the report
     path. A model no requested system reads is neither trained nor loaded.
     Each stage's result goes to the stages that read it in memory: the
-    models, the train split's LETOR rows, the test split's prepared queries
-    and the runs. A stage that reads one parses its file only when the stage
-    that wrote the file was up to date and skipped. Raises PipelineError
-    naming the failing stage."""
+    corpus, the models, the train split's LETOR rows, the test split's
+    prepared queries and the runs. A stage that reads one parses its file
+    only when the stage that wrote the file was up to date and skipped.
+    Raises PipelineError naming the failing stage."""
     for label, path in (("qa", cfg.qa_path), ("queries", cfg.queries_path)):
         if path is None or not Path(path).exists():
             raise PipelineError(f"stage validate failed: missing {label} input {path}")
@@ -493,15 +493,15 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     runner = StageRunner()
 
     corpus_path = outdir / "corpus.json"
-    runner.run(
+    corpus = runner.run(
         "ingest",
         [Path(path) for path in (cfg.qa_path, cfg.users_path, cfg.stopwords_path)
          if path is not None],
         [corpus_path],
         _params(cfg, "ingest"),
-        lambda: save_corpus(ingest(cfg), corpus_path),
+        lambda: _saved(save_corpus, ingest(cfg), corpus_path),
+        lambda: load_corpus(corpus_path),
     )
-    corpus = load_corpus(corpus_path)
     model_paths = []  # the model files the requested systems read
 
     table = None
@@ -509,7 +509,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         table_path = outdir / "translation.tsv"
         table = runner.run("train-tm", [corpus_path], [table_path, image_path(table_path)],
                            _params(cfg, "train-tm"),
-                           lambda: _saved(train_translation(cfg, corpus), table_path),
+                           lambda: _saved(TranslationTable.save,
+                                          train_translation(cfg, corpus), table_path),
                            lambda: TranslationTable.load(table_path))
         model_paths.append(table_path)
 
@@ -518,7 +519,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         lda_path = outdir / "topics.txt"
         model = runner.run("train-lda", [corpus_path], [lda_path, image_path(lda_path)],
                            _params(cfg, "train-lda"),
-                           lambda: _saved(train_topics(cfg, corpus), lda_path),
+                           lambda: _saved(TopicModel.save, train_topics(cfg, corpus),
+                                          lda_path),
                            lambda: TopicModel.load(lda_path))
         model_paths.append(lda_path)
 
@@ -577,17 +579,18 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
             ranker_path = Path(cfg.ranker_path)
             if not ranker_path.exists():
                 raise PipelineError(f"stage train-ranker failed: missing model {ranker_path}")
+            assets.ranker = LambdaMARTModel.load(ranker_path)
         else:
             ranker_path = outdir / "ranker.txt"
 
-            def _train_ranker() -> None:
+            def _train_ranker() -> LambdaMARTModel:
                 rows = read_letor(train_letor) if train_rows is None else train_rows
-                train_ranker(cfg, rows).save(ranker_path)
+                return _saved(LambdaMARTModel.save, train_ranker(cfg, rows), ranker_path)
 
-            runner.run("train-ranker", [train_letor], [ranker_path],
-                       _params(cfg, "train-ranker"), _train_ranker)
+            assets.ranker = runner.run("train-ranker", [train_letor], [ranker_path],
+                                       _params(cfg, "train-ranker"), _train_ranker,
+                                       lambda: LambdaMARTModel.load(ranker_path))
             train_rows = None
-        assets.ranker = LambdaMARTModel.load(ranker_path)
         model_paths.append(ranker_path)
 
     run_paths = {system: outdir / f"run_{system.replace('+', 'p')}.txt"

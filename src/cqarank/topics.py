@@ -13,8 +13,7 @@ from operator import mul, truediv
 
 import numpy as np
 
-from .corpus import (ROW_SUM_TOLERANCE, ends_with_newline, load_image, save_image,
-                     text_lines)
+from .corpus import ROW_SUM_TOLERANCE, load_image, save_image, text_lines
 
 
 @dataclass
@@ -81,8 +80,7 @@ class TopicModel:
                 return cls._from_image(*image)
             except ValueError:
                 pass  # the text decides, and names the fault
-        complete = ends_with_newline(path)
-        with text_lines(path) as lines:
+        with text_lines(path, whole=True) as lines:
             header = next(lines, "").split()
             if len(header) != 6:
                 raise ValueError("bad topic model header")
@@ -93,18 +91,10 @@ class TopicModel:
             totals = [int(x) for x in next(lines, "").split()]
             _check_totals(totals, k)
             rows = []
-            value = {}  # each distinct token is converted once
             for z in range(k):
-                tokens = next(lines, "").split()
-                # in line order, so a bad token is the first one in its line
-                value.update((x, float(x)) for x in dict.fromkeys(tokens)
-                             if x not in value)
-                row = np.fromiter(map(value.__getitem__, tokens), dtype=np.float64,
-                                  count=len(tokens))
+                row = np.fromiter(map(float, next(lines, "").split()), dtype=np.float64)
                 _check_row(z, row, v)
                 rows.append(row)
-            if not complete:
-                raise ValueError("last line has no newline; the file is cut short")
             if next(lines, None) is not None:
                 raise ValueError("unexpected line after the last phi row")
         return cls(phi=np.array(rows), topic_totals=np.array(totals, dtype=np.int64),

@@ -6,19 +6,17 @@ order so training is bit-reproducible.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .corpus import (ROW_SUM_TOLERANCE, Corpus, ends_with_newline, load_image,
-                     save_image, text_lines)
+from .corpus import ROW_SUM_TOLERANCE, Corpus, load_image, save_image, text_lines
 
 # Term ids are dense and non-negative; below 2**31 every key
 # source * width + target fits in an int64.
 _MAX_TERM_ID = 2**31 - 1
-_ENTRY = np.dtype([("t", np.int64), ("w", np.int64), ("p", np.float64)])
+_BAD_ID = f"term ids must lie in [0, {_MAX_TERM_ID}]"
 
 
 @dataclass(frozen=True)
@@ -36,16 +34,17 @@ class TranslationTable:
     """
 
     def __init__(self, source, target, prob) -> None:
-        source = np.asarray(source, dtype=np.int64).reshape(-1)
-        # kept columns are copied out of a strided view, such as a field of
-        # np.loadtxt's rows, so the rows are freed
-        target = np.ascontiguousarray(target, dtype=np.int64).reshape(-1)
-        prob = np.ascontiguousarray(prob, dtype=np.float64).reshape(-1)
+        try:
+            source = np.asarray(source, dtype=np.int64).reshape(-1)
+            target = np.asarray(target, dtype=np.int64).reshape(-1)
+        except OverflowError:  # an id beyond int64
+            raise ValueError(_BAD_ID) from None
+        prob = np.asarray(prob, dtype=np.float64).reshape(-1)
         if not len(source) == len(target) == len(prob):
             raise ValueError("source, target and prob differ in length")
         if len(source) and (min(source.min(), target.min()) < 0
                             or max(source.max(), target.max()) > _MAX_TERM_ID):
-            raise ValueError(f"term ids must lie in [0, {_MAX_TERM_ID}]")
+            raise ValueError(_BAD_ID)
         self._width = int(target.max()) + 1 if len(target) else 1
         keys = source * self._width + target
         if not (keys[1:] > keys[:-1]).all():
@@ -120,28 +119,28 @@ class TranslationTable:
     @classmethod
     def load(cls, path) -> "TranslationTable":
         """Read a table written by save, from its image when that is current
-        and passes the checks below, else from the text. A malformed line,
-        a last line without its newline, or a source row that does not sum
-        to 1 raises ValueError naming the path, so a file cut inside a row
-        is caught; a cut between rows still loads as the smaller table."""
+        and passes the checks below, else from the text, one line at a time.
+        A malformed line, a last line without its newline, or a source row
+        that does not sum to 1 raises ValueError naming the path, and the
+        line of a bad line, so a file cut inside a row is caught; a cut
+        between rows still loads as the smaller table."""
         image = load_image(path, ((np.int64, 1), (np.int64, 1), (np.float64, 1)))
         if image is not None:
             try:
                 return cls._checked(*image)
             except ValueError:
                 pass  # the text decides, and names the fault
-        if not ends_with_newline(path):
-            raise ValueError(f"{path}: last line has no newline; the file is cut short")
+        source, target, prob = [], [], []
+        with text_lines(path, whole=True) as lines:
+            for line in lines:
+                parts = line.split()
+                if len(parts) != 3:
+                    raise ValueError("expected 't w p'")
+                source.append(int(parts[0]))
+                target.append(int(parts[1]))
+                prob.append(float(parts[2]))
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                entries = np.loadtxt(path, dtype=_ENTRY, comments=None, ndmin=1)
-        except ValueError as exc:
-            # loadtxt's row numbers skip blank lines; read again for the line
-            _parse_lines(path)
-            raise ValueError(f"{path}: {exc}") from None
-        try:
-            return cls._checked(entries["t"], entries["w"], entries["p"])
+            return cls._checked(source, target, prob)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -157,16 +156,6 @@ class TranslationTable:
             raise ValueError(f"source {int(table._rows[bad[0]])}: probabilities sum to "
                              f"{float(sums[bad[0]])!r}, not 1; the file may be cut short")
         return table
-
-
-def _parse_lines(path) -> None:
-    """Raise `<path>: line N: ...` at the first line that is not "t w p"."""
-    with text_lines(path) as lines:
-        for line in lines:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError("expected 't w p'")
-            int(parts[0]), int(parts[1]), float(parts[2])
 
 
 def identity_table(term_ids) -> TranslationTable:

@@ -191,7 +191,7 @@ class TestSubcommands:
                      "--translation", str(out / "tm.tsv"),
                      "--topics-model", str(out / "lda.txt"),
                      "--ranker", str(ranker), "--out", str(out / "r.txt")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {ranker}:3: ")
+        assert capsys.readouterr().err.startswith(f"error: {ranker}: line 3: ")
 
     @pytest.mark.parametrize("record", ['{"id": "q1", "tokens": 5}',
                                         '{"id": "q1", "text": 5}',
@@ -766,7 +766,8 @@ class TestHandover:
         def forbidden(*args, **kwargs):
             raise AssertionError("a fresh run parsed its own output")
 
-        for owner, name in ((TranslationTable, "load"), (TopicModel, "load"),
+        for owner, name in ((pipeline, "load_corpus"), (TranslationTable, "load"),
+                            (TopicModel, "load"), (LambdaMARTModel, "load"),
                             (pipeline, "read_letor"), (pipeline, "read_run")):
             monkeypatch.setattr(owner, name, forbidden)
         prepared = []

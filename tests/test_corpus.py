@@ -2,12 +2,17 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cqarank.corpus import (doc_distribution, ingest_corpus, load_corpus,
-                            load_queries, save_corpus, tokenize)
+from cqarank.corpus import (doc_distribution, image_path, ingest_corpus,
+                            load_corpus, load_queries, save_corpus, tokenize)
+from cqarank.evaluation import RankedRun, read_qrels, read_run, write_run
+from cqarank.ltr import RankingInstance, read_letor, write_letor
+from cqarank.topics import TopicModel
+from cqarank.translation import TranslationTable
 from conftest import build_corpus, write_jsonl
 
 
@@ -367,3 +372,66 @@ class TestCorpusFileProperties:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed corpus: ")):
             load_corpus(path)
+
+
+def _letor(path):
+    write_letor([RankingInstance("q1", "d12", (0.5, 1.0), 1),
+                 RankingInstance("q1", "d1", (0.25, 0.0), 0)], path)
+    return read_letor
+
+
+def _run(path):
+    run = RankedRun(tag="t2lm+")
+    run.add_query("q1", [("d1", 0.9), ("d2", 0.5)])
+    write_run(run, path)
+    return read_run
+
+
+def _table(path):
+    TranslationTable([0, 0, 1], [3, 4, 1], [0.5, 0.5, 1.0]).save(path)
+    image_path(path).unlink()
+    return TranslationTable.load
+
+
+def _model(path):
+    TopicModel(phi=np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]),
+               topic_totals=np.array([4, 6]), alpha=0.5, beta=0.01, vocab_size=3,
+               iterations=9, seed=0).save(path)
+    image_path(path).unlink()
+    return TopicModel.load
+
+
+# each line file the pipeline writes and reads back, the models without
+# their images: a writer that returns the file's reader
+WRITTEN = {"read_letor": _letor, "read_run": _run,
+           "TranslationTable.load": _table, "TopicModel.load": _model}
+
+
+@pytest.mark.parametrize("reader", WRITTEN)
+def test_a_file_cut_inside_its_last_line_names_path_and_line(tmp_path, reader):
+    """A cut inside the last line can leave a line that still parses, so
+    every such cut raises, at that line."""
+    path = tmp_path / "saved.txt"
+    read = WRITTEN[reader](path)
+    data = path.read_bytes()
+    last = data.count(b"\n")
+    for cut in range(data.rindex(b"\n", 0, -1) + 2, len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {last}: last line has no newline; the file is cut short")):
+            read(path)
+
+
+def test_hand_made_input_may_end_without_newline(tmp_path):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text(json.dumps(_rec("p1", "a b", "c")))
+    users = tmp_path / "users.jsonl"
+    users.write_text('{"user": "u2", "best_answers": 3}')
+    corpus = ingest_corpus(qa, users)
+    assert corpus.best_answer_count("u2") == 3
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text('{"id": "q1", "text": "a"}')
+    assert [q.id for q in load_queries(queries, corpus.vocabulary)] == ["q1"]
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q1 0 p1 2")
+    assert read_qrels(qrels).judged("q1") == {"p1": 2}

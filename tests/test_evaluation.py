@@ -291,12 +291,6 @@ class TestRunRoundTripProperties:
             write_run(loaded, path)
             assert path.read_bytes() == data[:cut]
 
-    def test_missing_final_newline_names_path(self, tmp_path):
-        path = tmp_path / "run.txt"
-        path.write_text("q1 Q0 d1 1 0.9 t2lm+\nq1 Q0 d2 2 0.5 t2l")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: last line has no newline")):
-            read_run(path)
-
 
 class TestReport:
     # published MAPs from the comparison the report format mirrors,

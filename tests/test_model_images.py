@@ -72,13 +72,13 @@ def text_parses(monkeypatch):
     """The path of each load that went on to parse its text."""
     calls = []
     for module in (translation, topics):
-        original = module.ends_with_newline
+        original = module.text_lines
 
-        def recording(path, original=original):
+        def recording(path, *args, original=original, **kwargs):
             calls.append(path)
-            return original(path)
+            return original(path, *args, **kwargs)
 
-        monkeypatch.setattr(module, "ends_with_newline", recording)
+        monkeypatch.setattr(module, "text_lines", recording)
     return calls
 
 
