@@ -45,6 +45,16 @@ def text_lines(path, whole=False):
         raise ValueError(f"{path}: line {line_no}: {exc}") from None
 
 
+def strict_numeric(text: str) -> str:
+    """`text`, one number or a line of them, unchanged; ValueError if it
+    holds a `_` or a non-ASCII character. int and float accept `_` between
+    digits and non-ASCII digits, as in `1_0` or `\u0663.0e-1`, which repr
+    never writes; every reader converts only what passed here."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"a number in {text!r} holds '_' or a non-ASCII character")
+    return text
+
+
 def image_path(path) -> Path:
     """Where the binary image of the model text file at `path` lives."""
     return Path(f"{path}.npy")

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .corpus import text_lines
+from .corpus import strict_numeric, text_lines
 
 
 class Qrels:
@@ -256,8 +256,8 @@ def read_run(path) -> RankedRun:
                 raise ValueError("expected '<qid> Q0 <docid> <rank> <score> <tag>'")
             qid, _, doc_id, rank_s, score_s, tag = parts
             try:
-                rank = int(rank_s)
-                score = float(score_s)
+                rank = int(strict_numeric(rank_s))
+                score = float(strict_numeric(score_s))
             except ValueError:
                 raise ValueError("bad rank or score") from None
             entries = rankings.setdefault(qid, [])

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import text_lines
+from .corpus import strict_numeric, text_lines
 from .evaluation import ndcg_at_k
 
 LEAF_RIDGE = 1e-9
@@ -114,7 +114,7 @@ class RegressionTree:
             if pos >= len(lines):
                 raise ValueError("truncated tree serialization")
             line = lines[pos]
-            parts = line.split()
+            parts = strict_numeric(line).split()
             pos += 1
             if parts[:1] == ["L"] and len(parts) == 2:
                 return tree._add_leaf(float(parts[1]))
@@ -280,7 +280,7 @@ class LambdaMARTModel:
             pos += 1
             if parts[:1] != [key] or len(parts) != len(kinds) + 1:
                 raise ValueError(f"expected '{key}' and {len(kinds)} value(s)")
-            return [kind(v) for kind, v in zip(kinds, parts[1:])]
+            return [kind(strict_numeric(v)) for kind, v in zip(kinds, parts[1:])]
 
         try:
             # save() ends every line with a newline; a file cut inside a
@@ -559,15 +559,15 @@ def read_letor(path) -> list[RankingInstance]:
             if len(parts) < 2 or not parts[1].startswith("qid:"):
                 raise ValueError("expected '<label> qid:<qid> ...'")
             try:
-                label = int(parts[0])
+                label = int(strict_numeric(parts[0]))
             except ValueError:
                 raise ValueError(f"bad label {parts[0]!r}") from None
             features = []
             for rank, item in enumerate(parts[2:], start=1):
                 idx_s, _, val_s = item.partition(":")
                 try:
-                    idx = int(idx_s)
-                    val = float(val_s)
+                    idx = int(strict_numeric(idx_s))
+                    val = float(strict_numeric(val_s))
                 except ValueError:
                     raise ValueError(f"bad feature token {item!r}") from None
                 if idx != rank:

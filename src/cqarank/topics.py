@@ -13,7 +13,7 @@ from operator import mul, truediv
 
 import numpy as np
 
-from .corpus import ROW_SUM_TOLERANCE, load_image, save_image, text_lines
+from .corpus import ROW_SUM_TOLERANCE, load_image, save_image, strict_numeric, text_lines
 
 
 @dataclass
@@ -81,18 +81,19 @@ class TopicModel:
             except ValueError:
                 pass  # the text decides, and names the fault
         with text_lines(path, whole=True) as lines:
-            header = next(lines, "").split()
+            header = strict_numeric(next(lines, "")).split()
             if len(header) != 6:
                 raise ValueError("bad topic model header")
             k, v = int(header[0]), int(header[1])
             alpha, beta = float(header[2]), float(header[3])
             seed, iterations = int(header[4]), int(header[5])
             _check_sizes(k, v, alpha, beta)
-            totals = [int(x) for x in next(lines, "").split()]
+            totals = [int(x) for x in strict_numeric(next(lines, "")).split()]
             _check_totals(totals, k)
             rows = []
             for z in range(k):
-                row = np.fromiter(map(float, next(lines, "").split()), dtype=np.float64)
+                row = np.fromiter(map(float, strict_numeric(next(lines, "")).split()),
+                                  dtype=np.float64)
                 _check_row(z, row, v)
                 rows.append(row)
             if next(lines, None) is not None:

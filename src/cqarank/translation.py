@@ -11,7 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import ROW_SUM_TOLERANCE, Corpus, load_image, save_image, text_lines
+from .corpus import (ROW_SUM_TOLERANCE, Corpus, load_image, save_image, strict_numeric,
+                     text_lines)
 
 # Term ids are dense and non-negative; below 2**31 every key
 # source * width + target fits in an int64.
@@ -133,7 +134,7 @@ class TranslationTable:
         source, target, prob = [], [], []
         with text_lines(path, whole=True) as lines:
             for line in lines:
-                parts = line.split()
+                parts = strict_numeric(line).split()
                 if len(parts) != 3:
                     raise ValueError("expected 't w p'")
                 source.append(int(parts[0]))
@@ -189,21 +190,64 @@ def _flat(sides) -> tuple[np.ndarray, np.ndarray]:
     return tokens, lengths
 
 
-def _events(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One event per (pair, target token, source token), in that loop order:
-    its source id, its target id and its slot, the (pair, target token) it
-    belongs to. Also the number of slots."""
-    src, src_len = _flat([p.source for p in pairs])
-    tgt, tgt_len = _flat([p.target for p in pairs])
-    per_slot = np.repeat(src_len, tgt_len)
-    slot = np.repeat(np.arange(len(tgt), dtype=np.int32), per_slot)
-    # each event's source position: its pair's first source token plus its
-    # offset within the slot
-    slot_first_src = np.repeat(np.cumsum(src_len) - src_len, tgt_len)
-    slot_first_event = np.cumsum(per_slot) - per_slot
-    pos = np.arange(len(slot), dtype=np.int64) + np.repeat(slot_first_src - slot_first_event,
-                                                           per_slot)
-    return src[pos], tgt[slot], slot, len(tgt)
+# The E-step's chunk size in events. A chunk holds whole slots, so a slot
+# with more events than this is a chunk of its own.
+_CHUNK_EVENTS = 1 << 16
+
+
+class _Events:
+    """The events of a pair list: one per (pair, target token, source
+    token), in that loop order. A slot is one (pair, target token); its
+    events are its pair's source tokens, in order."""
+
+    def __init__(self, pairs) -> None:
+        self.source, source_len = _flat([p.source for p in pairs])
+        self.target, target_len = _flat([p.target for p in pairs])  # one per slot
+        self._per_slot = np.repeat(source_len, target_len)
+        self._first_source = np.repeat(np.cumsum(source_len) - source_len, target_len)
+        self.starts = np.r_[0, np.cumsum(self._per_slot)]  # each slot's first event
+        self.n_slots = len(self.target)
+
+    def __len__(self) -> int:
+        return int(self.starts[-1])
+
+    def chunks(self) -> list[tuple[int, int]]:
+        """Consecutive slot ranges [a, b) covering every slot, each of at
+        most _CHUNK_EVENTS events or a single slot."""
+        cuts = [0]
+        while cuts[-1] < self.n_slots:
+            a = cuts[-1]
+            b = int(np.searchsorted(self.starts, self.starts[a] + _CHUNK_EVENTS, "right")) - 1
+            cuts.append(min(max(b, a + 1), self.n_slots))
+        return list(zip(cuts, cuts[1:]))
+
+    def between(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The events of slots [a, b): each one's source id, target id and
+        slot counted from a (int32)."""
+        per_slot = self._per_slot[a:b]
+        slot = np.repeat(np.arange(b - a, dtype=np.int32), per_slot)
+        # an event's source position: its slot's first source position plus
+        # its offset within the slot
+        pos = np.repeat(self._first_source[a:b] - (self.starts[a:b] - self.starts[a]),
+                        per_slot)
+        pos += np.arange(len(slot))
+        return self.source[pos], self.target[a:b][slot], slot
+
+
+def _entries(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the events' (source t, target w) entries by first occurrence,
+    from their keys t * width + w in event order, which it sorts in place.
+    Returns each event's entry id (int32), each entry's key, and the entry
+    id of each key in ascending order (int32)."""
+    order = np.argsort(keys, kind="stable")  # each key's first event leads its run
+    keys.sort()  # keys[order] without a second array
+    runs = np.flatnonzero(np.diff(keys, prepend=-1))
+    by_first = np.argsort(order[runs])
+    entry_of_key = np.empty(len(runs), dtype=np.int32)
+    entry_of_key[by_first] = np.arange(len(runs), dtype=np.int32)
+    event_entry = np.empty(len(order), dtype=np.int32)
+    event_entry[order] = np.repeat(entry_of_key, np.diff(runs, append=len(order)))
+    return event_entry, keys[runs[by_first]], entry_of_key
 
 
 def train_ibm1(pairs, iterations: int = 10,
@@ -211,13 +255,17 @@ def train_ibm1(pairs, iterations: int = 10,
     """Standard IBM Model 1 EM over the pair list.
 
     Every (source t, target w) entry is numbered by its first occurrence in
-    the loop order pair, target token, source token, and each E- and M-step
-    sum is a bincount, which adds in input order: slot denominators over
-    source tokens, expected counts in event order and row totals in entry
-    order. So the result is deterministic given the pair list, and does not
-    depend on the Python version. A positive `prune` drops entries below the
-    threshold after the final iteration and renormalizes each source row so
-    the per-source normalization invariant survives pruning.
+    the loop order pair, target token, source token. Each E-step runs over
+    chunks of whole slots of about _CHUNK_EVENTS events, and keeps two int32
+    per event, its slot in the chunk and its entry. The slot denominators
+    are bincounts over source tokens; np.add.at adds the expected counts
+    into one entry buffer, each entry's in event order from 0.0, as one
+    bincount over all events would; and the M-step's row totals are a
+    bincount in entry order. So the result is deterministic given the pair
+    list, and does not depend on the Python version. A positive `prune`
+    drops entries below the threshold after the final iteration and
+    renormalizes each source row so the per-source normalization invariant
+    survives pruning.
     """
     pairs = list(pairs)
     if not pairs:
@@ -225,32 +273,45 @@ def train_ibm1(pairs, iterations: int = 10,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    source, target, slot, n_slots = _events(pairs)
-    width = int(target.max()) + 1 if len(target) else 1
-    event_key = source * width + target
-    del source, target
-    keys, first, inverse = np.unique(event_key, return_index=True, return_inverse=True)
-    del event_key
-    order = np.argsort(first)  # entries in first-occurrence order
-    entry_of_key = np.empty(len(keys), dtype=np.int32)
-    entry_of_key[order] = np.arange(len(keys), dtype=np.int32)
-    event_entry = entry_of_key[inverse]
-    del first, inverse
-    entry_source, entry_target = keys[order] // width, keys[order] % width
+    events = _Events(pairs)
+    if len(events) and (min(events.source.min(), events.target.min()) < 0
+                        or max(events.source.max(), events.target.max()) > _MAX_TERM_ID):
+        raise ValueError(_BAD_ID)  # keys t * width + w then fit an int64
+    width = int(events.target.max()) + 1 if events.n_slots else 1
+    keys = np.empty(len(events), dtype=np.int64)
+    slot = np.empty(len(events), dtype=np.int32)
+    chunks = []  # each chunk's event range and slot count
+    for a, b in events.chunks():
+        lo, hi = int(events.starts[a]), int(events.starts[b])
+        source, target, slot[lo:hi] = events.between(a, b)
+        keys[lo:hi] = source * width + target
+        chunks.append((lo, hi, b - a))
+    del events
+    event_entry, entry_key, entry_of_key = _entries(keys)
+    del keys
+    entry_source = entry_key // width
 
     t_prob = 1.0 / np.bincount(entry_source)[entry_source]
+    counts = np.empty_like(t_prob)
     for _ in range(iterations):
-        p = t_prob[event_entry]
-        denom = np.bincount(slot, weights=p, minlength=n_slots)
-        counts = np.bincount(event_entry, weights=p / denom[slot], minlength=len(keys))
+        counts.fill(0.0)
+        for lo, hi, n_slots in chunks:
+            entry, local = event_entry[lo:hi], slot[lo:hi]
+            p = t_prob[entry]
+            p /= np.bincount(local, weights=p, minlength=n_slots)[local]
+            np.add.at(counts, entry, p)
         totals = np.bincount(entry_source, weights=counts)
-        t_prob = counts / totals[entry_source]
+        np.divide(counts, totals[entry_source], out=t_prob)
+    del event_entry, slot, counts
 
-    keep = np.ones(len(keys), dtype=bool)
-    if prune > 0.0 and len(keys):
-        keep, t_prob = _prune(t_prob, entry_source, entry_target, prune)
+    keep = np.ones(len(entry_key), dtype=bool)
+    if prune > 0.0 and len(entry_key):
+        keep, t_prob = _prune(t_prob, entry_source, entry_key % width, prune)
     by_key = entry_of_key[keep[entry_of_key]]  # kept entries in (t, w) order
-    return TranslationTable(entry_source[by_key], entry_target[by_key], t_prob[by_key])
+    key, prob = entry_key[by_key], t_prob[by_key]
+    # freed first, so that the table's arrays take their place
+    del entry_key, entry_of_key, entry_source, t_prob, keep, by_key
+    return TranslationTable(*np.divmod(key, width), prob)
 
 
 def _prune(t_prob, entry_source, entry_target, prune: float):
@@ -279,11 +340,12 @@ def corpus_log_likelihood(table: TranslationTable, pairs) -> float:
     pairs = list(pairs)
     if not pairs:
         return 0.0
-    _, _, slot, n_slots = _events(pairs)
+    events = _Events(pairs)
+    slot = events.between(0, events.n_slots)[2]
     # in event order: pair, then target token, then source token
     p = np.concatenate([table.columns(pair.target, pair.source).ravel()
                         for pair in pairs])
-    inner = np.bincount(slot, weights=p, minlength=n_slots)
+    inner = np.bincount(slot, weights=p, minlength=events.n_slots)
     if (inner <= 0.0).any():
         return float("-inf")
     total = 0.0

@@ -8,9 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cqarank.corpus import (doc_distribution, image_path, ingest_corpus,
-                            load_corpus, load_queries, save_corpus, tokenize)
+                            load_corpus, load_queries, save_corpus, strict_numeric,
+                            tokenize)
 from cqarank.evaluation import RankedRun, read_qrels, read_run, write_run
-from cqarank.ltr import RankingInstance, read_letor, write_letor
+from cqarank.ltr import (LambdaMARTModel, RankingInstance, RegressionTree, TrainConfig,
+                         read_letor, write_letor)
 from cqarank.topics import TopicModel
 from cqarank.translation import TranslationTable
 from conftest import build_corpus, write_jsonl
@@ -420,6 +422,50 @@ def test_a_file_cut_inside_its_last_line_names_path_and_line(tmp_path, reader):
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: line {last}: last line has no newline; the file is cut short")):
             read(path)
+
+
+def _ranker(path):
+    tree = RegressionTree()
+    tree._make_split(tree._add_leaf(0.0), 1, 0.5, tree._add_leaf(-0.25),
+                     tree._add_leaf(0.75))
+    LambdaMARTModel(trees=[tree], shrinkage=0.2, feature_count=2,
+                    config=TrainConfig(1, 2, 0.2, 1, 10), seed=3).save(path)
+    return LambdaMARTModel.load
+
+
+# a number in each line file read back: its writer, the 1-based line, the
+# index of the field in it and the text before the number in that field
+NUMBER_FIELDS = {"TranslationTable.load": (_table, 2, 2, ""),
+                 "TopicModel.load": (_model, 1, 2, ""),
+                 "read_run": (_run, 2, 4, ""),
+                 "read_letor": (_letor, 1, 2, "1:"),
+                 "LambdaMARTModel.load": (_ranker, 3, 1, "")}
+
+
+@pytest.mark.parametrize("bad", ["1_0", "\u0663.0e-1"])
+@pytest.mark.parametrize("reader", NUMBER_FIELDS)
+def test_a_number_repr_never_writes_names_path_and_line(tmp_path, reader, bad):
+    """int and float read `1_0` as 10 and `\u0663.0e-1` (an Arabic-Indic
+    three) as 0.3, and repr writes neither, so every reader rejects both."""
+    write, line, field, prefix = NUMBER_FIELDS[reader]
+    path = tmp_path / "saved.txt"
+    read = write(path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    parts = lines[line - 1].split(" ")
+    parts[field] = prefix + bad
+    lines[line - 1] = " ".join(parts)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
+        read(path)
+
+
+@pytest.mark.parametrize("value", [1e+20, 1.5e-05, 5e-324, 1.7976931348623157e+308,
+                                   -0.0, 0.1, float("inf"), float("-inf"), float("nan"),
+                                   -12, 2**63 - 1])
+def test_strict_numeric_passes_every_repr(value):
+    text = repr(value)
+    assert strict_numeric(text) == text
+    assert strict_numeric(f"0 {text} 1") == f"0 {text} 1"
 
 
 def test_hand_made_input_may_end_without_newline(tmp_path):
