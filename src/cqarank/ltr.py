@@ -105,7 +105,7 @@ class RegressionTree:
     @classmethod
     def from_lines(cls, lines: list[str]) -> "RegressionTree":
         """Inverse of to_lines; raises ValueError on a malformed or
-        truncated node list."""
+        truncated node list, NodeLineError when one line is malformed."""
         tree = cls()
         pos = 0
 
@@ -113,23 +113,42 @@ class RegressionTree:
             nonlocal pos
             if pos >= len(lines):
                 raise ValueError("truncated tree serialization")
-            line = lines[pos]
-            parts = strict_numeric(line).split()
+            try:
+                parts = _node_fields(lines[pos])
+            except ValueError as exc:
+                raise NodeLineError(pos, str(exc)) from None
             pos += 1
-            if parts[:1] == ["L"] and len(parts) == 2:
-                return tree._add_leaf(float(parts[1]))
-            if parts[:1] == ["S"] and len(parts) == 3:
-                node = tree._add_leaf(0.0)
-                left = build()
-                right = build()
-                tree._make_split(node, int(parts[1]), float(parts[2]), left, right)
-                return node
-            raise ValueError(f"bad tree node line: {line!r}")
+            if len(parts) == 1:
+                return tree._add_leaf(parts[0])
+            node = tree._add_leaf(0.0)
+            left = build()
+            right = build()
+            tree._make_split(node, *parts, left, right)
+            return node
 
         root = build()
         if root != 0 or pos != len(lines):
             raise ValueError("malformed tree serialization")
         return tree
+
+
+class NodeLineError(ValueError):
+    """A malformed node line, at `index` in the tree's node lines."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def _node_fields(line: str) -> tuple:
+    """(value,) of a leaf line "L <value>", (feature, threshold) of a split
+    line "S <feature> <threshold>"."""
+    parts = strict_numeric(line).split()
+    if parts[:1] == ["L"] and len(parts) == 2:
+        return (float(parts[1]),)
+    if parts[:1] == ["S"] and len(parts) == 3:
+        return int(parts[1]), float(parts[2])
+    raise ValueError(f"bad tree node line: {line!r}")
 
 
 _WORD_BITS = 64
@@ -299,7 +318,11 @@ class LambdaMARTModel:
                 n_lines = take("tree", int, int)[1]
                 if pos + n_lines > len(lines):
                     raise ValueError(f"tree {i} is truncated")
-                tree = RegressionTree.from_lines(lines[pos:pos + n_lines])
+                try:
+                    tree = RegressionTree.from_lines(lines[pos:pos + n_lines])
+                except NodeLineError as exc:
+                    pos += exc.index + 1  # the node's own line
+                    raise
                 for feat, left, *values in zip(tree.feature, tree.left,
                                                tree.threshold, tree.value):
                     pos += 1  # node n of a tree is its line n (preorder)

@@ -6,10 +6,11 @@ topic-word probability is strictly positive.
 """
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import mul, truediv
+from operator import mul
 
 import numpy as np
 
@@ -146,83 +147,132 @@ class CollapsedGibbsSampler:
     """Sequential collapsed Gibbs state for LDA training.
 
     Exposed separately from train_lda so count-consistency can be checked
-    sweep by sweep.
+    sweep by sweep. The state lives in Python lists for the sampler's whole
+    life: each document's topic counts and assignments, each word's topic
+    counts, the topic totals, and beside every count its smoothed factor
+    (n_dk + alpha, n_kw + beta, n_k + V*beta). `n_dk`, `n_kw`, `n_k` and
+    `assignments` are numpy arrays built from the lists when read, so
+    writing into one leaves the sampler as it was.
+
+    A token id must be an integer in [0, vocab_size); ValueError names the
+    document and the id otherwise.
     """
 
     def __init__(self, docs, num_topics: int, alpha: float, beta: float,
                  vocab_size: int, seed: int) -> None:
         self.docs = [tuple(d) for d in docs]
+        _check_token_ids(self.docs, vocab_size)
         self.K = num_topics
         self.alpha = alpha
         self.beta = beta
         self.V = vocab_size
         self.rng = np.random.RandomState(seed)
-        self.assignments: list[np.ndarray] = [
-            self.rng.randint(0, self.K, size=len(doc)) for doc in self.docs]
+        self._z = [self.rng.randint(0, self.K, size=len(doc)).tolist()
+                   for doc in self.docs]
         lengths = [len(doc) for doc in self.docs]
         self.num_tokens = sum(lengths)
         z = np.concatenate([np.zeros(0, dtype=np.int64), *self.assignments])
         words = np.fromiter(chain.from_iterable(self.docs), dtype=np.int64,
                             count=self.num_tokens)
-        self.n_dk = np.zeros((len(self.docs), self.K), dtype=np.int64)
-        np.add.at(self.n_dk, (np.repeat(np.arange(len(self.docs)), lengths), z), 1)
-        self.n_kw = np.zeros((self.K, self.V), dtype=np.int64)
-        np.add.at(self.n_kw, (z, words), 1)
-        self.n_k = np.bincount(z, minlength=self.K)
+        n_dk = np.zeros((len(self.docs), self.K), dtype=np.int64)
+        np.add.at(n_dk, (np.repeat(np.arange(len(self.docs)), lengths), z), 1)
+        n_kw = np.zeros((self.K, self.V), dtype=np.int64)
+        np.add.at(n_kw, (z, words), 1)
+        self._n_dk = n_dk.tolist()
+        self._n_wk = n_kw.T.tolist()
+        self._n_k = np.bincount(z, minlength=self.K).tolist()
+        # every count a factor is taken of: a document's topic count is at
+        # most its length, a word's at most its corpus count
+        self._alpha_of = [n + alpha for n in range(max(lengths, default=0) + 1)]
+        self._beta_of = [n + beta for n in range(int(n_kw.sum(axis=0).max()) + 1)]
+        self._row_alpha = [[self._alpha_of[n] for n in row] for row in self._n_dk]
+        self._word_beta = [[self._beta_of[n] for n in col] for col in self._n_wk]
+        self._topic_den = [n + self.V * beta for n in self._n_k]
+
+    @property
+    def n_dk(self) -> np.ndarray:
+        return np.array(self._n_dk, dtype=np.int64).reshape(len(self.docs), self.K)
+
+    @property
+    def n_kw(self) -> np.ndarray:
+        return np.ascontiguousarray(np.array(self._n_wk, dtype=np.int64).T)
+
+    @property
+    def n_k(self) -> np.ndarray:
+        return np.array(self._n_k, dtype=np.int64)
+
+    @property
+    def assignments(self) -> list[np.ndarray]:
+        return [np.array(z, dtype=np.int64) for z in self._z]
 
     def sweep(self) -> None:
         """One full pass of per-token topic reassignment.
 
-        The counts are walked as Python lists, next to the smoothed factors
-        n_dk+alpha, n_kw+beta and n_k+V*beta; a factor is recomputed from its
-        integer count whenever that count changes. `accumulate` adds in
-        order as np.cumsum does, `bisect_right` is searchsorted(side="right"),
-        and one random_sample call yields the doubles of one call per token,
-        so every draw is that of a per-token numpy loop. The counts are
-        written back into the arrays at the end of the sweep.
+        A document or word factor whose count changes is looked up in a
+        table of n + alpha (n up to the longest document) or n + beta (n up
+        to the largest word count), built once with that expression. A
+        topic total can reach the corpus's token count, so n_k + V*beta is
+        computed. When the draw keeps the token's topic, the counts are left
+        alone and the three factors saved before the token was taken out
+        are put back. So every factor is the float count + prior gives.
+        The running sum adds in order as np.cumsum does, `bisect_right` is
+        searchsorted(side="right"), and one random_sample call yields the
+        doubles of one call per token, so every draw is that of a per-token
+        numpy loop.
         """
-        K, alpha, beta = self.K, self.alpha, self.beta
-        beta_v = self.V * beta
-        n_wk = self.n_kw.T.tolist()
-        word_beta = [[n + beta for n in col] for col in n_wk]
-        n_k = self.n_k.tolist()
-        topic_den = [n + beta_v for n in n_k]
-        n_dk = self.n_dk.tolist()
+        last, beta_v = self.K - 1, self.V * self.beta
+        alpha_of, beta_of = self._alpha_of, self._beta_of
+        n_wk, word_beta = self._n_wk, self._word_beta
+        n_k, topic_den = self._n_k, self._topic_den
         draws = iter(self.rng.random_sample(self.num_tokens).tolist())
-        for doc, z_d, row in zip(self.docs, self.assignments, n_dk):
-            row_alpha = [n + alpha for n in row]
-            z = z_d.tolist()
+        for doc, z, row, row_alpha in zip(self.docs, self._z, self._n_dk,
+                                          self._row_alpha):
             # doc before draws: zip stops at the doc's end without taking a draw
-            for i, (w, u) in enumerate(zip(doc, draws)):
-                col, col_beta = n_wk[w], word_beta[w]
-                k = z[i]
-                row[k] -= 1
-                row_alpha[k] = row[k] + alpha
-                col[k] -= 1
-                col_beta[k] = col[k] + beta
-                n_k[k] -= 1
-                topic_den[k] = n_k[k] + beta_v
+            for i, w, u in zip(range(len(doc)), doc, draws):
+                col_beta = word_beta[w]
+                old = z[i]
+                # the factors with the token taken out; the counts change
+                # only if the draw moves it
+                kept = row_alpha[old], col_beta[old], topic_den[old]
+                row_alpha[old] = alpha_of[row[old] - 1]
+                col_beta[old] = beta_of[n_wk[w][old] - 1]
+                topic_den[old] = n_k[old] - 1 + beta_v
 
-                cum = list(accumulate(map(truediv, map(mul, row_alpha, col_beta),
-                                          topic_den)))
-                k = bisect_right(cum, u * cum[-1])
-                if k >= K:
-                    k = K - 1
-
+                # 0.0 + p is p for a positive p, so this is np.cumsum's sum
+                total = 0.0
+                cum = [total := total + a * b / t
+                       for a, b, t in zip(row_alpha, col_beta, topic_den)]
+                # hi=last caps the topic at K-1, as the reference does
+                k = bisect_right(cum, u * total, 0, last)
+                if k == old:
+                    row_alpha[k], col_beta[k], topic_den[k] = kept
+                    continue
                 z[i] = k
+                col = n_wk[w]
+                row[old] -= 1
+                col[old] -= 1
+                n_k[old] -= 1
                 row[k] += 1
-                row_alpha[k] = row[k] + alpha
+                row_alpha[k] = alpha_of[row[k]]
                 col[k] += 1
-                col_beta[k] = col[k] + beta
+                col_beta[k] = beta_of[col[k]]
                 n_k[k] += 1
                 topic_den[k] = n_k[k] + beta_v
-            z_d[:] = z
-        self.n_dk[:] = n_dk
-        self.n_kw[:] = np.array(n_wk, dtype=np.int64).T
-        self.n_k[:] = n_k
 
     def read_phi(self) -> np.ndarray:
         return (self.n_kw + self.beta) / (self.n_k + self.V * self.beta)[:, None]
+
+
+def _check_token_ids(docs, vocab_size) -> None:
+    """ValueError naming the document and the id of the first token id in
+    `docs` that is not an integer in [0, vocab_size)."""
+    for d, doc in enumerate(docs):
+        if doc and set(map(type, doc)) == {int} and 0 <= min(doc) and max(doc) < vocab_size:
+            continue
+        for w in doc:
+            if not (isinstance(w, numbers.Integral) and 0 <= w < vocab_size):
+                raise ValueError(f"document {d}: token id {w!r} is not an integer "
+                                 f"in [0, {vocab_size})")
 
 
 def train_lda(docs, num_topics: int, alpha: float | None = None, beta: float = 0.01,
@@ -231,14 +281,16 @@ def train_lda(docs, num_topics: int, alpha: float | None = None, beta: float = 0
 
     alpha defaults to 50/K (Griffiths-Steyvers); alpha and beta must be
     positive and finite. vocab_size defaults to 1 + max token id seen in
-    docs.
+    docs. A token id that is not an integer in [0, vocab_size) raises
+    ValueError naming its document, counted from 0 among `docs`. An empty
+    document takes no draw, so it leaves the model as it was.
     """
-    docs = [tuple(d) for d in docs if len(d) > 0]
-    if not docs:
+    docs = [tuple(d) for d in docs]
+    total_tokens = sum(map(len, docs))
+    if total_tokens == 0:
         raise ValueError("no non-empty documents")
     if num_topics < 1 or iterations < 1:
         raise ValueError("require num_topics >= 1 and iterations >= 1")
-    total_tokens = sum(len(d) for d in docs)
     if num_topics > total_tokens:
         raise ValueError("degenerate topic count")
     if alpha is None:
@@ -246,14 +298,14 @@ def train_lda(docs, num_topics: int, alpha: float | None = None, beta: float = 0
     if not (0 < alpha < math.inf and 0 < beta < math.inf):
         raise ValueError("alpha and beta must be positive and finite")
     if vocab_size is None:
-        vocab_size = 1 + max(max(d) for d in docs)
+        vocab_size = 1 + max(max(d) for d in docs if d)
 
     sampler = CollapsedGibbsSampler(docs, num_topics, alpha, beta, vocab_size, seed)
     for _ in range(iterations):
         sampler.sweep()
     return TopicModel(
         phi=sampler.read_phi(),
-        topic_totals=sampler.n_k.copy(),
+        topic_totals=sampler.n_k,
         alpha=alpha,
         beta=beta,
         vocab_size=vocab_size,

@@ -610,6 +610,23 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="deep.txt: line 7: "):
             LambdaMARTModel.load(path)
 
+    @pytest.mark.parametrize("node", ["L x", "L 1_0", "S 0", "X 1"])
+    def test_malformed_node_names_its_own_line(self, tmp_path, node):
+        """Line 7 is the tree's header; its split is line 8 and its leaves
+        lines 9 and 10."""
+        tree = RegressionTree()
+        root = tree._add_leaf(0.0)
+        tree._make_split(root, 0, 0.5, tree._add_leaf(1.0), tree._add_leaf(-1.0))
+        path = tmp_path / "model.txt"
+        LambdaMARTModel(trees=[tree], shrinkage=0.1, feature_count=1,
+                        config=replace(CONFIG, trees=1), seed=0).save(path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[6] == "tree 0 3" and lines[8] == "L 1.0"
+        lines[8] = node
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 9: ")):
+            LambdaMARTModel.load(path)
+
     @pytest.mark.parametrize("lines", [[], ["S 0 0.5", "L 1.0"], ["S 0", "L 1", "L 2"],
                                        [""], ["L"], ["L 1", "L 2"], ["X 1"]])
     def test_bad_node_lines_rejected(self, lines):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from itertools import accumulate
@@ -8,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_scoring
+from cqarank.pipeline import PipelineConfig, ingest, train_topics
+from cqarank.synth import SynthSpec, generate
 from cqarank.topics import (CollapsedGibbsSampler, TopicModel,
                             infer_query_topics, train_lda)
 
@@ -64,6 +67,12 @@ class TestTraining:
         m1 = train_lda(docs, num_topics=3, iterations=30, seed=5)
         m2 = train_lda(docs, num_topics=3, iterations=30, seed=5)
         assert np.array_equal(m1.phi, m2.phi)
+
+    def test_empty_documents_leave_the_model(self):
+        docs = _random_docs(4)
+        with_empty = [[]] + docs[:5] + [[], []] + docs[5:] + [[]]
+        assert np.array_equal(train_lda(with_empty, 3, iterations=4, seed=2).phi,
+                              train_lda(docs, 3, iterations=4, seed=2).phi)
 
     def test_degenerate_topic_count(self):
         with pytest.raises(ValueError, match="degenerate topic count"):
@@ -158,6 +167,134 @@ class TestReferenceSampler:
                                              seed=seed, rng=rng)
                     assert np.array_equal(got.theta, want.theta)
                     assert got.oov_fallback == want.oov_fallback
+
+
+def _assert_factors_match_counts(sampler):
+    """Every smoothed factor the sampler keeps is count + prior, the float
+    the reference computes from the count."""
+    beta_v = sampler.V * sampler.beta
+    assert sampler._row_alpha == [[n + sampler.alpha for n in row]
+                                  for row in sampler.n_dk.tolist()]
+    assert sampler._word_beta == [[n + sampler.beta for n in col]
+                                 for col in sampler.n_kw.T.tolist()]
+    assert sampler._topic_den == [n + beta_v for n in sampler.n_k.tolist()]
+
+
+def _sweep_against_reference(args, sweeps, between=None):
+    """Sweep a sampler and the reference built from `args` side by side,
+    comparing their states, and the sampler's factors with its counts,
+    after every sweep; `between(sampler)` runs before each sweep. Returns
+    the sampler."""
+    sampler = CollapsedGibbsSampler(*args)
+    reference = reference_scoring.GibbsReference(*args)
+    _assert_same_state(sampler, reference)
+    _assert_factors_match_counts(sampler)
+    for _ in range(sweeps):
+        if between is not None:
+            between(sampler)
+        sampler.sweep()
+        reference.sweep()
+        _assert_same_state(sampler, reference)
+        _assert_factors_match_counts(sampler)
+    assert np.array_equal(sampler.read_phi(), reference.read_phi())
+    return sampler
+
+
+class TestListState:
+    """The sampler keeps its counts, assignments and smoothed factors in
+    lists and takes n + alpha and n + beta from tables; the arrays it hands
+    out are built on each read."""
+
+    @pytest.mark.parametrize("large_alpha", [False, True])
+    def test_default_topic_count(self, large_alpha):
+        num_topics = PipelineConfig.topics
+        alpha = 50.0 / num_topics if large_alpha else 0.01
+        _sweep_against_reference(
+            (_random_docs(50, n_docs=30), num_topics, alpha, 0.01, 16, 5), 3)
+
+    def test_dominant_word_reaches_the_top_of_its_table(self):
+        """Word 0 is 120 of the 142 tokens, all in one document; by the
+        last sweep one topic holds every one of them, so its count and the
+        document's reach the ends of the n + beta and n + alpha tables."""
+        rng = np.random.RandomState(4)
+        docs = [[0] * 120] + [[int(w) for w in rng.randint(1, 8, size=rng.randint(1, 6))]
+                              for _ in range(10)]
+        sampler = _sweep_against_reference((docs, 2, 0.01, 0.01, 8, 2), 8)
+        assert sampler.n_kw[:, 0].max() == 120
+        assert sampler.n_dk[0].max() == 120
+
+    @pytest.mark.parametrize("num_topics", [1, 3, 6])
+    def test_single_token_documents(self, num_topics):
+        docs = [[w % 9] for w in range(25)] + [[4]]
+        _sweep_against_reference((docs, num_topics, 0.1, 0.01, 10, 3), 5)
+
+    def test_reading_and_writing_the_arrays_leaves_the_state(self):
+        def scribble(sampler):
+            for arr in (sampler.n_dk, sampler.n_kw, sampler.n_k, *sampler.assignments):
+                arr[...] = 7
+        _sweep_against_reference((_random_docs(6), 6, 0.1, 0.01, 16, 9), 4,
+                                 between=scribble)
+
+    def test_arrays_have_the_reference_layout(self):
+        sampler = CollapsedGibbsSampler(_random_docs(3), 3, 0.1, 0.01, 16, 1)
+        sampler.sweep()
+        for arr in (sampler.n_dk, sampler.n_kw, sampler.n_k, *sampler.assignments):
+            assert arr.dtype == np.int64 and arr.flags.c_contiguous
+        assert sampler.n_kw.shape == (3, 16)
+        assert sampler.n_dk.shape == (len(sampler.docs), 3)
+
+
+class TestTokenIds:
+    """A token id must be an integer in [0, vocab_size); the error names
+    the document, counted among all the documents passed, and the id."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ([0, 1, -1], "document 1: token id -1 "),   # not word V-1
+        ([0, 3, 1], "document 1: token id 3 "),     # not an IndexError
+        ([0, 1.0, 1], "document 1: token id 1.0 "),  # not a TypeError
+    ])
+    def test_train_lda_rejects(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_lda([[], doc, [1, 2]], 2, iterations=1, vocab_size=3)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([0, 1, -1], "document 1: token id -1 "),
+        ([0, 3, 1], "document 1: token id 3 "),
+        ([0, 1.0, 1], "document 1: token id 1.0 "),
+    ])
+    def test_sampler_rejects(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CollapsedGibbsSampler([[2], doc], 2, 0.5, 0.01, 3, 0)
+
+    def test_negative_id_without_a_vocabulary_size(self):
+        with pytest.raises(ValueError, match=re.escape("document 0: token id -1 ")):
+            train_lda([[0, 1, -1], [1, 2]], 2, iterations=1)
+
+    def test_numpy_integer_ids_are_accepted(self):
+        docs = _random_docs(2)
+        as_numpy = [np.array(d, dtype=np.int64) for d in docs]
+        assert np.array_equal(train_lda(as_numpy, 2, iterations=2, seed=1).phi,
+                              train_lda(docs, 2, iterations=2, seed=1).phi)
+
+
+class TestQuickstartModel:
+    """The README quickstart's topic model, pinned to the bytes of its
+    topics.txt: a change to the sampler that moves one draw fails here."""
+
+    DIGEST = "3d4bec1f2b4e0f5cb9425798cd25ac5235a5183b9d93e978a414d66eb8c0dce7"
+
+    def test_topics_txt_digest(self, tmp_path):
+        data = generate(SynthSpec(size=240, topics=6, seed=1))
+        for key in ("qa", "users"):
+            (tmp_path / f"{key}.jsonl").write_text(
+                "".join(line + "\n" for line in data[key]), encoding="utf-8")
+        cfg = PipelineConfig(qa_path=str(tmp_path / "qa.jsonl"),
+                             users_path=str(tmp_path / "users.jsonl"),
+                             queries_path=str(tmp_path / "queries.jsonl"),
+                             topics=6, gibbs_iters=150, seed=7)
+        path = tmp_path / "topics.txt"
+        train_topics(cfg, ingest(cfg)).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGEST
 
 
 class TestFoldInMemo:
