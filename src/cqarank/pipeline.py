@@ -14,6 +14,7 @@ import random
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,9 @@ from .quality import quality_feature
 # vsm_score, features_f1_f4 and score_* stay imported: per-layer tracing
 # looks them up here
 from .index import vsm_score
-from .relevance import (ComponentTable, DocumentTerms, MixtureWeights,
-                        document_terms, features_f1_f4, score_lm, score_t2lm,
-                        score_t2lm_plus, score_tlm, term_weights)
+from .relevance import (ComponentTable, MixtureWeights, PairTerms, features_f1_f4,
+                        score_lm, score_t2lm, score_t2lm_plus, score_tlm,
+                        term_weights)
 from .topics import TopicModel, infer_query_topics, train_lda
 from .translation import TranslationTable, make_parallel_pairs, train_ibm1
 
@@ -144,10 +145,6 @@ class ScoringAssets:
     model: TopicModel | None
     cfg: "PipelineConfig"
     ranker: LambdaMARTModel | None = None
-    # per-pair document terms and quality columns, each computed the first
-    # time a scorer reads it; only the ranker's feature rows read quality
-    terms: dict[str, DocumentTerms] = field(default_factory=dict, repr=False)
-    qualities: dict[str, tuple[float, ...]] = field(default_factory=dict, repr=False)
     # the fold-in generator, reseeded for every query. Quoted and built by
     # a lambda: numpy loads numpy.random on first access, and an import of
     # this module should not load it
@@ -155,25 +152,27 @@ class ScoringAssets:
         default_factory=lambda: np.random.RandomState(), repr=False, compare=False)
     # the last prepared query scored and its component table, which every
     # system ranking that query shares; one table is kept, however many
-    # prepared queries a caller holds. Like the per-pair caches and `rng`,
-    # it belongs to one thread.
+    # prepared queries a caller holds. Like the pair arrays and `rng`, it
+    # belongs to one thread.
     last_table: "tuple[PreparedQuery, ComponentTable] | None" = field(
         default=None, repr=False, compare=False)
 
-    def pair_terms(self, qa_id: str) -> DocumentTerms:
-        found = self.terms.get(qa_id)
-        if found is None:
-            qa = self.corpus.pair(qa_id)
-            found = self.terms[qa_id] = document_terms(
-                qa.question_tokens, qa.answer_tokens, self.model)
-        return found
+    @cached_property
+    def term_store(self) -> PairTerms:
+        """Every pair's scoring inputs, in index order; built by the first
+        component table, so loading and the systems that read no table
+        never build it."""
+        pairs = [self.corpus.pair(qa_id) for qa_id in self.index.doc_ids]
+        return PairTerms.build([p.question_tokens for p in pairs],
+                               [p.answer_tokens for p in pairs], self.model)
 
-    def quality(self, qa_id: str) -> tuple[float, ...]:
-        found = self.qualities.get(qa_id)
-        if found is None:
-            found = self.qualities[qa_id] = quality_feature(
-                self.corpus.pair(qa_id), self.corpus).as_columns(self.cfg.combine_quality)
-        return found
+    @cached_property
+    def quality_columns(self) -> np.ndarray:
+        """Every pair's quality columns, one row each in index order; built
+        by the first feature row, since only the ranker reads them."""
+        return np.array([quality_feature(self.corpus.pair(qa_id), self.corpus)
+                         .as_columns(self.cfg.combine_quality)
+                         for qa_id in self.index.doc_ids], dtype=np.float64)
 
 
 @dataclass
@@ -184,16 +183,22 @@ class PreparedQuery:
     weights: dict[int, float]
 
 
+def _rows(assets: ScoringAssets, prepared: PreparedQuery) -> np.ndarray:
+    """The pair numbers of the prepared query's candidates, in candidate
+    order."""
+    return np.array([assets.index.pair_of[c.qa_id] for c in prepared.candidates],
+                    dtype=np.int64)
+
+
 def _component_table(assets: ScoringAssets,
                      prepared: PreparedQuery) -> ComponentTable:
     """The prepared query's component table over its candidates, built once
     for all the systems that rank it in a row."""
     if assets.last_table is None or assets.last_table[0] is not prepared:
         assets.last_table = (prepared, ComponentTable(
-            prepared.record.tokens,
-            [assets.pair_terms(c.qa_id) for c in prepared.candidates],
-            assets.corpus.stats, assets.table, assets.model, prepared.theta,
-            prepared.weights))
+            prepared.record.tokens, assets.term_store,
+            _rows(assets, prepared), assets.corpus.stats, assets.table,
+            assets.model, prepared.theta, prepared.weights))
     return assets.last_table[1]
 
 
@@ -232,10 +237,8 @@ def _pad(candidates, corpus: Corpus, cfg: "PipelineConfig", query_id: str):
 
 def _feature_matrix(assets: ScoringAssets, prepared: PreparedQuery) -> np.ndarray:
     """F1..F4 plus the quality columns, one row per candidate."""
-    return np.column_stack([
-        _component_table(assets, prepared).features(),
-        np.array([assets.quality(c.qa_id) for c in prepared.candidates],
-                 dtype=np.float64)])
+    table = _component_table(assets, prepared)
+    return np.column_stack([table.features(), assets.quality_columns[table.rows]])
 
 
 def feature_rows(assets: ScoringAssets, prepared: PreparedQuery,
@@ -268,7 +271,7 @@ class System:
 
 SYSTEMS = {
     "vsm": System(lambda assets, prepared: vsm_scores(prepared.record.tokens, assets.index)[
-        [assets.index.pair_of[c.qa_id] for c in prepared.candidates]].tolist()),
+        _rows(assets, prepared)].tolist()),
     "bm25": System(lambda assets, prepared: [c.score for c in prepared.candidates]),
     "lm": System(lambda assets, prepared:
                  _component_table(assets, prepared).lm().tolist()),

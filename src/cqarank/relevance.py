@@ -12,6 +12,7 @@ weight to 1 reproduces the matching baseline exactly.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -96,59 +97,99 @@ def term_weights(model: TopicModel, theta, query_tokens,
     return {w: scale * n / denom for w, n in nums.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class DocumentTerms:
-    """The query-independent inputs of one candidate's table column."""
+def _end_to_end(docs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each document's distinct terms and their P_ml, in doc_distribution
+    order, laid end to end: (start, terms, probs), document d's entries
+    being start[d]:start[d + 1]."""
+    dists = [doc_distribution(tokens) for tokens in docs]
+    start = np.zeros(len(dists) + 1, dtype=np.int64)
+    np.cumsum([len(dist) for dist in dists], out=start[1:])
+    size = int(start[-1])
+    return (start,
+            np.fromiter(chain.from_iterable(dists), dtype=np.int64, count=size),
+            np.fromiter(chain.from_iterable(dist.values() for dist in dists),
+                        dtype=np.float64, count=size))
 
-    q_terms: np.ndarray        # distinct question terms, in doc_distribution order
-    q_probs: np.ndarray        # P_ml(t|q) of each, in the same order
-    a_terms: np.ndarray        # the same for the answer; empty for an empty answer
+
+def _gather(start, terms, probs, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slices of documents `rows` laid end to end, with the position in
+    `rows` of the one that owns each entry."""
+    rows = np.asarray(rows, dtype=np.int64)
+    lengths = start[rows + 1] - start[rows]
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    at = np.arange(len(owner)) + (start[rows] - (np.cumsum(lengths) - lengths))[owner]
+    return terms[at], probs[at], owner
+
+
+@dataclass(frozen=True, eq=False)
+class PairTerms:
+    """The query-independent scoring inputs of every pair, in pair order.
+
+    Pair d's distinct question terms, in doc_distribution order, are
+    q_terms[q_start[d]:q_start[d + 1]], and their P_ml(t|q) are the same
+    slice of q_probs; a_start, a_terms and a_probs hold the answers the
+    same way, an empty answer holding none. lam_q and lam_a are the pairs'
+    smoothing lambdas, and row d of phi_q is sum_t phi(t) P_ml(t|q), its
+    terms added in doc_distribution order; None without a topic model.
+    """
+
+    q_start: np.ndarray
+    q_terms: np.ndarray
+    q_probs: np.ndarray
+    a_start: np.ndarray
+    a_terms: np.ndarray
     a_probs: np.ndarray
-    phi_q: np.ndarray | None   # sum_t phi(t) P_ml(t|q); None without a topic model
-    lam_q: float
-    lam_a: float
+    lam_q: np.ndarray
+    lam_a: np.ndarray
+    phi_q: np.ndarray | None
 
+    @classmethod
+    def build(cls, questions, answers, model: TopicModel | None = None) -> "PairTerms":
+        """The store of the pairs whose question and answer tokens are
+        questions[d] and answers[d]."""
+        if not all(questions):
+            raise ValueError("empty question")
+        q_start, q_terms, q_probs = _end_to_end(questions)
+        a_start, a_terms, a_probs = _end_to_end(answers)
+        phi_q = None
+        if model is not None:
+            # the topic component of every query word then reduces to one
+            # dot product with the candidate's row. Rows gain their terms
+            # one place at a time, each as phi_column(t) * P_ml(t|q)
+            phi_q = np.zeros((len(questions), model.num_topics), dtype=np.float64)
+            lengths = np.diff(q_start)
+            for j in range(int(lengths.max(initial=0))):
+                rows = np.flatnonzero(lengths > j)
+                at = q_start[rows] + j
+                terms = q_terms[at]
+                known = (terms >= 0) & (terms < model.vocab_size)
+                columns = np.empty((len(rows), model.num_topics), dtype=np.float64)
+                columns[known] = model.phi.T[terms[known]]
+                columns[~known] = model.oov_floor()
+                phi_q[rows] += columns * q_probs[at][:, None]
+        lambdas = [np.fromiter((smoothing_lambda(len(tokens)) for tokens in side),
+                               dtype=np.float64, count=len(side))
+                   for side in (questions, answers)]
+        return cls(q_start, q_terms, q_probs, a_start, a_terms, a_probs,
+                   *lambdas, phi_q)
 
-def _distribution_arrays(tokens) -> tuple[np.ndarray, np.ndarray]:
-    dist = doc_distribution(tokens)
-    return (np.fromiter(dist.keys(), dtype=np.int64, count=len(dist)),
-            np.fromiter(dist.values(), dtype=np.float64, count=len(dist)))
+    def question(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The question terms and P_ml of pairs `rows` end to end, with the
+        position in `rows` of each entry's pair."""
+        return _gather(self.q_start, self.q_terms, self.q_probs, rows)
 
-
-def document_terms(question_tokens, answer_tokens=(),
-                   model: TopicModel | None = None) -> DocumentTerms:
-    """Question and answer distributions, the phi-weighted question
-    distribution and both smoothing lambdas of one pair."""
-    if not question_tokens:
-        raise ValueError("empty question")
-    q_terms, q_probs = _distribution_arrays(question_tokens)
-    a_terms, a_probs = _distribution_arrays(answer_tokens)
-    phi_q = None
-    if model is not None:
-        # phi_q[i] = sum_t phi_i(t) * P_ml(t|q); the topic component of
-        # every query word then reduces to one dot product with it
-        phi_q = np.zeros(model.num_topics, dtype=np.float64)
-        for t, p_t in zip(q_terms.tolist(), q_probs.tolist()):
-            phi_q += model.phi_column(t) * p_t
-    return DocumentTerms(q_terms=q_terms, q_probs=q_probs, a_terms=a_terms,
-                         a_probs=a_probs, phi_q=phi_q,
-                         lam_q=smoothing_lambda(len(question_tokens)),
-                         lam_a=smoothing_lambda(len(answer_tokens)))
-
-
-def _flatten(terms, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All candidates' (term, probability) lists end to end, with the
-    candidate that owns each entry."""
-    owner = np.repeat(np.arange(len(terms)), [len(t) for t in terms])
-    return (np.concatenate(terms + [np.zeros(0, dtype=np.int64)]),
-            np.concatenate(probs + [np.zeros(0, dtype=np.float64)]), owner)
+    def answer(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The same for the answers."""
+        return _gather(self.a_start, self.a_terms, self.a_probs, rows)
 
 
 class ComponentTable:
     """Component probabilities of one query against its candidates.
 
     Rows are the query's distinct words in first-occurrence order, columns
-    the candidates. Each component is computed the first time a scorer asks
+    the candidates, which are the pairs `rows` of the store `pairs`, in
+    candidate order; their slices of the store are gathered once per
+    table. Each component is computed the first time a scorer asks
     for it and kept, so every scorer of the query shares it:
 
       exact[w, c]      P_ml(w|q)
@@ -166,29 +207,30 @@ class ComponentTable:
     arrays are shared: read them, do not write them.
     """
 
-    def __init__(self, query_tokens, docs: list[DocumentTerms],
+    def __init__(self, query_tokens, pairs: PairTerms, rows,
                  stats: CollectionStats, table: TranslationTable | None = None,
                  model: TopicModel | None = None, theta=None,
                  weights: TermWeightVector | None = None) -> None:
         self.words = list(dict.fromkeys(query_tokens))
         slot = {w: j for j, w in enumerate(self.words)}
         self.slots = [slot[w] for w in query_tokens]
-        self.docs = docs
-        self.shape = (len(self.words), len(docs))
+        self._pairs = pairs
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.shape = (len(self.words), len(self.rows))
         self._table = table
         self._model = model
         self._theta = theta
         self._weights = weights
         self.background = self._per_word([stats.prob(w) for w in self.words])
-        self.lam_q = np.array([d.lam_q for d in docs], dtype=np.float64)
-        self.lam_a = np.array([d.lam_a for d in docs], dtype=np.float64)
+        self.lam_q = self._pairs.lam_q[self.rows]
+        self.lam_a = self._pairs.lam_a[self.rows]
 
     def _per_word(self, values) -> np.ndarray:
         return np.array(values, dtype=np.float64).reshape(len(self.words), 1)
 
     @cached_property
     def _question(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _flatten([d.q_terms for d in self.docs], [d.q_probs for d in self.docs])
+        return self._pairs.question(self.rows)
 
     def _match(self, terms, probs, owner) -> np.ndarray:
         """P_ml(w|doc) for every (word, candidate): each term occurs once per
@@ -205,8 +247,7 @@ class ComponentTable:
 
     @cached_property
     def answer(self) -> np.ndarray:
-        return self._match(*_flatten([d.a_terms for d in self.docs],
-                                     [d.a_probs for d in self.docs]))
+        return self._match(*self._pairs.answer(self.rows))
 
     @cached_property
     def trans(self) -> np.ndarray:
@@ -219,7 +260,7 @@ class ComponentTable:
         for j in range(len(self.words)):
             # bincount adds each candidate's terms in their stored order
             out[j] = np.bincount(owner, weights=p_tr[j, inverse] * probs,
-                                 minlength=len(self.docs))
+                                 minlength=self.shape[1])
         return out
 
     def _topic(self, tau: np.ndarray) -> np.ndarray:
@@ -229,7 +270,7 @@ class ComponentTable:
         K = len(tau)
         u = tau[:, None] * np.array([self._model.phi_column(w) for w in self.words]
                                     ).reshape(len(self.words), K).T
-        phi_q = np.array([d.phi_q for d in self.docs]).reshape(len(self.docs), K).T
+        phi_q = self._pairs.phi_q[self.rows].T
         terms = u[:, :, None] * phi_q[:, None, :]
         return np.cumsum(terms, axis=0, out=terms)[-1].copy()
 
@@ -265,7 +306,7 @@ class ComponentTable:
         logs = np.fromiter(map(math.log, stacked.ravel().tolist()),
                            dtype=np.float64, count=stacked.size)
         logs = logs.reshape(stacked.shape)
-        total = np.zeros((len(columns), len(self.docs)), dtype=np.float64)
+        total = np.zeros((len(columns), self.shape[1]), dtype=np.float64)
         for j in self.slots:
             total += logs[:, j]
         return total
@@ -306,7 +347,8 @@ def score_lm(query_tokens, q_tokens, stats: CollectionStats) -> float:
     sum_w ln[(1 - lam)*P_ml(w|q) + lam*P_ml(w|C)]."""
     if not q_tokens:
         raise ValueError("empty document")
-    table = ComponentTable(query_tokens, [document_terms(q_tokens)], stats)
+    pair = PairTerms.build([q_tokens], [()])
+    table = ComponentTable(query_tokens, pair, [0], stats)
     return table.lm().tolist()[0]
 
 
@@ -316,8 +358,8 @@ def score_tlm(query_tokens, q_tokens, table: TranslationTable,
     sum_t P_tr(w|t)*P_ml(t|q), smoothed and logged as in score_lm."""
     if not q_tokens:
         raise ValueError("empty document")
-    components = ComponentTable(query_tokens, [document_terms(q_tokens)],
-                                stats, table)
+    pair = PairTerms.build([q_tokens], [()])
+    components = ComponentTable(query_tokens, pair, [0], stats, table)
     return components.tlm().tolist()[0]
 
 
@@ -327,8 +369,8 @@ def score_t2lm(query_tokens, qa: QAPair, mu: MixtureWeights,
     """Topic translation scorer: exact match, translation, unweighted topic
     correlation, and answer-side components mixed by mu, log-summed over
     query terms."""
-    doc = document_terms(qa.question_tokens, qa.answer_tokens, model)
-    components = ComponentTable(query_tokens, [doc], stats, table, model)
+    pair = PairTerms.build([qa.question_tokens], [qa.answer_tokens], model)
+    components = ComponentTable(query_tokens, pair, [0], stats, table, model)
     return components.mixture(mu, weighted=False).tolist()[0]
 
 
@@ -339,8 +381,8 @@ def score_t2lm_plus(query_tokens, qa: QAPair, mu: MixtureWeights,
     """Term-weighted topic translation scorer: exact-match and answer
     components are scaled by W(w), the topic correlation by the query's
     topic posterior."""
-    doc = document_terms(qa.question_tokens, qa.answer_tokens, model)
-    components = ComponentTable(query_tokens, [doc], stats, table, model,
+    pair = PairTerms.build([qa.question_tokens], [qa.answer_tokens], model)
+    components = ComponentTable(query_tokens, pair, [0], stats, table, model,
                                 theta, weights)
     return components.mixture(mu, weighted=True).tolist()[0]
 
@@ -351,7 +393,7 @@ def features_f1_f4(query_tokens, qa: QAPair, table: TranslationTable,
     """The four per-component log scores used as learning-to-rank features:
     weighted exact match, translation, posterior-weighted topic correlation
     (all against the question), and weighted answer-side match."""
-    doc = document_terms(qa.question_tokens, qa.answer_tokens, model)
-    components = ComponentTable(query_tokens, [doc], stats, table, model,
+    pair = PairTerms.build([qa.question_tokens], [qa.answer_tokens], model)
+    components = ComponentTable(query_tokens, pair, [0], stats, table, model,
                                 theta, weights)
     return RelevanceFeatures(*components.features()[0].tolist())

@@ -743,10 +743,30 @@ class TestServingCaches:
                                cfg=cfg, ranker=ranker)
         owners = [table, ranker, *ranker.trees]
         assert not any({"_by_target", "_router"} & vars(o).keys() for o in owners)
-        assert not assets.terms and not assets.qualities
+        built = {"term_store", "quality_columns"}
+        assert not built & vars(assets).keys()
         query = load_queries(cfg.queries_path, corpus.vocabulary, cfg.mode)[0]
         assert system_ranking("t2lm+5", assets, prepare_query(assets, query))
         assert "_by_target" in vars(table) and "_router" in vars(ranker)
+        assert built <= vars(assets).keys()
+
+    def test_systems_without_a_table_build_no_pair_arrays(self, default_run,
+                                                          tmp_path, monkeypatch):
+        """bm25 and vsm read neither the pairs' term arrays nor their
+        quality columns, so a run of those two builds neither."""
+        made = []
+
+        class Recorded(ScoringAssets):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(pipeline, "ScoringAssets", Recorded)
+        data, _ = default_run
+        run_pipeline(small_pipeline_cfg(data, tmp_path / "out",
+                                        systems=("bm25", "vsm")))
+        assert len(made) == 1
+        assert not {"term_store", "quality_columns"} & vars(made[0]).keys()
 
 
 # the outputs of each stage that reads a value another stage hands over

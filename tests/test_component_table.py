@@ -11,13 +11,14 @@ import pytest
 
 import cqarank.pipeline as pipeline
 import reference_scoring as ref
-from cqarank.corpus import CollectionStats, load_corpus, load_queries
+from cqarank.corpus import (CollectionStats, doc_distribution, load_corpus,
+                            load_queries)
 from cqarank.index import build_index
 from cqarank.ltr import LambdaMARTModel
 from cqarank.pipeline import (ALL_SYSTEMS, PipelineConfig, ScoringAssets,
                               feature_rows, prepare_query, rank_queries,
                               run_pipeline, system_ranking)
-from cqarank.relevance import ComponentTable, document_terms
+from cqarank.relevance import ComponentTable, PairTerms, smoothing_lambda
 from cqarank.synth import SynthSpec, write_synth
 from cqarank.topics import TopicModel
 from cqarank.translation import TranslationTable
@@ -125,6 +126,53 @@ def test_prepared_query_does_not_depend_on_query_order(archive):
             prepare_query(assets, only_oov)
 
 
+def test_store_equals_the_per_pair_definitions(archive):
+    """The store holds, in index order, each pair's doc_distribution, its
+    smoothing lambdas and its phi-weighted question distribution, added
+    term by term, all equal with ==."""
+    cfg, _, _ = archive
+    assets = _assets(cfg, False)
+    store = assets.term_store
+    model = assets.model
+    assert len(store.lam_q) == len(assets.index.doc_ids) == len(assets.corpus.pairs)
+    for d, qa_id in enumerate(assets.index.doc_ids):
+        qa = assets.corpus.pair(qa_id)
+        for got, tokens in ((store.question([d]), qa.question_tokens),
+                            (store.answer([d]), qa.answer_tokens)):
+            terms, probs, owner = got
+            assert list(zip(terms.tolist(), probs.tolist())) == list(
+                doc_distribution(tokens).items())
+            assert owner.tolist() == [0] * len(terms)
+        assert store.lam_q[d] == smoothing_lambda(len(qa.question_tokens))
+        assert store.lam_a[d] == smoothing_lambda(len(qa.answer_tokens))
+        phi_q = np.zeros(model.num_topics, dtype=np.float64)
+        for t, p_t in doc_distribution(qa.question_tokens).items():
+            phi_q += model.phi_column(t) * p_t
+        assert store.phi_q[d].tolist() == phi_q.tolist()
+    empty = assets.index.pair_of[EMPTY_ANSWER_ID]
+    assert store.answer([empty])[0].size == 0 and store.lam_a[empty] == 1.0
+
+
+def test_gathers_keep_candidate_order(archive):
+    """A repeated pair number is gathered once per place it holds, and an
+    empty gather is empty."""
+    cfg, _, _ = archive
+    assets = _assets(cfg, False)
+    store = assets.term_store
+    empty = assets.index.pair_of[EMPTY_ANSWER_ID]
+    rows = [3, empty, 0, 3]
+    for side, gather in (("question_tokens", store.question),
+                         ("answer_tokens", store.answer)):
+        dists = [doc_distribution(getattr(assets.corpus.pair(
+            assets.index.doc_ids[d]), side)) for d in rows]
+        terms, probs, owner = gather(rows)
+        assert list(zip(terms.tolist(), probs.tolist(), owner.tolist())) == [
+            (t, p, c) for c, dist in enumerate(dists) for t, p in dist.items()]
+        terms, probs, owner = gather([])
+        assert terms.size == probs.size == owner.size == 0
+        assert terms.dtype == np.int64 and probs.dtype == np.float64
+
+
 def _left_to_right_topic(u_w, phi_q):
     total = 0.0
     for a, b in zip(u_w.tolist(), phi_q.tolist()):
@@ -143,15 +191,17 @@ def test_topic_entries_add_topics_left_to_right(num_topics, num_candidates):
     phi /= phi.sum(axis=1, keepdims=True)
     model = TopicModel(phi=phi, topic_totals=np.full(num_topics, 50), alpha=0.5,
                        beta=0.01, vocab_size=vocab, iterations=1, seed=0)
-    docs = [document_terms(rng.randint(0, vocab, size=rng.randint(1, 9)).tolist(),
-                           (), model) for _ in range(num_candidates)]
+    questions = [rng.randint(0, vocab, size=rng.randint(1, 9)).tolist()
+                 for _ in range(num_candidates)]
+    pairs = PairTerms.build(questions, [()] * num_candidates, model)
     query = [3, 7, 3, 29, 31]  # a repeated word and one outside the model
     theta = rng.dirichlet(np.ones(num_topics))
     stats = CollectionStats({w: 1 for w in range(32)})
-    table = ComponentTable(query, docs, stats, model=model, theta=theta)
+    table = ComponentTable(query, pairs, range(num_candidates), stats,
+                           model=model, theta=theta)
     for got, tau in ((table.topic, theta), (table.topic_flat, np.ones(num_topics))):
-        want = [[_left_to_right_topic(tau * model.phi_column(w), d.phi_q)
-                 for d in docs] for w in table.words]
+        want = [[_left_to_right_topic(tau * model.phi_column(w), phi_q)
+                 for phi_q in pairs.phi_q] for w in table.words]
         assert got.tolist() == want
 
 
