@@ -7,6 +7,8 @@ formula downstream.
 
 import hashlib
 import json
+import math
+import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,8 +43,33 @@ def text_lines(path, whole=False):
 
     try:
         yield lines()
+    except UnicodeDecodeError:  # raised for a whole chunk, not at its line
+        raise _not_utf8(path) from None
     except ValueError as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from None
+
+
+def _not_utf8(path) -> ValueError:
+    """The error for the file at `path`, whose bytes are not UTF-8: it names
+    the line of the first byte that is not."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path}: line {line}: not UTF-8: {exc.reason} at byte {exc.start}")
+    return ValueError(f"{path}: not UTF-8")  # the file changed while it was read
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at `path`, read in text mode; ValueError
+    naming the path and line when its bytes are not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def strict_numeric(text: str) -> str:
@@ -80,28 +107,55 @@ def save_image(path, arrays) -> None:
             np.save(f, array, allow_pickle=False)
 
 
-def load_image(path, kinds) -> list[np.ndarray] | None:
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_array(f, size: int, dtype, ndim: int) -> np.ndarray:
+    """The next array in the open image `f` of `size` bytes, which its
+    header must declare of `dtype` and `ndim` in C order, with no more data
+    than the file has left, before any of it is read."""
+    version = np.lib.format.read_magic(f)
+    if version not in _HEADER_READERS:
+        raise ValueError(f"unsupported array format version {version}")
+    shape, fortran_order, found = _HEADER_READERS[version](f)
+    if found != np.dtype(dtype) or len(shape) != ndim or fortran_order:
+        raise ValueError(f"expected a {ndim}-d {np.dtype(dtype)} array in C order, "
+                         f"found {found} of shape {shape}"
+                         + (" in Fortran order" if fortran_order else ""))
+    count = math.prod(shape)
+    if count * found.itemsize > size - f.tell():
+        raise ValueError(f"an array of shape {shape} needs {count * found.itemsize} "
+                         f"bytes, and {size - f.tell()} are left")
+    return np.fromfile(f, dtype=found, count=count).reshape(shape)
+
+
+def load_image(path, kinds) -> list[np.ndarray]:
     """The arrays of the image beside the text file at `path`, one per
-    (dtype, ndim) in `kinds` and of that dtype and ndim, or None when the
-    image is missing or cannot be read cleanly: cut short, holding pickled
-    data or anything after its last array, an array of another dtype or
-    ndim or not in C order, or a digest that is not the sha256 of the
-    text's bytes now, as after the text was edited. The text is
-    authoritative; the digest only tells a stale image from a current one."""
+    (dtype, ndim) in `kinds`. ValueError naming the image unless it reads
+    cleanly: it is missing or cut short, holds pickled data or anything
+    after its last array, an array of another dtype or ndim or not in C
+    order, or its digest is not the sha256 of the text's bytes now, as
+    after the text was edited or when the text is missing."""
+    image = image_path(path)
     try:
-        with open(image_path(path), "rb") as f:
-            arrays = [np.lib.format.read_array(f, allow_pickle=False)
-                      for _ in range(len(kinds) + 1)]
-            trailing = f.read(1)
-    except (OSError, ValueError):
-        return None
-    digest, *arrays = arrays
-    if trailing or not all(a.dtype == dtype and a.ndim == ndim and a.flags.c_contiguous
-                           for a, (dtype, ndim) in zip(arrays, kinds)):
-        return None
-    if not (digest.dtype == np.uint8 and digest.shape == (32,)
-            and digest.tobytes() == file_sha256(path)):
-        return None
+        with open(image, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            digest, *arrays = [_read_array(f, size, dtype, ndim)
+                               for dtype, ndim in ((np.uint8, 1), *kinds)]
+            if f.read(1):
+                raise ValueError("data after the last array")
+    except OSError as exc:
+        raise ValueError(f"{image}: cannot read the model image: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{image}: {exc}") from None
+    try:
+        current = file_sha256(path)
+    except OSError as exc:
+        raise ValueError(f"{image}: cannot read the text {path}: {exc.strerror}") from None
+    if digest.tobytes() != current:
+        raise ValueError(f"{image}: the digest is not the sha256 of {path}; "
+                         "the text changed after the image was written")
     return arrays
 
 
@@ -395,11 +449,11 @@ def load_corpus(path) -> Corpus:
     count in the pairs' questions and answers; token ids that are ints in
     [0, V); string pair and user ids; non-negative int best-answer counts;
     no repeated pair or user."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    text = read_text(path)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != "cqarank-corpus-v1":
         raise ValueError(f"{path}: not a cqarank corpus file")
     try:

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import strict_numeric, text_lines
+from .corpus import read_text, strict_numeric, text_lines
 from .evaluation import ndcg_at_k
 
 LEAF_RIDGE = 1e-9
@@ -286,8 +286,7 @@ class LambdaMARTModel:
         """Read a model written by save(). A malformed or truncated file, a
         split feature outside [0, feature_count), or a non-finite shrinkage,
         threshold or leaf value raises ValueError naming the path and line."""
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().split("\n")
+        lines = read_text(path).split("\n")
         if lines[0] != "cqarank-lambdamart-v1":
             raise ValueError(f"{path}: line 1: not a cqarank LambdaMART model")
         pos = 1  # lines read, so the 1-based number of the last one

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (Corpus, QueryRecord, file_sha256, image_path, ingest_corpus,
-                     load_corpus, load_queries, save_corpus)
+                     load_corpus, load_queries, save_corpus, text_lines)
 from .evaluation import (MetricReport, Qrels, RankedRun, evaluate_run,
                          read_qrels, read_run, write_report, write_run)
 from .index import (DEFAULT_B, DEFAULT_K1, InvertedIndex, ScoredCandidate,
@@ -117,7 +117,7 @@ class StageRunner:
             try:
                 with open(mpath, encoding="utf-8") as f:
                     manifest = json.load(f)
-            except (OSError, json.JSONDecodeError):
+            except (OSError, ValueError):  # JSON and UTF-8 decode errors are ValueErrors
                 return False
             if not isinstance(manifest, dict):
                 return False
@@ -397,8 +397,8 @@ def ingest(cfg: PipelineConfig) -> Corpus:
     listed one per line in the stopwords file, if one is configured."""
     stopwords = None
     if cfg.stopwords_path is not None:
-        with open(cfg.stopwords_path, encoding="utf-8") as f:
-            stopwords = frozenset(line.strip() for line in f if line.strip())
+        with text_lines(cfg.stopwords_path) as lines:
+            stopwords = frozenset(lines)
     return ingest_corpus(cfg.qa_path, cfg.users_path, cfg.mode, stopwords)
 
 

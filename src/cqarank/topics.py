@@ -14,7 +14,7 @@ from operator import mul
 
 import numpy as np
 
-from .corpus import ROW_SUM_TOLERANCE, load_image, save_image, strict_numeric, text_lines
+from .corpus import ROW_SUM_TOLERANCE, image_path, load_image, save_image
 
 
 @dataclass
@@ -68,73 +68,32 @@ class TopicModel:
 
     @classmethod
     def load(cls, path) -> "TopicModel":
-        """Read a model written by save, from its image when that is current
-        and passes the checks below, else from the text. A malformed line,
-        a last line without its newline, a size, alpha or beta that is not
-        positive, a negative topic total, or a phi row that is not a
-        distribution (an entry not positive and finite, or a sum off 1 by
-        more than 1e-9) raises ValueError naming the path and line."""
-        image = load_image(path, ((np.float64, 1), (np.int64, 1), (np.int64, 1),
-                                  (np.float64, 2)))
-        if image is not None:
-            try:
-                return cls._from_image(*image)
-            except ValueError:
-                pass  # the text decides, and names the fault
-        with text_lines(path, whole=True) as lines:
-            header = strict_numeric(next(lines, "")).split()
-            if len(header) != 6:
+        """Read a model written by save, from its image alone. An image that
+        load_image refuses, a size, alpha or beta that is not positive, a
+        negative topic total, or a phi row that is not a distribution (an
+        entry not positive and finite, or a sum off 1 by more than 1e-9)
+        raise ValueError naming the image."""
+        priors, ints, totals, phi = load_image(
+            path, ((np.float64, 1), (np.int64, 1), (np.int64, 1), (np.float64, 2)))
+        try:
+            if priors.shape != (2,) or ints.shape != (3,):
                 raise ValueError("bad topic model header")
-            k, v = int(header[0]), int(header[1])
-            alpha, beta = float(header[2]), float(header[3])
-            seed, iterations = int(header[4]), int(header[5])
-            _check_sizes(k, v, alpha, beta)
-            totals = [int(x) for x in strict_numeric(next(lines, "")).split()]
-            _check_totals(totals, k)
-            rows = []
-            for z in range(k):
-                row = np.fromiter(map(float, strict_numeric(next(lines, "")).split()),
-                                  dtype=np.float64)
-                _check_row(z, row, v)
-                rows.append(row)
-            if next(lines, None) is not None:
-                raise ValueError("unexpected line after the last phi row")
-        return cls(phi=np.array(rows), topic_totals=np.array(totals, dtype=np.int64),
-                   alpha=alpha, beta=beta, vocab_size=v, iterations=iterations,
-                   seed=seed)
-
-    @classmethod
-    def _from_image(cls, priors, ints, totals, phi) -> "TopicModel":
-        """The model of an image's arrays, under the text's checks."""
-        if priors.shape != (2,) or ints.shape != (3,):
-            raise ValueError("bad topic model header")
-        (alpha, beta), (seed, iterations, v) = priors.tolist(), ints.tolist()
-        _check_sizes(len(phi), v, alpha, beta)
-        _check_totals(totals.tolist(), len(phi))
-        for z, row in enumerate(phi):
-            _check_row(z, row, v)
+            (alpha, beta), (seed, iterations, v) = priors.tolist(), ints.tolist()
+            k = len(phi)
+            if not (k > 0 and v > 0 and 0 < alpha < math.inf and 0 < beta < math.inf):
+                raise ValueError("topics, vocabulary size, alpha and beta must be positive")
+            if totals.shape != (k,) or (totals < 0).any():
+                raise ValueError(f"expected {k} non-negative topic totals")
+            if phi.shape[1] != v:
+                raise ValueError(f"phi rows have {phi.shape[1]} entries, not {v}")
+            bad = np.flatnonzero(~(((phi > 0) & (phi < math.inf)).all(axis=1)
+                                   & (np.abs(phi.sum(axis=1) - 1.0) <= ROW_SUM_TOLERANCE)))
+            if len(bad):
+                raise ValueError(f"phi row {bad[0]} is not a distribution")
+        except ValueError as exc:
+            raise ValueError(f"{image_path(path)}: {exc}") from None
         return cls(phi=phi, topic_totals=totals, alpha=alpha, beta=beta,
                    vocab_size=v, iterations=iterations, seed=seed)
-
-
-def _check_sizes(k: int, v: int, alpha: float, beta: float) -> None:
-    if not (k > 0 and v > 0 and 0 < alpha < math.inf and 0 < beta < math.inf):
-        raise ValueError("topics, vocabulary size, alpha and beta must be positive")
-
-
-def _check_totals(totals: list[int], k: int) -> None:
-    if len(totals) != k:
-        raise ValueError(f"expected {k} topic totals")
-    if not all(0 <= n < 2**63 for n in totals):
-        raise ValueError("topic totals must be non-negative 64-bit integers")
-
-
-def _check_row(z: int, row: np.ndarray, v: int) -> None:
-    if row.shape[0] != v:
-        raise ValueError(f"phi row {z} has wrong length")
-    if not (np.all((row > 0) & (row < math.inf))
-            and abs(row.sum() - 1.0) <= ROW_SUM_TOLERANCE):
-        raise ValueError(f"phi row {z} is not a distribution")
 
 
 @dataclass

@@ -11,8 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import (ROW_SUM_TOLERANCE, Corpus, load_image, save_image, strict_numeric,
-                     text_lines)
+from .corpus import ROW_SUM_TOLERANCE, Corpus, image_path, load_image, save_image
 
 # Term ids are dense and non-negative; below 2**31 every key
 # source * width + target fits in an int64.
@@ -119,43 +118,21 @@ class TranslationTable:
 
     @classmethod
     def load(cls, path) -> "TranslationTable":
-        """Read a table written by save, from its image when that is current
-        and passes the checks below, else from the text, one line at a time.
-        A malformed line, a last line without its newline, or a source row
-        that does not sum to 1 raises ValueError naming the path, and the
-        line of a bad line, so a file cut inside a row is caught; a cut
-        between rows still loads as the smaller table."""
-        image = load_image(path, ((np.int64, 1), (np.int64, 1), (np.float64, 1)))
-        if image is not None:
-            try:
-                return cls._checked(*image)
-            except ValueError:
-                pass  # the text decides, and names the fault
-        source, target, prob = [], [], []
-        with text_lines(path, whole=True) as lines:
-            for line in lines:
-                parts = strict_numeric(line).split()
-                if len(parts) != 3:
-                    raise ValueError("expected 't w p'")
-                source.append(int(parts[0]))
-                target.append(int(parts[1]))
-                prob.append(float(parts[2]))
+        """Read a table written by save, from its image alone. An image that
+        load_image refuses, entries that the constructor refuses, or a
+        source row whose probabilities do not sum to 1 raise ValueError
+        naming the image."""
+        arrays = load_image(path, ((np.int64, 1), (np.int64, 1), (np.float64, 1)))
         try:
-            return cls._checked(source, target, prob)
+            table = cls(*arrays)
+            row_of_entry = np.repeat(np.arange(len(table)), np.diff(table._offsets))
+            sums = np.bincount(row_of_entry, weights=table._prob, minlength=len(table))
+            bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
+            if len(bad):
+                raise ValueError(f"source {int(table._rows[bad[0]])}: probabilities "
+                                 f"sum to {float(sums[bad[0]])!r}, not 1")
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-    @classmethod
-    def _checked(cls, source, target, prob) -> "TranslationTable":
-        """The table of these entries; ValueError unless every source row
-        sums to 1."""
-        table = cls(source, target, prob)
-        row_of_entry = np.repeat(np.arange(len(table)), np.diff(table._offsets))
-        sums = np.bincount(row_of_entry, weights=table._prob, minlength=len(table))
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))
-        if len(bad):
-            raise ValueError(f"source {int(table._rows[bad[0]])}: probabilities sum to "
-                             f"{float(sums[bad[0]])!r}, not 1; the file may be cut short")
+            raise ValueError(f"{image_path(path)}: {exc}") from None
         return table
 
 

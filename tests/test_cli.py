@@ -207,6 +207,14 @@ class TestSubcommands:
                      "--method", "bm25", "--out", str(tmp_path / "r.txt")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {queries}: line 1: ")
 
+    def test_ingest_with_non_utf8_stopwords_fails_cleanly(self, synth_data, tmp_path,
+                                                          capsys):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_bytes(b"common0\n\xffcommon1\n")
+        assert main(["ingest", "--qa", str(synth_data["qa"]), "--stopwords", str(stopwords),
+                     "--out", str(tmp_path / "corpus.json")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {stopwords}: line 2: not UTF-8")
+
     def test_rank_with_cut_translation_table_fails_cleanly(self, synth_data,
                                                           tmp_path, capsys):
         corpus = tmp_path / "corpus.json"
@@ -220,7 +228,8 @@ class TestSubcommands:
         assert main(["rank", "--corpus", str(corpus),
                      "--queries", str(synth_data["queries"]), "--method", "tlm",
                      "--translation", str(table), "--out", str(tmp_path / "r.txt")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {table}: source ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {table}.npy: the digest is not the sha256 of {table}; ")
 
     def test_rank_method_validation(self, synth_data, tmp_path, capsys):
         """Every method, run without one model it needs, exits 1 naming that
@@ -475,12 +484,14 @@ class TestPipeline:
         for path in full.iterdir():
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
-    @pytest.mark.parametrize("body", ["[]", '"x"', "1"])
+    @pytest.mark.parametrize("body", ["[]", '"x"', "1", "\udcff\udcfe{"])
     def test_manifest_not_an_object_reruns_the_stage(self, synth_data, tmp_path,
                                                     stage_runners, body):
         cfg = small_pipeline_cfg(synth_data, tmp_path / "out", systems=("bm25",))
         run_pipeline(cfg)
-        (tmp_path / "out" / "corpus.json.manifest.json").write_text(body + "\n")
+        # "\udcff\udcfe" is written as the bytes 0xff 0xfe, which are not UTF-8
+        (tmp_path / "out" / "corpus.json.manifest.json").write_text(
+            body + "\n", errors="surrogateescape")
         run_pipeline(cfg)
         assert stage_runners[-1].executed == ["ingest"]
 
@@ -961,6 +972,12 @@ class TestConfigFile:
         config.write_text(f"# header\nseed = 1\n{line}\n")
         assert main(["pipeline", f"--config={config}"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {config}:3: ")
+
+    def test_non_utf8_line_names_path_and_line(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_bytes(b"# header\nseed = 1\ntopics = \xff\n")
+        assert main(["pipeline", f"--config={config}"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: line 3: not UTF-8")
 
     def test_missing_file_names_path(self, tmp_path, capsys):
         config = tmp_path / "absent.cfg"

@@ -2,19 +2,15 @@ import json
 import random
 import re
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cqarank.corpus import (doc_distribution, image_path, ingest_corpus,
-                            load_corpus, load_queries, save_corpus, strict_numeric,
-                            tokenize)
+from cqarank.corpus import (doc_distribution, ingest_corpus, load_corpus, load_queries,
+                            save_corpus, strict_numeric, tokenize)
 from cqarank.evaluation import RankedRun, read_qrels, read_run, write_run
 from cqarank.ltr import (LambdaMARTModel, RankingInstance, RegressionTree, TrainConfig,
                          read_letor, write_letor)
-from cqarank.topics import TopicModel
-from cqarank.translation import TranslationTable
 from conftest import build_corpus, write_jsonl
 
 
@@ -247,6 +243,9 @@ class TestArtifacts:
         out.write_text('{"format": "cqarank-corpus-v1", "voc')
         with pytest.raises(ValueError, match="corpus.json"):
             load_corpus(out)
+        out.write_bytes(b'{"format":\n"\xff"}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{out}: line 2: not UTF-8")):
+            load_corpus(out)
 
     def test_load_queries_interns_new_words(self, qa_file, tmp_path):
         corpus = ingest_corpus(qa_file([_rec("p1", "a b", "c")]))
@@ -389,24 +388,9 @@ def _run(path):
     return read_run
 
 
-def _table(path):
-    TranslationTable([0, 0, 1], [3, 4, 1], [0.5, 0.5, 1.0]).save(path)
-    image_path(path).unlink()
-    return TranslationTable.load
-
-
-def _model(path):
-    TopicModel(phi=np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]),
-               topic_totals=np.array([4, 6]), alpha=0.5, beta=0.01, vocab_size=3,
-               iterations=9, seed=0).save(path)
-    image_path(path).unlink()
-    return TopicModel.load
-
-
-# each line file the pipeline writes and reads back, the models without
-# their images: a writer that returns the file's reader
-WRITTEN = {"read_letor": _letor, "read_run": _run,
-           "TranslationTable.load": _table, "TopicModel.load": _model}
+# each line file the pipeline writes and reads back: a writer that returns
+# the file's reader
+WRITTEN = {"read_letor": _letor, "read_run": _run}
 
 
 @pytest.mark.parametrize("reader", WRITTEN)
@@ -435,9 +419,7 @@ def _ranker(path):
 
 # a number in each line file read back: its writer, the 1-based line, the
 # index of the field in it and the text before the number in that field
-NUMBER_FIELDS = {"TranslationTable.load": (_table, 2, 2, ""),
-                 "TopicModel.load": (_model, 1, 2, ""),
-                 "read_run": (_run, 2, 4, ""),
+NUMBER_FIELDS = {"read_run": (_run, 2, 4, ""),
                  "read_letor": (_letor, 1, 2, "1:"),
                  "LambdaMARTModel.load": (_ranker, 3, 1, "")}
 

@@ -610,7 +610,8 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="deep.txt: line 7: "):
             LambdaMARTModel.load(path)
 
-    @pytest.mark.parametrize("node", ["L x", "L 1_0", "S 0", "X 1"])
+    # "\udcff" is written as the byte 0xff, which is not UTF-8
+    @pytest.mark.parametrize("node", ["L x", "L 1_0", "S 0", "X 1", "L \udcff"])
     def test_malformed_node_names_its_own_line(self, tmp_path, node):
         """Line 7 is the tree's header; its split is line 8 and its leaves
         lines 9 and 10."""
@@ -623,7 +624,7 @@ class TestModelSerialization:
         lines = path.read_text(encoding="utf-8").split("\n")
         assert lines[6] == "tree 0 3" and lines[8] == "L 1.0"
         lines[8] = node
-        path.write_text("\n".join(lines), encoding="utf-8")
+        path.write_text("\n".join(lines), encoding="utf-8", errors="surrogateescape")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 9: ")):
             LambdaMARTModel.load(path)
 

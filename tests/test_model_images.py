@@ -1,8 +1,11 @@
 """The binary image `<path>.npy` that TranslationTable.save and
-TopicModel.save write beside their text: load reads it when it is current
-and passes the text's checks, and the text in every other case."""
+TopicModel.save write beside their text: load reads the image alone, and
+raises ValueError naming it when the image is missing, stale, cut short or
+unreadable, or its arrays fail a check."""
 
 import hashlib
+import io
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -10,8 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import cqarank.topics as topics
-import cqarank.translation as translation
 from cqarank.corpus import image_path, save_image
 from cqarank.pipeline import ingest, train_topics, train_translation
 from cqarank.topics import TopicModel
@@ -67,21 +68,6 @@ def saved(request, originals, tmp_path):
     return type(value), path, value
 
 
-@pytest.fixture
-def text_parses(monkeypatch):
-    """The path of each load that went on to parse its text."""
-    calls = []
-    for module in (translation, topics):
-        original = module.text_lines
-
-        def recording(path, *args, original=original, **kwargs):
-            calls.append(path)
-            return original(path, *args, **kwargs)
-
-        monkeypatch.setattr(module, "text_lines", recording)
-    return calls
-
-
 def _arrays(value) -> dict:
     if isinstance(value, TranslationTable):
         return {"rows": value._rows, "offsets": value._offsets,
@@ -103,21 +89,11 @@ def assert_bit_equal(a, b) -> None:
     assert _scalars(a) == _scalars(b)
 
 
-def from_text(cls, path):
-    """The value the text alone loads as."""
-    copy = path.with_name("text-only-" + path.name)
-    shutil.copyfile(path, copy)
-    return cls.load(copy)
-
-
-def test_the_image_loads_bit_equal_to_the_text_without_parsing_it(saved, text_parses):
+def test_the_image_loads_bit_equal_to_the_text_without_parsing_it(saved):
+    # every float of the text is the repr of the saved model's, so the saved
+    # model is the value the text holds
     cls, path, value = saved
-    assert image_path(path).exists()
-    loaded = cls.load(path)
-    assert text_parses == []
-    assert_bit_equal(loaded, from_text(cls, path))
-    assert_bit_equal(loaded, value)
-    assert len(text_parses) == 1
+    assert_bit_equal(cls.load(path), value)
 
 
 def test_two_saves_write_the_same_image_bytes(saved, tmp_path):
@@ -129,8 +105,7 @@ def test_two_saves_write_the_same_image_bytes(saved, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_images_need_no_hashing_newer_than_python_3_10(saved, tmp_path, monkeypatch,
-                                                       text_parses):
+def test_images_need_no_hashing_newer_than_python_3_10(saved, tmp_path, monkeypatch):
     # hashlib.file_digest is new in Python 3.11; pyproject allows 3.10
     monkeypatch.delattr(hashlib, "file_digest", raising=False)
     cls, path, value = saved
@@ -138,7 +113,6 @@ def test_images_need_no_hashing_newer_than_python_3_10(saved, tmp_path, monkeypa
     value.save(again)
     assert image_path(again).read_bytes() == image_path(path).read_bytes()
     assert_bit_equal(cls.load(again), value)
-    assert text_parses == []
 
 
 # a model of each kind unlike every saved one
@@ -148,37 +122,43 @@ OTHER = {TranslationTable: TranslationTable([1, 1], [2, 3], [0.25, 0.75]),
                                 seed=5)}
 
 
-def test_a_stale_image_loads_the_text(saved, tmp_path, text_parses):
+def raises_naming_the_image(path, *words):
+    """pytest.raises for a ValueError that starts with the image's path and
+    then holds `words` in order."""
+    return pytest.raises(ValueError, match="^" + ".*".join(
+        re.escape(w) for w in (f"{image_path(path)}: ", *words)))
+
+
+def test_a_stale_image_raises(saved, tmp_path):
     cls, path, value = saved
     # another model's text written over this one's, as by an edit after save
     other = tmp_path / "other" / path.name
     other.parent.mkdir()
     OTHER[cls].save(other)
     shutil.copyfile(other, path)
-    loaded = cls.load(path)
-    assert text_parses == [path]
-    assert_bit_equal(loaded, OTHER[cls])
+    with raises_naming_the_image(path, "digest", str(path)):
+        cls.load(path)
 
 
 def _cut_points(size: int) -> list[int]:
     return sorted({0, 1, 8, 60, 128, size // 2, size - 9, size - 1})
 
 
-def test_a_cut_image_loads_the_text(saved, text_parses):
+def test_a_cut_image_raises(saved):
     cls, path, value = saved
     image = image_path(path).read_bytes()
     for cut in _cut_points(len(image)):
         image_path(path).write_bytes(image[:cut])
-        assert_bit_equal(cls.load(path), value)
-    assert len(text_parses) == len(_cut_points(len(image)))
+        with raises_naming_the_image(path):
+            cls.load(path)
 
 
-def test_an_image_with_data_after_its_arrays_loads_the_text(saved, text_parses):
+def test_an_image_with_data_after_its_arrays_raises(saved):
     cls, path, value = saved
     with open(image_path(path), "ab") as f:
         np.save(f, np.zeros(1))
-    assert_bit_equal(cls.load(path), value)
-    assert text_parses == [path]
+    with raises_naming_the_image(path, "after the last array"):
+        cls.load(path)
 
 
 def _image_arrays(cls, value) -> list[np.ndarray]:
@@ -191,8 +171,18 @@ def _image_arrays(cls, value) -> list[np.ndarray]:
             value.topic_totals.astype(np.int64), value.phi.copy()]
 
 
+def _huge_header(arrays):
+    """The first array's bytes with a header that claims 10**12 entries, as
+    many as no memory holds."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {**np.lib.format.header_data_from_array_1_0(arrays[0]),
+                 "shape": (10**12,)})
+    return [header.getvalue() + arrays[0].tobytes(), *arrays[1:]]
+
+
 # each a change to the arrays of a digest-matching image that the image's
-# reader refuses
+# reader refuses; a bytes entry is written as it is
 UNREADABLE = {
     "pickled": lambda arrays: [np.array([object()] * len(arrays[0]), dtype=object),
                                *arrays[1:]],
@@ -202,6 +192,7 @@ UNREADABLE = {
                                   *arrays[1:]],
     "wrong ndim": lambda arrays: [arrays[0][None, :], *arrays[1:]],
     "an array short": lambda arrays: arrays[:-1],
+    "a huge header": _huge_header,
 }
 
 
@@ -211,29 +202,32 @@ def _write_image(path, arrays) -> None:
     digest = hashlib.sha256(path.read_bytes()).digest()
     with open(image_path(path), "wb") as f:
         for array in (np.frombuffer(digest, dtype=np.uint8), *arrays):
-            np.save(f, array, allow_pickle=True)
+            if isinstance(array, bytes):
+                f.write(array)
+            else:
+                np.save(f, array, allow_pickle=True)
 
 
 @pytest.mark.parametrize("change", UNREADABLE)
-def test_an_unreadable_image_loads_the_text(saved, text_parses, change):
+def test_an_unreadable_image_raises(saved, change):
     cls, path, value = saved
     _write_image(path, UNREADABLE[change](_image_arrays(cls, value)))
-    assert_bit_equal(cls.load(path), value)
-    assert text_parses == [path]
+    with raises_naming_the_image(path):
+        cls.load(path)
 
 
-def test_a_phi_not_in_c_order_loads_the_text(models, tmp_path, text_parses):
+def test_a_phi_not_in_c_order_raises(models, tmp_path):
     # a 1 x 1 phi is in both orders
     models = [(name, table, model) for name, table, model in models
               if model.phi.shape != (1, 1)]
+    assert models
     for name, _, model in models:
         path = tmp_path / f"{name}.txt"
         model.save(path)
         arrays = _image_arrays(TopicModel, model)
         _write_image(path, [*arrays[:-1], np.asfortranarray(arrays[-1])])
-        assert_bit_equal(TopicModel.load(path), model)
-        assert text_parses[-1] == path
-    assert len(text_parses) == len(models)
+        with raises_naming_the_image(path, "Fortran order"):
+            TopicModel.load(path)
 
 
 def _edited(arrays, i, edit):
@@ -256,7 +250,19 @@ def _grow_vocabulary(ints):
     ints[2] += 1
 
 
-# changes to a digest-matching image's arrays that the text's checks reject
+def _id_past_the_limit(ids):
+    ids[0] = 2**31
+
+
+def _zero_entry(phi):
+    """phi[0, 0] set to 0, its mass moved to the next entry of its row, so
+    only the entry breaks the row (a 1-entry row loses its sum too)."""
+    if phi.shape[1] > 1:
+        phi[0, 1] += phi[0, 0]
+    phi[0, 0] = 0.0
+
+
+# changes to a digest-matching image's arrays that load's checks reject
 FAILING = {
     "row sum off by 1e-6": {TranslationTable: lambda a: _edited(a, 2, _bump),
                             TopicModel: lambda a: _edited(a, 3, _bump)},
@@ -267,19 +273,29 @@ FAILING = {
     "a repeated entry or a negative alpha": {
         TranslationTable: lambda a: [np.r_[x, x[:1]] for x in a],
         TopicModel: lambda a: _edited(a, 0, _negate)},
+    "an id past 2**31 - 1 or a zero phi entry": {
+        TranslationTable: lambda a: _edited(a, 1, _id_past_the_limit),
+        TopicModel: lambda a: _edited(a, 3, _zero_entry)},
 }
 
 
 @pytest.mark.parametrize("change", FAILING)
-def test_an_image_failing_a_check_loads_the_text(saved, text_parses, change):
+def test_an_image_failing_a_check_raises(saved, change):
     cls, path, value = saved
     save_image(path, FAILING[change][cls](_image_arrays(cls, value)))
-    assert_bit_equal(cls.load(path), value)
-    assert text_parses == [path]
+    with raises_naming_the_image(path):
+        cls.load(path)
 
 
-def test_a_text_without_an_image_loads_as_before(saved, text_parses):
+def test_a_text_without_an_image_raises(saved):
     cls, path, value = saved
     image_path(path).unlink()
-    assert_bit_equal(cls.load(path), value)
-    assert text_parses == [path]
+    with raises_naming_the_image(path, "cannot read the model image"):
+        cls.load(path)
+
+
+def test_an_image_without_its_text_raises(saved):
+    cls, path, value = saved
+    path.unlink()
+    with raises_naming_the_image(path, f"cannot read the text {path}"):
+        cls.load(path)

@@ -430,32 +430,6 @@ class TestSerialization:
         assert loaded.iterations == model.iterations
         assert loaded.seed == model.seed
 
-    @pytest.mark.parametrize("edit, line", [
-        (lambda lines: ["2 3 0.5 0.01 0"] + lines[1:], 1),           # short header
-        (lambda lines: ["2 x 0.5 0.01 0 9"] + lines[1:], 1),         # bare int
-        (lambda lines: [lines[0], "4 x"] + lines[2:], 2),            # bare int
-        (lambda lines: [lines[0], "4"] + lines[2:], 2),              # too few totals
-        (lambda lines: lines[:2] + ["0.5 0.25 oops"] + lines[3:], 3),  # bare float
-        (lambda lines: lines[:2] + ["0.5 0.5"] + lines[3:], 3),      # short row
-        (lambda lines: lines[:2] + ["1.5 -0.25 -0.25"] + lines[3:], 3),  # negative entry
-        (lambda lines: lines[:2] + ["0.5 0.5 0.0"] + lines[3:], 3),  # zero entry
-        (lambda lines: lines[:2] + ["0.5 0.25 0.5"] + lines[3:], 3),  # sum off 1
-        (lambda lines: [lines[0], "4 -6"] + lines[2:], 2),           # negative total
-        (lambda lines: ["2 3 0.0 0.01 0 9"] + lines[1:], 1),         # alpha 0
-        (lambda lines: lines[:3], 4),                                # missing row
-        (lambda lines: lines + ["0.1"], 5),                          # extra line
-    ])
-    def test_malformed_file_names_path_and_line(self, tmp_path, edit, line):
-        model = TopicModel(phi=np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]),
-                           topic_totals=np.array([4, 6]), alpha=0.5, beta=0.01,
-                           vocab_size=3, iterations=9, seed=0)
-        path = tmp_path / "topics.txt"
-        model.save(path)
-        lines = path.read_text().splitlines()
-        path.write_text("".join(f"{text}\n" for text in edit(lines)))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: ")):
-            TopicModel.load(path)
-
 
 def _saved_per_value(model) -> str:
     """The oracle for TopicModel.save: every phi entry formatted by its own
@@ -496,9 +470,8 @@ PHI_CASES = {
 
 
 class TestPhiText:
-    """save formats each distinct phi value once and load converts each
-    distinct token once; the bytes and values are those of one repr and one
-    float() per entry."""
+    """save formats each distinct phi value once; the bytes are those of one
+    repr per entry, and load reads the same values back from the image."""
 
     def test_the_cases_are_what_they_say(self):
         phi = PHI_CASES["many repeated values"].phi
@@ -543,56 +516,6 @@ def _topic_models(draw):
                       seed=draw(st.integers(0, 2**32 - 1)))
 
 
-def _corrupt(lines, kind, data):
-    """`lines` of a saved model with one corruption of `kind`; every kind
-    breaks the layout or an invariant that load checks (a shifted phi entry
-    moves its row's sum off 1 by at least 1e-6)."""
-    def line_from(first):
-        return data.draw(st.integers(first, len(lines) - 1))
-
-    def one_of(values):
-        return data.draw(st.sampled_from(values))
-
-    if kind == "drop line":
-        i = line_from(0)
-        return lines[:i] + lines[i + 1:]
-    if kind == "repeat line":
-        i = line_from(0)
-        return lines[:i + 1] + lines[i:]
-    # the header is line 0, the totals line 1 and the phi rows 2 and on
-    if kind in ("bad size", "bad prior"):
-        i = 0
-    elif kind == "negative total":
-        i = 1
-    else:
-        i = line_from(2 if kind.endswith("phi entry") else 0)
-    fields = lines[i].split()
-    if kind == "bad size":
-        j = one_of([0, 1])
-    elif kind == "bad prior":
-        j = one_of([2, 3])
-    else:
-        j = data.draw(st.integers(0, len(fields) - 1))
-    if kind == "drop field":
-        del fields[j]
-    elif kind == "extra field":
-        fields.insert(j, fields[j])
-    elif kind == "not a number":
-        fields[j] = one_of(["x", "1..2", "--", "0x1", "1e", "+-1"])
-    elif kind == "bad size":
-        fields[j] = one_of(["0", "-3"])
-    elif kind == "bad prior":
-        fields[j] = one_of(["0", "-1", "0.0", "-2.5", "nan", "inf"])
-    elif kind == "negative total":
-        fields[j] = str(-data.draw(st.integers(1, 10**6)))
-    elif kind == "bad phi entry":
-        fields[j] = one_of(["nan", "inf", "-inf", "0.0", "-0.5"])
-    else:
-        shift = data.draw(st.floats(1e-6, 10.0)) * one_of([-1, 1])
-        fields[j] = repr(float(fields[j]) + shift)
-    return lines[:i] + [" ".join(fields)] + lines[i + 1:]
-
-
 _PROPERTY = settings(max_examples=40, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
@@ -612,31 +535,3 @@ class TestRoundTripProperties:
                                   model.iterations, model.seed))
         loaded.save(path)
         assert path.read_bytes() == saved
-
-    @settings(max_examples=15, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(model=_topic_models())
-    def test_every_cut_names_path_and_line(self, tmp_path_factory, model):
-        path = tmp_path_factory.mktemp("cut") / "topics.txt"
-        model.save(path)
-        data = path.read_bytes()
-        for cut in range(len(data)):
-            path.write_bytes(data[:cut])
-            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line \d+: "):
-                TopicModel.load(path)
-
-    @pytest.mark.parametrize("kind", [
-        "drop line", "repeat line", "drop field", "extra field", "not a number",
-        "bad size", "bad prior", "negative total", "bad phi entry",
-        "shifted phi entry"])
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(model=_topic_models(), data=st.data())
-    def test_every_corruption_names_path_and_line(self, tmp_path_factory, model,
-                                                  kind, data):
-        path = tmp_path_factory.mktemp("bad") / "topics.txt"
-        model.save(path)
-        lines = _corrupt(path.read_text().splitlines(), kind, data)
-        path.write_text("".join(f"{line}\n" for line in lines))
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line \d+: "):
-            TopicModel.load(path)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import cqarank.translation as translation
 import oracle
 import reference_scoring
-from cqarank.corpus import ingest_corpus
+from cqarank.corpus import ingest_corpus, save_image
 from cqarank.synth import SynthSpec, write_synth
 from cqarank.translation import (ParallelPair, TranslationTable,
                                  corpus_log_likelihood, identity_table,
@@ -158,6 +158,16 @@ class TestLogLikelihood:
         assert ll == float("-inf")
 
 
+def _save_entries(path, text) -> None:
+    """Write the "t w p" lines `text` to `path`, and beside it the image that
+    save writes for those entries, in that order."""
+    path.write_text(text)
+    rows = [line.split() for line in text.splitlines()]
+    save_image(path, (np.array([int(r[0]) for r in rows], dtype=np.int64),
+                      np.array([int(r[1]) for r in rows], dtype=np.int64),
+                      np.array([float(r[2]) for r in rows], dtype=np.float64)))
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         pairs = _random_pairs(11)
@@ -167,14 +177,6 @@ class TestSerialization:
         loaded = TranslationTable.load(path)
         for s in table.sources():
             assert loaded.row(s) == table.row(s)
-
-    @pytest.mark.parametrize("bad", ["1 2", "1 2 0.5 7", "1 x 0.5", "1.5 2 0.5",
-                                     "1 2 half"])
-    def test_bad_line_names_path_and_line(self, tmp_path, bad):
-        path = tmp_path / "table.tsv"
-        path.write_text(f"0 3 1.0\n{bad}\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: ")):
-            TranslationTable.load(path)
 
     def test_sorted_by_source_then_target(self, tmp_path):
         table = TranslationTable([2, 2, 0], [5, 1, 3], [0.5, 0.5, 1.0])
@@ -195,52 +197,25 @@ class TestSerialization:
                                       "0 3 nan\n", "0 3 inf\n"])
     def test_row_off_one_names_path(self, tmp_path, text):
         path = tmp_path / "table.tsv"
-        path.write_text(f"1 1 1.0\n{text}")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: source 0: ")):
+        _save_entries(path, f"1 1 1.0\n{text}")
+        with pytest.raises(ValueError, match=re.escape(f"{path}.npy: source 0: ")):
             TranslationTable.load(path)
 
     @pytest.mark.parametrize("text, message", [("0 3 0.5\n0 3 0.5\n", "repeated"),
-                                               ("-1 3 1.0\n", "term ids"),
-                                               ("0 99999999999999999999 1.0\n",
-                                                "term ids")])
+                                               ("-1 3 1.0\n", "term ids")])
     def test_bad_entries_name_path(self, tmp_path, text, message):
         path = tmp_path / "table.tsv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + message):
-            TranslationTable.load(path)
-
-    def test_blank_lines_keep_line_numbers(self, tmp_path):
-        path = tmp_path / "table.tsv"
-        path.write_text("0 3 1.0\n\n\n1 x 0.5\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: ")):
+        _save_entries(path, text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}.npy: ") + message):
             TranslationTable.load(path)
 
     def test_empty_file_is_empty_table(self, tmp_path):
         path = tmp_path / "table.tsv"
-        path.write_text("")
+        TranslationTable([], [], []).save(path)
+        assert path.read_text() == ""
         table = TranslationTable.load(path)
         assert len(table) == 0 and table.row(1).get(1, 0.0) == 0.0
         assert table.columns([1, 2], [3]).tolist() == [[0.0], [0.0]]
-
-    def test_text_load_keeps_only_its_columns(self, tmp_path):
-        """Loaded from text with no image, the target and prob columns are
-        C-contiguous and own their data: the buffer under each is its own
-        size, so the parsed "t w p" rows are freed."""
-        path = tmp_path / "table.tsv"
-        path.write_text("0 3 0.25\n0 4 0.75\n2 1 1.0\n")
-        table = TranslationTable.load(path)
-        for column in (table._target, table._prob):
-            buffer = column
-            while buffer.base is not None:
-                buffer = buffer.base
-            assert column.flags.c_contiguous and buffer.nbytes == column.nbytes
-
-    def test_unsorted_file_loads_sorted(self, tmp_path):
-        path = tmp_path / "table.tsv"
-        path.write_text("2 5 0.5\n0 3 1.0\n2 1 0.5\n")
-        table = TranslationTable.load(path)
-        table.save(path)
-        assert path.read_text() == "0 3 1.0\n2 1 0.5\n2 5 0.5\n"
 
 
 class TestColumns:
@@ -426,10 +401,10 @@ class TestStreamedEM:
 
 
 @st.composite
-def _normalized_tables(draw, min_rows=1):
+def _normalized_tables(draw):
     """A TranslationTable whose rows sum to 1 and whose every entry is at
     least 1e-4."""
-    sources = draw(st.lists(st.integers(0, 60), min_size=min_rows, max_size=4,
+    sources = draw(st.lists(st.integers(0, 60), min_size=1, max_size=4,
                             unique=True))
     src, tgt, prob = [], [], []
     for t in sources:
@@ -458,25 +433,3 @@ class TestRoundTripProperties:
         assert _rows(loaded) == _rows(table)
         loaded.save(path)
         assert path.read_bytes() == saved
-
-    @settings(max_examples=15, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(table=_normalized_tables(min_rows=2))
-    def test_every_cut_raises_or_is_a_row_prefix(self, tmp_path_factory, table):
-        path = tmp_path_factory.mktemp("cut") / "table.tsv"
-        table.save(path)
-        data = path.read_bytes()
-        rows = _rows(table)
-        prefixes, offset = {0: {}}, 0
-        for t in table.sources():
-            offset += sum(len(f"{t} {w} {p!r}\n") for w, p in rows[t].items())
-            prefixes[offset] = {s: rows[s] for s in table.sources() if s <= t}
-        assert offset == len(data)
-        for cut in range(len(data) + 1):
-            path.write_bytes(data[:cut])
-            try:
-                loaded = TranslationTable.load(path)
-            except ValueError as exc:
-                assert str(exc).startswith(f"{path}: ")
-                continue
-            assert _rows(loaded) == prefixes.get(cut), cut
