@@ -1,7 +1,10 @@
 """The binary image `<path>.npy` that TranslationTable.save and
 TopicModel.save write beside their text: load reads the image alone, and
 raises ValueError naming it when the image is missing, stale, cut short or
-unreadable, or its arrays fail a check."""
+unreadable, or its arrays fail a check. The text stays a complete export:
+each `*_loads_the_text` test also reads the text beside a refused image with
+the benchmark's own text reader and finds the model in it, so a refused
+image loses nothing that the text holds."""
 
 import hashlib
 import io
@@ -20,6 +23,7 @@ from cqarank.translation import TranslationTable
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "cqabench"))
 
+from checks import read_topics, read_translation  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 @pytest.fixture(scope="module")
@@ -122,6 +126,31 @@ OTHER = {TranslationTable: TranslationTable([1, 1], [2, 3], [0.25, 0.75]),
                                 seed=5)}
 
 
+# each text parsed so far, by its sha256: the same text is parsed once
+_PARSED: dict = {}
+
+
+def assert_the_text_loads(path, value) -> None:
+    """The text at `path`, read by the benchmark's reader of its kind and so
+    without cqarank, holds exactly `value`."""
+    cls = type(value)
+    digest = hashlib.sha256(path.read_bytes()).digest()
+    if digest not in _PARSED:
+        reader = read_translation if cls is TranslationTable else read_topics
+        _PARSED[digest] = reader(path)
+    parsed = _PARSED[digest]
+    if cls is TranslationTable:
+        expected: dict = {}
+        for t, w, p in zip(np.repeat(value._rows, np.diff(value._offsets)).tolist(),
+                           value._target.tolist(), value._prob.tolist()):
+            expected.setdefault(t, {})[w] = p
+    else:
+        expected = {"K": value.phi.shape[0], "V": value.vocab_size,
+                    "alpha": value.alpha, "beta": value.beta,
+                    "totals": value.topic_totals.tolist(), "phi": value.phi.tolist()}
+    assert parsed == expected
+
+
 def raises_naming_the_image(path, *words):
     """pytest.raises for a ValueError that starts with the image's path and
     then holds `words` in order."""
@@ -129,7 +158,7 @@ def raises_naming_the_image(path, *words):
         re.escape(w) for w in (f"{image_path(path)}: ", *words)))
 
 
-def test_a_stale_image_raises(saved, tmp_path):
+def test_a_stale_image_loads_the_text(saved, tmp_path):
     cls, path, value = saved
     # another model's text written over this one's, as by an edit after save
     other = tmp_path / "other" / path.name
@@ -138,27 +167,30 @@ def test_a_stale_image_raises(saved, tmp_path):
     shutil.copyfile(other, path)
     with raises_naming_the_image(path, "digest", str(path)):
         cls.load(path)
+    assert_the_text_loads(path, OTHER[cls])
 
 
 def _cut_points(size: int) -> list[int]:
     return sorted({0, 1, 8, 60, 128, size // 2, size - 9, size - 1})
 
 
-def test_a_cut_image_raises(saved):
+def test_a_cut_image_loads_the_text(saved):
     cls, path, value = saved
     image = image_path(path).read_bytes()
     for cut in _cut_points(len(image)):
         image_path(path).write_bytes(image[:cut])
         with raises_naming_the_image(path):
             cls.load(path)
+    assert_the_text_loads(path, value)
 
 
-def test_an_image_with_data_after_its_arrays_raises(saved):
+def test_an_image_with_data_after_its_arrays_loads_the_text(saved):
     cls, path, value = saved
     with open(image_path(path), "ab") as f:
         np.save(f, np.zeros(1))
     with raises_naming_the_image(path, "after the last array"):
         cls.load(path)
+    assert_the_text_loads(path, value)
 
 
 def _image_arrays(cls, value) -> list[np.ndarray]:
@@ -209,14 +241,15 @@ def _write_image(path, arrays) -> None:
 
 
 @pytest.mark.parametrize("change", UNREADABLE)
-def test_an_unreadable_image_raises(saved, change):
+def test_an_unreadable_image_loads_the_text(saved, change):
     cls, path, value = saved
     _write_image(path, UNREADABLE[change](_image_arrays(cls, value)))
     with raises_naming_the_image(path):
         cls.load(path)
+    assert_the_text_loads(path, value)
 
 
-def test_a_phi_not_in_c_order_raises(models, tmp_path):
+def test_a_phi_not_in_c_order_loads_the_text(models, tmp_path):
     # a 1 x 1 phi is in both orders
     models = [(name, table, model) for name, table, model in models
               if model.phi.shape != (1, 1)]
@@ -228,6 +261,7 @@ def test_a_phi_not_in_c_order_raises(models, tmp_path):
         _write_image(path, [*arrays[:-1], np.asfortranarray(arrays[-1])])
         with raises_naming_the_image(path, "Fortran order"):
             TopicModel.load(path)
+        assert_the_text_loads(path, model)
 
 
 def _edited(arrays, i, edit):
@@ -280,18 +314,20 @@ FAILING = {
 
 
 @pytest.mark.parametrize("change", FAILING)
-def test_an_image_failing_a_check_raises(saved, change):
+def test_an_image_failing_a_check_loads_the_text(saved, change):
     cls, path, value = saved
     save_image(path, FAILING[change][cls](_image_arrays(cls, value)))
     with raises_naming_the_image(path):
         cls.load(path)
+    assert_the_text_loads(path, value)
 
 
-def test_a_text_without_an_image_raises(saved):
+def test_a_text_without_an_image_loads_as_before(saved):
     cls, path, value = saved
     image_path(path).unlink()
     with raises_naming_the_image(path, "cannot read the model image"):
         cls.load(path)
+    assert_the_text_loads(path, value)
 
 
 def test_an_image_without_its_text_raises(saved):
