@@ -16,7 +16,7 @@ import os
 import sys
 import typing
 
-from .corpus import load_corpus, load_queries, read_text, save_corpus
+from .corpus import load_corpus, load_queries, save_corpus, text_lines
 from .evaluation import (comparison_table, read_qrels, read_run, write_report,
                          write_run)
 from .index import build_index
@@ -96,27 +96,27 @@ def _default_outdir() -> str:
 
 def _read_config_file(path: str) -> dict:
     """key=value lines; '#' starts a comment. Returns converted values by
-    field name; a bad line raises ValueError naming the path and line."""
+    field name; a bad line or a key given twice, under either spelling,
+    raises ValueError naming the path and line."""
     by_key = {flag_name(name)[2:]: name for name in FIELDS}
     values = {}
-    # read() turns every line ending into "\n", as iterating the file would
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, raw = (part.strip() for part in line.partition("="))
-        name = by_key.get(key.replace("_", "-"))
-        try:
+    with text_lines(path) as lines:
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, raw = (part.strip() for part in line.partition("="))
+            name = by_key.get(key.replace("_", "-"))
             if not sep:
                 raise ValueError("expected key=value")
             if name is None:
                 raise ValueError(f"unknown key {key!r}")
+            if name in values:
+                raise ValueError(f"repeated key {key!r}")
             value = _converter(name)(raw)
             if name in CHOICES and value not in CHOICES[name]:
                 raise ValueError(f"{key} must be one of {', '.join(CHOICES[name])}")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
-        values[name] = value
+            values[name] = value
     return values
 
 

@@ -67,12 +67,18 @@ class RankedRun:
         return list(self._queries.keys())
 
 
+def _check_cutoff(k: int, name: str = "k") -> None:
+    """A ranking cutoff, the evaluation depth or the candidates retrieved,
+    keeps at least one rank."""
+    if k < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def average_precision_at_k(ranked_doc_ids, query_grades: dict[str, int], k: int,
                            rel_threshold: int = 1) -> float:
     """AP@k with binary relevance grade >= rel_threshold and denominator
     min(R, k), R = judged-relevant count for the query. R = 0 gives 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_cutoff(k)
     relevant_total = sum(1 for g in query_grades.values() if g >= rel_threshold)
     if relevant_total == 0:
         return 0.0
@@ -88,8 +94,7 @@ def average_precision_at_k(ranked_doc_ids, query_grades: dict[str, int], k: int,
 def ndcg_at_k(ranked_doc_ids, query_grades: dict[str, int], k: int) -> float:
     """NDCG@k with gain 2^grade - 1 and discount 1/log2(1 + rank); the ideal
     ordering comes from the query's judged grades."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_cutoff(k)
     idcg = 0.0  # a plain loop: sum() is compensated from Python 3.12 on
     for rank, g in enumerate(sorted(query_grades.values(), reverse=True)[:k], start=1):
         idcg += (2.0 ** g - 1.0) / math.log2(1.0 + rank)

@@ -11,6 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Corpus
+from .evaluation import _check_cutoff
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -161,8 +162,7 @@ def retrieve_candidates(query_tokens, index: InvertedIndex, k: int,
                         k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[ScoredCandidate]:
     """Top-k pairs by BM25; ties broken by ascending qa_id. Docs sharing no
     term with the query are not returned."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_cutoff(k)
     scores, matched = bm25_scores(query_tokens, index, k1, b)
     top = matched[np.lexsort((index.id_rank[matched], -scores[matched]))][:k]
     return [ScoredCandidate(index.doc_ids[d], s)

@@ -2,17 +2,20 @@
 Newton-step regression trees, gradient boosting, and LETOR file IO.
 
 Training is fully deterministic: no row or feature subsampling, stable sort
-orders everywhere, split ties broken by lowest feature index then lowest
-threshold.
+orders everywhere, and split gains equal as floats broken by lowest feature
+index then lowest threshold. Two features that cut a node's rows into the
+same two sets add their cumulative sums in different orders, so their gains
+can differ in the last bits; the higher gain then wins, whatever its feature.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
-from .corpus import read_text, strict_numeric, text_lines
+from .corpus import strict_numeric, text_lines
 from .evaluation import ndcg_at_k
 
 LEAF_RIDGE = 1e-9
@@ -87,68 +90,61 @@ class RegressionTree:
         built on the first call and kept, so call it on a finished tree."""
         return self._router.leaf_values(np.asarray(X, dtype=np.float64))[0]
 
+    def preorder(self):
+        """The node numbers in preorder: each split, then its left subtree,
+        then its right one."""
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            yield node
+            if self.feature[node] != -1:
+                stack += (self.right[node], self.left[node])
+
     def to_lines(self) -> list[str]:
         """Preorder serialization: "S <feat> <thr>" / "L <value>"."""
-        lines: list[str] = []
-
-        def walk(node: int) -> None:
-            if self.feature[node] == -1:
-                lines.append(f"L {self.value[node]!r}")
-            else:
-                lines.append(f"S {self.feature[node]} {self.threshold[node]!r}")
-                walk(self.left[node])
-                walk(self.right[node])
-
-        walk(0)
-        return lines
+        return [f"L {self.value[node]!r}" if self.feature[node] == -1
+                else f"S {self.feature[node]} {self.threshold[node]!r}"
+                for node in self.preorder()]
 
     @classmethod
-    def from_lines(cls, lines: list[str]) -> "RegressionTree":
-        """Inverse of to_lines; raises ValueError on a malformed or
-        truncated node list, NodeLineError when one line is malformed."""
+    def from_lines(cls, lines, feature_count: int) -> "RegressionTree":
+        """Inverse of to_lines over any iterable of node lines, each checked
+        as it is read: a malformed line, a split feature outside
+        [0, feature_count), a value that is not finite, lines that end before
+        the tree does and a line after its last node raise ValueError."""
         tree = cls()
-        pos = 0
-
-        def build() -> int:
-            nonlocal pos
-            if pos >= len(lines):
-                raise ValueError("truncated tree serialization")
-            try:
-                parts = _node_fields(lines[pos])
-            except ValueError as exc:
-                raise NodeLineError(pos, str(exc)) from None
-            pos += 1
-            if len(parts) == 1:
-                return tree._add_leaf(parts[0])
-            node = tree._add_leaf(0.0)
-            left = build()
-            right = build()
-            tree._make_split(node, *parts, left, right)
-            return node
-
-        root = build()
-        if root != 0 or pos != len(lines):
-            raise ValueError("malformed tree serialization")
-        return tree
+        waiting = []  # splits whose right child is still to come
+        lines = iter(lines)
+        for line in lines:
+            fields = _node_fields(line, feature_count)
+            node = tree._add_leaf(fields[0] if len(fields) == 1 else 0.0)
+            if node and tree.feature[node - 1] == -1:  # a node after a leaf
+                tree.right[waiting.pop()] = node  # is a right child
+            if len(fields) == 2:  # preorder: a split's left child is next
+                tree._make_split(node, *fields, node + 1, -1)
+                waiting.append(node)
+            elif not waiting:
+                if next(lines, None) is not None:
+                    raise ValueError("a line after the tree's last node")
+                return tree
+        raise ValueError("truncated tree serialization")
 
 
-class NodeLineError(ValueError):
-    """A malformed node line, at `index` in the tree's node lines."""
-
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(message)
-        self.index = index
-
-
-def _node_fields(line: str) -> tuple:
+def _node_fields(line: str, feature_count: int) -> tuple:
     """(value,) of a leaf line "L <value>", (feature, threshold) of a split
     line "S <feature> <threshold>"."""
     parts = strict_numeric(line).split()
     if parts[:1] == ["L"] and len(parts) == 2:
-        return (float(parts[1]),)
-    if parts[:1] == ["S"] and len(parts) == 3:
-        return int(parts[1]), float(parts[2])
-    raise ValueError(f"bad tree node line: {line!r}")
+        fields = (float(parts[1]),)
+    elif parts[:1] == ["S"] and len(parts) == 3:
+        fields = int(parts[1]), float(parts[2])
+        if not 0 <= fields[0] < feature_count:
+            raise ValueError(f"split feature {fields[0]} outside [0, {feature_count})")
+    else:
+        raise ValueError(f"bad tree node line: {line!r}")
+    if not math.isfinite(fields[-1]):
+        raise ValueError("threshold or leaf value is not finite")
+    return fields
 
 
 _WORD_BITS = 64
@@ -161,14 +157,10 @@ def _leaf_layout(tree: RegressionTree):
     subtree in that numbering."""
     first = {}  # each node's first leaf: the leaves numbered before it
     values = []
-    stack = [0]
-    while stack:  # preorder, left child first
-        node = stack.pop()
+    for node in tree.preorder():
         first[node] = len(values)
         if tree.feature[node] == -1:
             values.append(tree.value[node])
-        else:
-            stack += (tree.right[node], tree.left[node])
     # the right subtree's leaves follow the left subtree's
     splits = [(tree.feature[node], tree.threshold[node], lo, first[tree.right[node]])
               for node, lo in first.items() if tree.feature[node] != -1]
@@ -283,58 +275,42 @@ class LambdaMARTModel:
 
     @classmethod
     def load(cls, path) -> "LambdaMARTModel":
-        """Read a model written by save(). A malformed or truncated file, a
-        split feature outside [0, feature_count), or a non-finite shrinkage,
-        threshold or leaf value raises ValueError naming the path and line."""
-        lines = read_text(path).split("\n")
-        if lines[0] != "cqarank-lambdamart-v1":
-            raise ValueError(f"{path}: line 1: not a cqarank LambdaMART model")
-        pos = 1  # lines read, so the 1-based number of the last one
+        """Read a model written by save(), parsing each line as it is read.
+        A malformed or truncated file, a tree of more nodes than
+        `config.leaves` leaves can have, a split feature outside
+        [0, feature_count), or a non-finite shrinkage, threshold or leaf
+        value raises ValueError naming the path and line."""
+        with text_lines(path, whole=True) as lines:
 
-        def take(key: str, *kinds) -> list:
-            """The next line as `key` and one value of each kind."""
-            nonlocal pos
-            parts = lines[pos].split() if pos < len(lines) else []
-            pos += 1
-            if parts[:1] != [key] or len(parts) != len(kinds) + 1:
-                raise ValueError(f"expected '{key}' and {len(kinds)} value(s)")
-            return [kind(strict_numeric(v)) for kind, v in zip(kinds, parts[1:])]
+            def take(key: str, *kinds) -> list:
+                """The next line as `key` and one value of each kind."""
+                parts = next(lines, "").split()
+                if parts[:1] != [key] or len(parts) != len(kinds) + 1:
+                    raise ValueError(f"expected '{key}' and {len(kinds)} value(s)")
+                return [kind(strict_numeric(v)) for kind, v in zip(kinds, parts[1:])]
 
-        try:
-            # save() ends every line with a newline; a file cut inside a
-            # line leaves a non-empty last element
-            if lines.pop():
-                pos = len(lines) + 1
-                raise ValueError("truncated line")
+            if next(lines, "") != "cqarank-lambdamart-v1":
+                raise ValueError("not a cqarank LambdaMART model")
             (feature_count,) = take("feature_count", int)
             (shrinkage,) = take("shrinkage", float)
             if not math.isfinite(shrinkage):
                 raise ValueError("shrinkage is not finite")
             config = TrainConfig(*take("config", int, int, float, int, int))
             (seed,) = take("seed", int)
+            most = 2 * config.leaves - 1  # the nodes of a tree of config.leaves leaves
             trees = []
-            for i in range(take("num_trees", int)[0]):
-                n_lines = take("tree", int, int)[1]
-                if pos + n_lines > len(lines):
-                    raise ValueError(f"tree {i} is truncated")
-                try:
-                    tree = RegressionTree.from_lines(lines[pos:pos + n_lines])
-                except NodeLineError as exc:
-                    pos += exc.index + 1  # the node's own line
-                    raise
-                for feat, left, *values in zip(tree.feature, tree.left,
-                                               tree.threshold, tree.value):
-                    pos += 1  # node n of a tree is its line n (preorder)
-                    if left >= 0 and not 0 <= feat < feature_count:
-                        raise ValueError(f"split feature {feat} outside [0, {feature_count})")
-                    if not all(map(math.isfinite, values)):
-                        raise ValueError("threshold or leaf value is not finite")
-                trees.append(tree)
-            if pos < len(lines):
-                pos += 1
+            for _ in range(take("num_trees", int)[0]):
+                i, n_lines = take("tree", int, int)
+                if not 1 <= n_lines <= most:
+                    raise ValueError(f"tree {i} has {n_lines} node lines, outside "
+                                     f"[1, {most}] for {config.leaves} leaves")
+                trees.append(RegressionTree.from_lines(islice(lines, n_lines),
+                                                       feature_count))
+                if len(trees[-1].feature) < n_lines:  # the file ends after the tree
+                    raise ValueError(f"tree {i} has {len(trees[-1].feature)} node lines, "
+                                     f"not {n_lines}")
+            if next(lines, None) is not None:
                 raise ValueError("unexpected line after the last tree")
-        except (ValueError, RecursionError) as exc:  # a corrupt tree can nest deep
-            raise ValueError(f"{path}: line {pos}: {exc}") from None
         return cls(trees=trees, shrinkage=shrinkage, feature_count=feature_count,
                    config=config, seed=seed)
 

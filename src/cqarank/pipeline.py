@@ -21,10 +21,10 @@ import numpy as np
 
 from .corpus import (Corpus, QueryRecord, file_sha256, image_path, ingest_corpus,
                      load_corpus, load_queries, save_corpus, text_lines)
-from .evaluation import (MetricReport, Qrels, RankedRun, evaluate_run,
+from .evaluation import (MetricReport, Qrels, RankedRun, _check_cutoff, evaluate_run,
                          read_qrels, read_run, write_report, write_run)
 from .index import (DEFAULT_B, DEFAULT_K1, InvertedIndex, ScoredCandidate,
-                    build_index, retrieve_candidates, vsm_scores)
+                    _check_bm25_params, build_index, retrieve_candidates, vsm_scores)
 from .ltr import LambdaMARTModel, RankingInstance, TrainConfig, read_letor, train, write_letor
 from .quality import quality_feature
 # vsm_score, features_f1_f4 and score_* stay imported: per-layer tracing
@@ -33,7 +33,7 @@ from .index import vsm_score
 from .relevance import (ComponentTable, MixtureWeights, PairTerms, features_f1_f4,
                         score_lm, score_t2lm, score_t2lm_plus, score_tlm,
                         term_weights)
-from .topics import TopicModel, infer_query_topics, train_lda
+from .topics import TopicModel, _check_fold_in, infer_query_topics, train_lda
 from .translation import TranslationTable, make_parallel_pairs, train_ibm1
 
 PAD_TO = 20  # --pad-candidates fills shorter candidate lists to this length
@@ -489,7 +489,12 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
             raise PipelineError(f"stage validate failed: {problem} system {system!r}")
     cfg.mixture()  # validates the mu sum early
     cfg.ltr_config()  # and the ranker settings
+    _check_bm25_params(cfg.k1, cfg.b)
+    _check_cutoff(cfg.top_k, "top_k")
+    _check_cutoff(cfg.depth, "depth")
     needed = {model for system in cfg.systems for model in SYSTEMS[system].needs}
+    if "topics" in needed:  # only fold-in reads these
+        _check_fold_in(cfg.burn_in, cfg.samples)
 
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -273,6 +273,13 @@ def train_lda(docs, num_topics: int, alpha: float | None = None, beta: float = 0
     )
 
 
+def _check_fold_in(burn_in: int, samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+
+
 def infer_query_topics(model: TopicModel, query_tokens, burn_in: int = 50,
                        samples: int = 20, seed: int = 0,
                        rng: "np.random.RandomState | None" = None) -> QueryTopicPosterior:
@@ -297,10 +304,7 @@ def infer_query_topics(model: TopicModel, query_tokens, burn_in: int = 50,
     """
     if len(query_tokens) == 0:
         raise ValueError("empty query")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    _check_fold_in(burn_in, samples)
     K = model.num_topics
     tokens = [w for w in query_tokens if 0 <= w < model.vocab_size]
     if not tokens:

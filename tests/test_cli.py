@@ -598,6 +598,12 @@ class TestPipeline:
     @pytest.mark.parametrize("setting, problem", [
         ({"learning_rate": math.nan}, "learning rate nan is not positive and finite"),
         ({"trees": 0}, "all training parameters must be positive"),
+        ({"depth": 0}, "depth must be >= 1"),
+        ({"top_k": 0}, "top_k must be >= 1"),
+        ({"k1": 0.0}, "require k1 > 0 and 0 <= b <= 1"),
+        ({"b": 1.5}, "require k1 > 0 and 0 <= b <= 1"),
+        ({"samples": 0}, "samples must be >= 1"),
+        ({"burn_in": -1}, "burn_in must be >= 0"),
     ])
     def test_bad_ranker_settings_fail_before_any_stage(self, synth_data, tmp_path,
                                                        setting, problem):
@@ -605,6 +611,11 @@ class TestPipeline:
         with pytest.raises(ValueError, match=problem):
             run_pipeline(cfg)
         assert not (tmp_path / "out" / "corpus.json").exists()
+
+    def test_fold_in_settings_unread_without_topics(self, synth_data, tmp_path):
+        cfg = small_pipeline_cfg(synth_data, tmp_path / "out", systems=("bm25",),
+                                 samples=0, burn_in=-1)
+        assert run_pipeline(cfg).exists()
 
     def test_apply_existing_ranker(self, synth_data, tmp_path):
         first = small_pipeline_cfg(synth_data, tmp_path / "train_run")
@@ -966,12 +977,19 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", ["topics 3", "topics = three",
                                       "rescale-weights = maybe",
-                                      "direction = sideways", "alpha = none"])
+                                      "direction = sideways", "alpha = none",
+                                      "seed = 2"])
     def test_bad_line_names_path_and_line(self, tmp_path, capsys, line):
         config = tmp_path / "exp.cfg"
         config.write_text(f"# header\nseed = 1\n{line}\n")
         assert main(["pipeline", f"--config={config}"]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {config}:3: ")
+        assert capsys.readouterr().err.startswith(f"error: {config}: line 3: ")
+
+    def test_key_repeated_under_its_other_spelling_rejected(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("top_k = 40\n\ntop-k = 30\n")
+        assert main(["pipeline", f"--config={config}"]) == 1
+        assert capsys.readouterr().err == f"error: {config}: line 3: repeated key 'top-k'\n"
 
     def test_non_utf8_line_names_path_and_line(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"

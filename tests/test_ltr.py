@@ -568,7 +568,7 @@ class TestModelSerialization:
         assert lines[0].startswith("S 2 ")
         assert lines[1] == "L 1.5"
         assert lines[2] == "L -2.5"
-        rebuilt = RegressionTree.from_lines(lines)
+        rebuilt = RegressionTree.from_lines(lines, 3)
         assert rebuilt.predict_matrix([[0, 0, 0.5], [0, 0, 0.9]]).tolist() == [1.5, -2.5]
 
     def test_truncated_model_names_path(self, tmp_path):
@@ -607,20 +607,54 @@ class TestModelSerialization:
         path.write_text("cqarank-lambdamart-v1\nfeature_count 1\nshrinkage 0.1\n"
                         "config 1 4 0.2 1 10\nseed 0\nnum_trees 1\n"
                         f"tree 0 {len(nodes)}\n" + "".join(n + "\n" for n in nodes))
-        with pytest.raises(ValueError, match="deep.txt: line 7: "):
+        with pytest.raises(ValueError, match=re.escape(
+                "deep.txt: line 7: tree 0 has 10001 node lines, outside [1, 7] for 4 leaves")):
             LambdaMARTModel.load(path)
+
+    @staticmethod
+    def _one_split_model(path):
+        """Saves a model of one tree, a split and its two leaves: line 7 is
+        the tree's header, lines 8-10 its nodes."""
+        tree = RegressionTree()
+        root = tree._add_leaf(0.0)
+        tree._make_split(root, 0, 0.5, tree._add_leaf(1.0), tree._add_leaf(-1.0))
+        model = LambdaMARTModel(trees=[tree], shrinkage=0.1, feature_count=1,
+                                config=replace(CONFIG, trees=1), seed=0)
+        model.save(path)
+        return model
+
+    def test_header_claiming_extra_lines_names_the_line_after_the_tree(self, tmp_path):
+        path = tmp_path / "model.txt"
+        self._one_split_model(path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[6] == "tree 0 3"
+        lines[6] = "tree 0 4"
+        path.write_text("\n".join(lines[:10] + ["L 2.0"] + lines[10:]), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 11: a line after the tree's last node")):
+            LambdaMARTModel.load(path)
+        path.write_text("\n".join(lines), encoding="utf-8")  # no line after the tree
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 11: tree 0 has 3 node lines, not 4")):
+            LambdaMARTModel.load(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "model.txt"
+        model = self._one_split_model(path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for at in (1, 7, 9):
+            spaced = tmp_path / f"spaced{at}.txt"
+            spaced.write_text("\n".join(lines[:at] + [""] + lines[at:]), encoding="utf-8")
+            loaded = LambdaMARTModel.load(spaced)
+            assert [t.to_lines() for t in loaded.trees] == [t.to_lines() for t in model.trees]
+            assert (loaded.shrinkage, loaded.feature_count, loaded.config, loaded.seed) == (
+                model.shrinkage, model.feature_count, model.config, model.seed)
 
     # "\udcff" is written as the byte 0xff, which is not UTF-8
     @pytest.mark.parametrize("node", ["L x", "L 1_0", "S 0", "X 1", "L \udcff"])
     def test_malformed_node_names_its_own_line(self, tmp_path, node):
-        """Line 7 is the tree's header; its split is line 8 and its leaves
-        lines 9 and 10."""
-        tree = RegressionTree()
-        root = tree._add_leaf(0.0)
-        tree._make_split(root, 0, 0.5, tree._add_leaf(1.0), tree._add_leaf(-1.0))
         path = tmp_path / "model.txt"
-        LambdaMARTModel(trees=[tree], shrinkage=0.1, feature_count=1,
-                        config=replace(CONFIG, trees=1), seed=0).save(path)
+        self._one_split_model(path)
         lines = path.read_text(encoding="utf-8").split("\n")
         assert lines[6] == "tree 0 3" and lines[8] == "L 1.0"
         lines[8] = node
@@ -632,7 +666,7 @@ class TestModelSerialization:
                                        [""], ["L"], ["L 1", "L 2"], ["X 1"]])
     def test_bad_node_lines_rejected(self, lines):
         with pytest.raises(ValueError):
-            RegressionTree.from_lines(lines)
+            RegressionTree.from_lines(lines, 1)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
